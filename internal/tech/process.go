@@ -166,8 +166,22 @@ func (p *Process) DelayFactorDVth(dvth float64) float64 {
 	if over < 0.05 {
 		over = 0.05 // near/below-threshold clamp: extremely slow, not infinite
 	}
-	f := math.Pow(over0/over, p.Alpha)
-	return f * p.tempDelayFactor()
+	return alphaPow(over0/over, p.Alpha) * p.tempDelayFactor()
+}
+
+// alphaPow returns math.Pow(r, alpha) bit for bit, faster on the domain the
+// sampler and re-timer live on. For 1 <= alpha <= 1.5, math.Modf splits
+// alpha into 1 and yf = alpha-1 (exact), and math.Pow computes
+// Exp(yf*Log(r)) times the Frexp mantissa of r, then Ldexp-scales by r's
+// binary exponent. While the product stays a normal number (r within
+// [2^-600, 2^600] guarantees it), that scaling by a power of two commutes
+// with the rounding, so Exp(yf*Log(r))*r is the same float. Outside that
+// domain it defers to math.Pow.
+func alphaPow(r, alpha float64) float64 {
+	if alpha >= 1 && alpha <= 1.5 && r >= 0x1p-600 && r <= 0x1p600 {
+		return math.Exp((alpha-1)*math.Log(r)) * r
+	}
+	return math.Pow(r, alpha)
 }
 
 // Speedup returns the fractional speed-up at body bias vbs relative to NBB:

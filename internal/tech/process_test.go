@@ -18,6 +18,47 @@ func TestCalibrationAnchors(t *testing.T) {
 	}
 }
 
+// TestDelayFactorMatchesPow pins DelayFactorDVth to the plain alpha-power
+// formula with math.Pow, bit for bit, over a dense dvth grid that runs
+// through the 0.05 V overdrive clamp, for exponents inside and outside the
+// Exp/Log shortcut's domain and at two temperatures.
+func TestDelayFactorMatchesPow(t *testing.T) {
+	for _, alpha := range []float64{0.8, 1.0, 1.05, 1.3, 1.5, 2.0} {
+		for _, tempK := range []float64{300, 370} {
+			p := Default45nm().WithTemperature(tempK)
+			p.Alpha = alpha
+			over0 := p.VddV - p.Vth0V + p.DIBLOverdriveV
+			for i := -12000; i <= 12000; i++ {
+				dvth := float64(i) * 1e-4
+				over := max(over0-dvth, 0.05)
+				want := math.Pow(over0/over, alpha) * (1 + p.TempDelayCoeff*(tempK-RoomTempK))
+				if got := p.DelayFactorDVth(dvth); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("alpha %v, %v K, dvth %v: got %v, want %v", alpha, tempK, dvth, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAlphaPowMatchesPow checks alphaPow against math.Pow across the whole
+// float range of r, including the edges of the shortcut's domain and the
+// special values math.Pow treats separately.
+func TestAlphaPowMatchesPow(t *testing.T) {
+	rs := []float64{0, 1, 0x1p-600, 0x1p600, math.Nextafter(0x1p-600, 0), math.Nextafter(0x1p600, math.Inf(1)),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.NaN(), -2}
+	for e := -1074; e <= 1023; e += 7 {
+		rs = append(rs, math.Ldexp(1.2345, e), math.Ldexp(1.9999, e))
+	}
+	for _, alpha := range []float64{0.5, 0.8, 1.0, 1.05, 1.3, 1.5, 1.7, 2.0, -1.3} {
+		for _, r := range rs {
+			got, want := alphaPow(r, alpha), math.Pow(r, alpha)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("alphaPow(%v, %v) = %v, math.Pow = %v", r, alpha, got, want)
+			}
+		}
+	}
+}
+
 func TestNominalCornerIsUnity(t *testing.T) {
 	p := Default45nm()
 	if got := p.DelayFactor(0); !almostEqual(got, 1, 1e-12) {

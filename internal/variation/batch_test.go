@@ -182,6 +182,62 @@ func TestYieldStreamSharedSolveCache(t *testing.T) {
 	}
 }
 
+// TestSolveCacheHoldsOnlyRecurringTargets: with a guardband, fast dies whose
+// (unquantized) negative reading the guardband lifts above zero get one-off
+// allocation targets. Those must not take shared-cache slots: after many
+// streams and single-die tunings the cache holds exactly one entry per
+// distinct recurring first-iteration target, and every per-die result is
+// the one an uncached run produces.
+func TestSolveCacheHoldsOnlyRecurringTargets(t *testing.T) {
+	an, al, nom := streamFixture(t)
+	proc := tech.Default45nm()
+	opts := TuneOptions{GuardbandPct: 0.005, Workers: 2}
+	cached := opts
+	cached.SolveCache = core.NewSolveCache(al)
+	limit := nom.DcritPS * 1.001 // the default SlackTolPct
+
+	recurring := map[float64]bool{}
+	oneOff := 0
+	for seed := int64(0); seed < 10; seed++ {
+		var want []*TuneResult
+		if _, err := YieldStream(context.Background(), an, al, nom, proc, Default(), 64, seed, opts,
+			func(_ int, r *TuneResult) error { want = append(want, r); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range want {
+			target := r.BetaSensed + opts.GuardbandPct
+			switch {
+			case r.DcritBeforePS <= limit && target <= 0: // fast die, never allocates
+			case r.BetaSensed >= 0:
+				recurring[target] = true
+			case target <= 0:
+				recurring[0.005] = true
+			default:
+				oneOff++
+			}
+		}
+		if _, err := YieldStream(context.Background(), an, al, nom, proc, Default(), 64, seed, cached,
+			func(d int, r *TuneResult) error { requireTuneResultEqual(t, d, want[d], r); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		tn := NewTuner(NewRetimer(an), al)
+		for d := 0; d < 8; d++ {
+			die := Default().Sample(an.Placement(), proc, DieSeed(seed, d))
+			got, err := TuneOn(tn, nom, die, proc, cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTuneResultEqual(t, d, want[d], got)
+		}
+	}
+	if oneOff == 0 {
+		t.Fatal("fixture produced no one-off targets; the test would not exercise the memo filter")
+	}
+	if got := cached.SolveCache.Len(); got != len(recurring) {
+		t.Errorf("shared cache holds %d entries, want %d distinct recurring targets (%d one-off tails seen)", got, len(recurring), oneOff)
+	}
+}
+
 // TestWilsonHalfWidthBruteForce pins the closed-form interval against a
 // bisection of its defining equation: the Wilson bounds are the roots p of
 // (p̂-p)² = z²·p(1-p)/n, and the half-width is half their distance.

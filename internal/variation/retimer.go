@@ -24,6 +24,7 @@ type Retimer struct {
 	an    *sta.Analyzer
 	buf   *sta.Timing
 	scale []float64
+	shift []float64 // per-row body-effect shifts of biasScale
 }
 
 // NewRetimer wraps a (possibly shared) Analyzer with private scratch
@@ -88,11 +89,20 @@ func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]floa
 	if len(assign) != pl.NumRows {
 		return nil, errors.New("variation: assignment length mismatch")
 	}
+	// The body-effect shift depends only on the row's bias level, so it is
+	// computed once per row; each gate then adds its own variation exactly
+	// as tech.Process.DelayFactorBias does.
 	grid := pl.Lib.Grid
+	if cap(rt.shift) < len(assign) {
+		rt.shift = make([]float64, len(assign))
+	}
+	shift := rt.shift[:len(assign)]
+	for r, level := range assign {
+		shift[r] = proc.VthShift(grid.Voltage(level))
+	}
 	scale := rt.scaleBuf(len(die.DelayScale))
 	for g := range scale {
-		vbs := grid.Voltage(assign[pl.RowOf[g]])
-		scale[g] = proc.DelayFactorBias(vbs, die.DVthV[g])
+		scale[g] = proc.DelayFactorDVth(shift[pl.RowOf[g]] + die.DVthV[g])
 	}
 	return scale, nil
 }
@@ -100,9 +110,10 @@ func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]floa
 // uniformScale fills the scale scratch with the die's variation combined
 // with one bias voltage on every gate.
 func (rt *Retimer) uniformScale(die *Die, proc *tech.Process, vbs float64) []float64 {
+	shift := proc.VthShift(vbs)
 	scale := rt.scaleBuf(len(die.DVthV))
 	for g := range scale {
-		scale[g] = proc.DelayFactorBias(vbs, die.DVthV[g])
+		scale[g] = proc.DelayFactorDVth(shift + die.DVthV[g])
 	}
 	return scale
 }

@@ -89,8 +89,8 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 	d2d := s.rng.NormFloat64() * s.m.SigmaD2DmV / 1000
 
 	// Accumulate the systematic surface wave by wave directly into the
-	// DVthV row: the per-gate inner loop is a branch-free fused
-	// multiply-add sweep, and no scratch beyond the caller's rows is
+	// DVthV row: each wave is one cosWave sweep over all gates (four lanes
+	// at a time on AVX2 hosts), and no scratch beyond the caller's rows is
 	// needed.
 	clear(dv)
 	if s.m.SigmaSysmV > 0 && s.m.CorrLenUM > 0 {
@@ -102,9 +102,7 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 			kx := 2 * math.Pi / lambda * math.Cos(theta)
 			ky := 2 * math.Pi / lambda * math.Sin(theta)
 			phase := s.rng.Float64() * 2 * math.Pi
-			for g, x := range s.xs {
-				dv[g] += amp * math.Cos(kx*x+ky*s.ys[g]+phase)
-			}
+			cosWave(dv, s.xs, s.ys, kx, ky, phase, amp)
 		}
 	}
 

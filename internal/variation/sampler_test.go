@@ -20,9 +20,9 @@ func newAnalyzer(t *testing.T, pl *place.Placement) *sta.Analyzer {
 	return an
 }
 
-// referenceSample is the pre-Sampler gate-major sampling loop, kept
-// verbatim as the differential reference: per gate, the systematic waves
-// are accumulated innermost. The Sampler sweeps wave-major into the die
+// referenceSample is the pre-Sampler gate-major sampling loop, kept as the
+// differential reference: per gate, the systematic waves are accumulated
+// innermost with scalar math.Cos, and the delay factor is math.Pow. The Sampler sweeps wave-major into the die
 // buffer instead, which must not move a single bit.
 func referenceSample(m Model, pl *place.Placement, proc *tech.Process, seed int64) *Die {
 	rng := rand.New(rand.NewSource(seed))
@@ -59,7 +59,11 @@ func referenceSample(m Model, pl *place.Placement, proc *tech.Process, seed int6
 		}
 		dvth := d2d + sys + rng.NormFloat64()*m.SigmaRndmV/1000
 		die.DVthV[g] = dvth
-		die.DelayScale[g] = proc.DelayFactorDVth(dvth)
+		// The alpha-power delay factor, spelled out with math.Pow so the
+		// oracle does not share tech.Process.DelayFactorDVth's code.
+		over0 := proc.VddV - proc.Vth0V + proc.DIBLOverdriveV
+		over := max(over0-dvth, 0.05)
+		die.DelayScale[g] = math.Pow(over0/over, proc.Alpha) * (1 + proc.TempDelayCoeff*(proc.TempK-tech.RoomTempK))
 	}
 	return die
 }

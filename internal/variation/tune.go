@@ -304,6 +304,11 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 // operations are exactly TuneOn's.
 func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64, memoizable bool, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
 	lm := tn.leakModel(proc)
+	// Only a target that can recur is worth a memo slot: a quantized
+	// reading plus the constant guardband, or the constant floor below. The
+	// monitor leaves negative readings unquantized, so a guardband that
+	// lifts one above zero gives a one-off per-die target.
+	memoizable = memoizable && (res.BetaSensed >= 0 || target <= 0)
 	if target <= 0 {
 		target = 0.005 // sensor saw nothing but the die misses timing
 	}
