@@ -184,11 +184,11 @@ func BenchmarkRuntimeILP(b *testing.B) {
 }
 
 // BenchmarkSolveILP times a complete proven-optimal exact solve on the
-// Table 1 circuits the paper's lp_solve handled: presolve, pseudo-cost
-// branching and the deterministic parallel tree, from a heuristic warm
-// start. The sub-benchmarks ablate one engine stage each (most-fractional
-// branching, no presolve, a single worker), so the bench log shows what
-// every stage buys on real instances.
+// Table 1 circuits the paper's lp_solve handled: pseudo-cost branching and
+// the deterministic parallel tree, from a heuristic warm start. The
+// sub-benchmarks ablate one engine stage each (most-fractional branching, a
+// single worker), so the bench log shows what every stage buys on real
+// instances.
 func BenchmarkSolveILP(b *testing.B) {
 	for _, name := range []string{"c1355", "c3540", "c5315"} {
 		res, err := Run(Config{Benchmark: name, Beta: 0.05, SkipLayout: true})
@@ -201,7 +201,6 @@ func BenchmarkSolveILP(b *testing.B) {
 		}{
 			{"full", core.ILPOptions{}},
 			{"mostfrac", core.ILPOptions{Branching: "mostfrac"}},
-			{"nopresolve", core.ILPOptions{NoPresolve: true}},
 			{"serial", core.ILPOptions{Workers: 1}},
 		} {
 			b.Run(name+"/"+cfg.label, func(b *testing.B) {

@@ -158,9 +158,8 @@ func printResult(w io.Writer, res *repro.Result, beta float64, runILP, ascii, ti
 	fmt.Fprint(w, t.String())
 
 	if ir := res.ILPResult; ir != nil {
-		fmt.Fprintf(w, "ilp: %s after %d nodes (%s branching, %d strong LPs); presolve fixed %d vars, dropped %d rows, tightened %d bounds",
-			ir.Status, ir.Nodes, ir.Branching, ir.StrongLPs,
-			ir.PresolveFixedVars, ir.PresolveDroppedRows, ir.PresolveTightened)
+		fmt.Fprintf(w, "ilp: %s after %d nodes (%s branching, %d strong LPs)",
+			ir.Status, ir.Nodes, ir.Branching, ir.StrongLPs)
 		if g := ir.Gap(); g > 0 {
 			fmt.Fprintf(w, "; gap %.2f%%", g*100)
 		}

@@ -19,10 +19,8 @@ import (
 	"os"
 	"strings"
 
-	"repro"
 	"repro/internal/core"
-	"repro/internal/place"
-	"repro/internal/sta"
+	"repro/internal/flow"
 	"repro/internal/tech"
 	"repro/internal/variation"
 )
@@ -53,20 +51,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("yieldtuning: -dies must be positive")
 	}
 
-	pl, nom, err := repro.NominalTiming(*bench)
+	// The flow prefix carries the placement, its nominal timing, and the
+	// shared STA analyzer, allocator and solve cache the study runs on.
+	pfx, err := flow.New().Prefix(*bench, 0)
 	if err != nil {
 		return err
 	}
 	proc := tech.Default45nm()
 	model := variation.Default()
 
-	fmt.Fprintf(stdout, "%s: %d gates, nominal Dcrit %.0f ps\n", *bench, len(pl.Design.Gates), nom.DcritPS)
+	fmt.Fprintf(stdout, "%s: %d gates, nominal Dcrit %.0f ps\n", *bench, len(pfx.Design.Gates), pfx.Timing.DcritPS)
 	fmt.Fprintf(stdout, "variation: sigma(d2d)=%.0fmV sigma(sys)=%.0fmV sigma(rnd)=%.0fmV\n\n",
 		model.SigmaD2DmV, model.SigmaSysmV, model.SigmaRndmV)
 
 	// Slowdown histogram before tuning.
 	fmt.Fprintln(stdout, "die slowdown distribution (before tuning):")
-	if err := histogram(stdout, pl, nom, proc, model, *dies, *seed); err != nil {
+	if err := histogram(stdout, pfx, proc, model, *dies, *seed); err != nil {
 		return err
 	}
 
@@ -83,8 +83,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *core.RaceSolver:
 		sv.ILP.NodeLimit = 50000
 	}
-	st, err := variation.YieldStudy(context.Background(), pl, proc, model, *dies, *seed,
-		variation.TuneOptions{GuardbandPct: 0.005, Solver: s, Workers: *parallel})
+	st, err := variation.YieldStream(context.Background(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
+		proc, model, *dies, *seed,
+		variation.TuneOptions{GuardbandPct: 0.005, Solver: s, Workers: *parallel, SolveCache: pfx.Solves}, nil)
 	if err != nil {
 		return err
 	}
@@ -101,17 +102,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // histogram re-times the same per-index die population the study samples
-// (variation.DieSeed), re-using one analyzer, one sampler and one die
-// buffer across all dies; only DcritPS is read, so the re-times take the
-// Dcrit-only light path.
-func histogram(w io.Writer, pl *place.Placement, nom *sta.Timing, proc *tech.Process,
-	m variation.Model, dies int, seed int64) error {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return err
-	}
-	rt := variation.NewRetimer(an)
-	smp := variation.NewSampler(pl, proc, m)
+// (variation.DieSeed), re-using the prefix's analyzer, one sampler and one
+// die buffer across all dies; only DcritPS is read, so the re-times take
+// the Dcrit-only light path.
+func histogram(w io.Writer, pfx *flow.Prefix, proc *tech.Process, m variation.Model, dies int, seed int64) error {
+	rt := variation.NewRetimer(pfx.Analyzer)
+	smp := variation.NewSampler(pfx.Placement, proc, m)
 	var die *variation.Die
 	bins := make([]int, 9) // <-6, -6..-4, ..., 8..10, >10 (%)
 	for i := 0; i < dies; i++ {
@@ -120,7 +116,7 @@ func histogram(w io.Writer, pl *place.Placement, nom *sta.Timing, proc *tech.Pro
 		if err != nil {
 			return err
 		}
-		beta := (tm.DcritPS/nom.DcritPS - 1) * 100
+		beta := (tm.DcritPS/pfx.Timing.DcritPS - 1) * 100
 		bin := int((beta + 6) / 2)
 		if bin < 0 {
 			bin = 0

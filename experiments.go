@@ -479,9 +479,9 @@ func (r *Runner) Yield(name string, dies int, seed int64) (*variation.YieldStats
 	if err != nil {
 		return nil, err
 	}
-	return variation.YieldStudyOn(r.context(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
+	return variation.YieldStream(r.context(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
 		tech.Default45nm(), variation.Default(), dies, seed,
-		variation.TuneOptions{GuardbandPct: 0.005, Workers: r.parallel, SolveCache: pfx.Solves})
+		variation.TuneOptions{GuardbandPct: 0.005, Workers: r.parallel, SolveCache: pfx.Solves}, nil)
 }
 
 // Yield runs the Monte-Carlo post-silicon tuning study with one tuning

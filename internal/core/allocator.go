@@ -21,7 +21,7 @@ import (
 // per-gate bias delay factors — is computed once at construction, so At only
 // re-evaluates the beta-dependent requirements, delay-delta tables and
 // signature merging into reused buffers. Tuning loops (variation.TuneOn,
-// YieldStudy) and experiment grids (Table 1, cluster sweeps) construct
+// YieldStream) and experiment grids (Table 1, cluster sweeps) construct
 // thousands of Problems over one fixed (placement, nominal timing) pair;
 // with BuildProblem each pays the full grouping, table and map work, with an
 // Allocator each is a linear re-materialization with ~zero allocations.

@@ -30,8 +30,6 @@ type ILPOptions struct {
 	// Branching selects the branching rule: "" or "pseudocost" (strong-
 	// branching-seeded pseudo-costs), or "mostfrac".
 	Branching string
-	// NoPresolve disables the presolve pass (ablation switch).
-	NoPresolve bool
 	// WarmStart primes the incumbent, typically with the heuristic
 	// solution.
 	WarmStart *Solution
@@ -219,7 +217,6 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 	iopts.NodeLimit = opts.NodeLimit
 	iopts.Workers = opts.Workers
 	iopts.Branching = opts.Branching
-	iopts.NoPresolve = opts.NoPresolve
 	if opts.TimeLimit > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.TimeLimit)
 		defer cancel()

@@ -12,10 +12,10 @@ import (
 // same (Options, Solver) pair return the same Solution; a population study
 // (or a serving process fielding many of them) re-solves a handful of
 // monitor-quantized targets over and over, and materialization (Allocator.At)
-// dominates that cost. The per-Tuner memo already removes the repeats within
-// one worker; this cache removes them across workers and across streams: a
-// flow.Prefix carries one, so every /v1/yield request against a cached
-// placement starts with the population's allocation set already solved.
+// dominates that cost. The cache removes the repeats across workers and
+// across streams: a flow.Prefix carries one, so every /v1/yield request
+// against a cached placement starts with the population's allocation set
+// already solved.
 //
 // Concurrent misses on one key coalesce: the first caller materializes and
 // solves, later callers block until the entry is filled. The cached Solution
@@ -67,8 +67,8 @@ func (c *SolveCache) Len() int {
 }
 
 // Solve returns the allocation outcome for (opts, solver) through the cache,
-// materializing and solving into buf on a miss. Like Tuner.solve it keeps
-// the two failure modes apart: solveErr is the deterministic
+// materializing and solving into buf on a miss. It keeps the two failure
+// modes apart: solveErr is the deterministic
 // beyond-compensation-range outcome (cached alongside solutions), err is a
 // structural materialization failure (fatal, never cached). The returned
 // Instance is buf (possibly grown) — callers thread it exactly as with
@@ -109,7 +109,7 @@ func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Sol
 	inst, err = c.al.At(opts, buf)
 	if err != nil {
 		// Broadcast the failure to coalesced waiters but drop the entry:
-		// fatal errors are never cached, matching the Tuner memo.
+		// fatal errors are never cached.
 		e.fatal = err
 		c.mu.Lock()
 		delete(c.m, key)

@@ -1,9 +1,8 @@
 // Package ilp solves (mixed) integer linear programs by branch and bound
 // over the lp simplex. It provides what the paper used lp_solve for: the
-// exact FBB allocation. The engine runs a presolve pass (bound tightening,
-// variable fixing, redundant-row elimination), a pluggable branching rule
-// (pseudo-cost with reliability initialization, or most-fractional), and a
-// deterministically parallel tree search: worker goroutines speculatively
+// exact FBB allocation. The engine runs a pluggable branching rule
+// (pseudo-cost with reliability initialization, or most-fractional) inside
+// a deterministically parallel tree search: worker goroutines speculatively
 // solve node relaxations ahead of a sequential commit order, so the result
 // — incumbent, objective, status, node count — is byte-identical at any
 // worker count. Like the paper's runs, where the ILP "did not converge in
@@ -75,8 +74,6 @@ type Options struct {
 	// Branching selects the branching rule: "pseudocost" (default, with
 	// reliability initialization by strong branching) or "mostfrac".
 	Branching string
-	// NoPresolve skips the presolve reductions (for ablations).
-	NoPresolve bool
 	// Interrupt, when non-nil, is polled between node commits; once it
 	// returns true the search stops and reports FeasibleBudget (or
 	// NoSolution). This is the wall-clock opt-out: callers wire a
@@ -102,11 +99,6 @@ type Result struct {
 	// Nodes counts committed branch-and-bound nodes. Under a NodeLimit
 	// budget it is identical at any Workers count.
 	Nodes int
-	// Presolve reductions: variables fixed, rows eliminated, bound
-	// tightenings applied.
-	PresolveFixedVars   int
-	PresolveDroppedRows int
-	PresolveTightened   int
 	// Branching echoes the rule that ran; StrongLPs counts the strong-
 	// branching LP solves spent on reliability initialization (these are
 	// not part of Nodes).
@@ -116,7 +108,7 @@ type Result struct {
 
 const intTol = 1e-6
 
-// Solve runs presolve then a deterministic parallel branch and bound.
+// Solve runs a deterministic parallel branch and bound.
 func Solve(m *Model, opts Options) (Result, error) {
 	if err := m.Problem.Validate(); err != nil {
 		return Result{}, err
@@ -143,36 +135,21 @@ func Solve(m *Model, opts Options) (Result, error) {
 		res.X = append([]float64(nil), opts.WarmX...)
 	}
 
-	rd := reduce(m, isInt, !opts.NoPresolve)
-	res.PresolveFixedVars = rd.nFixed
-	res.PresolveDroppedRows = rd.nRows
-	res.PresolveTightened = rd.nBounds
-	if !rd.feasible {
-		res.Status = InfeasibleProven
-		res.X = nil
-		res.Obj = math.Inf(1)
-		return res, nil
-	}
-
-	br, err := newBrancher(opts.Branching, len(rd.m.C))
+	br, err := newBrancher(opts.Branching, n)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Branching = br.name()
 
-	if len(rd.m.C) == 0 {
-		// Presolve fixed every variable: the model is solved outright.
-		obj := rd.offset
-		if obj < res.Obj {
-			res.Obj = obj
-			res.X = rd.postsolve(nil)
-		}
-		res.Status = OptimalProven
-		res.BoundObj = res.Obj
-		return res, nil
+	// The search applies branching fixes to explicit bound arrays.
+	sm := &Model{Problem: m.Problem, Integer: isInt}
+	sm.L = make([]float64, n)
+	sm.U = make([]float64, n)
+	for j := 0; j < n; j++ {
+		sm.L[j] = lowerOf(&m.Problem, j)
+		sm.U[j] = upperOf(&m.Problem, j)
 	}
-
-	sr := newSearch(rd, br, opts.Workers)
+	sr := newSearch(sm, br, opts.Workers)
 	if err := sr.run(&res, nodeLimit, opts.Interrupt); err != nil {
 		return Result{}, err
 	}

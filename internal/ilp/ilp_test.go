@@ -200,22 +200,7 @@ func exhaustive(m *Model) (float64, []float64, bool) {
 				x[j] = 1
 			}
 		}
-		ok := true
-		for i, row := range m.A {
-			v := 0.0
-			for j := range row {
-				v += row[j] * x[j]
-			}
-			switch m.Rel[i] {
-			case lp.LE:
-				ok = ok && v <= m.B[i]+1e-9
-			case lp.GE:
-				ok = ok && v >= m.B[i]-1e-9
-			case lp.EQ:
-				ok = ok && math.Abs(v-m.B[i]) <= 1e-9
-			}
-		}
-		if !ok {
+		if !satisfies(m, x) {
 			continue
 		}
 		obj := 0.0
@@ -230,39 +215,71 @@ func exhaustive(m *Model) (float64, []float64, bool) {
 	return best, bestX, bestX != nil
 }
 
+// satisfies reports whether x meets every row of m.
+func satisfies(m *Model, x []float64) bool {
+	for i, row := range m.A {
+		v := 0.0
+		for j := range row {
+			v += row[j] * x[j]
+		}
+		switch m.Rel[i] {
+		case lp.LE:
+			if v > m.B[i]+1e-9 {
+				return false
+			}
+		case lp.GE:
+			if v < m.B[i]-1e-9 {
+				return false
+			}
+		case lp.EQ:
+			if math.Abs(v-m.B[i]) > 1e-9 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// randomBinaryModel draws a small pure binary program (3-10 variables,
+// 1-4 LE/GE rows) that the exhaustive oracle can enumerate.
+func randomBinaryModel(rng *rand.Rand) *Model {
+	n := 3 + rng.Intn(8) // up to 10 binaries -> 1024 points
+	rows := 1 + rng.Intn(4)
+	m := &Model{Problem: lp.Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, rows),
+		Rel: make([]lp.Rel, rows),
+		B:   make([]float64, rows),
+		U:   make([]float64, n),
+	}}
+	for j := 0; j < n; j++ {
+		m.C[j] = float64(rng.Intn(21) - 10)
+		m.U[j] = 1
+	}
+	for i := 0; i < rows; i++ {
+		m.A[i] = make([]float64, n)
+		for j := 0; j < n; j++ {
+			m.A[i][j] = float64(rng.Intn(9) - 3)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			m.Rel[i] = lp.LE
+			m.B[i] = float64(rng.Intn(2 * n))
+		case 1:
+			m.Rel[i] = lp.GE
+			m.B[i] = float64(-rng.Intn(n))
+		default:
+			m.Rel[i] = lp.LE
+			m.B[i] = float64(rng.Intn(n))
+		}
+	}
+	return m
+}
+
 func TestAgainstExhaustiveEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
-		n := 3 + rng.Intn(8) // up to 10 binaries -> 1024 points
-		rows := 1 + rng.Intn(4)
-		m := &Model{Problem: lp.Problem{
-			C:   make([]float64, n),
-			A:   make([][]float64, rows),
-			Rel: make([]lp.Rel, rows),
-			B:   make([]float64, rows),
-			U:   make([]float64, n),
-		}}
-		for j := 0; j < n; j++ {
-			m.C[j] = float64(rng.Intn(21) - 10)
-			m.U[j] = 1
-		}
-		for i := 0; i < rows; i++ {
-			m.A[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				m.A[i][j] = float64(rng.Intn(9) - 3)
-			}
-			switch rng.Intn(3) {
-			case 0:
-				m.Rel[i] = lp.LE
-				m.B[i] = float64(rng.Intn(2 * n))
-			case 1:
-				m.Rel[i] = lp.GE
-				m.B[i] = float64(-rng.Intn(n))
-			default:
-				m.Rel[i] = lp.LE
-				m.B[i] = float64(rng.Intn(n))
-			}
-		}
+		m := randomBinaryModel(rng)
 		got, err := Solve(m, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -292,4 +309,210 @@ func TestGap(t *testing.T) {
 	if g := r.Gap(); math.Abs(g-0.2) > 1e-12 {
 		t.Errorf("gap = %f, want 0.2", g)
 	}
+}
+
+// The TestPresolve* models are the shapes a presolve pass reduces before
+// search: forced binaries, a redundant row, a singleton row, an
+// activity-infeasible row and a duality-fixable column. Plain branch and
+// bound must get each one right.
+
+func TestPresolveFixesForcedBinaries(t *testing.T) {
+	// x1 + x2 >= 2 forces both binaries to 1.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{3, 5},
+		A:   [][]float64{{1, 1}},
+		Rel: []lp.Rel{lp.GE},
+		B:   []float64{2},
+		U:   []float64{1, 1},
+	}}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != OptimalProven || math.Abs(r.Obj-8) > 1e-9 {
+		t.Fatalf("status=%v obj=%f, want optimal 8", r.Status, r.Obj)
+	}
+	if r.X[0] != 1 || r.X[1] != 1 {
+		t.Fatalf("x = %v, want [1 1]", r.X)
+	}
+}
+
+func TestPresolveDropsRedundantRow(t *testing.T) {
+	// x1 + x2 + x3 <= 5 can never bind for binaries; the knapsack result
+	// must be unaffected.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{-10, -13, -7},
+		A:   [][]float64{{3, 4, 2}, {1, 1, 1}},
+		Rel: []lp.Rel{lp.LE, lp.LE},
+		B:   []float64{6, 5},
+		U:   []float64{1, 1, 1},
+	}}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != OptimalProven || math.Abs(r.Obj+20) > 1e-6 {
+		t.Fatalf("status=%v obj=%f, want optimal -20", r.Status, r.Obj)
+	}
+}
+
+func TestPresolveSingletonRow(t *testing.T) {
+	// 2*x2 <= 1 is a singleton: binary x2 must be 0.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{-1, -10},
+		A:   [][]float64{{0, 2}},
+		Rel: []lp.Rel{lp.LE},
+		B:   []float64{1},
+		U:   []float64{1, 1},
+	}}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != OptimalProven || math.Abs(r.Obj+1) > 1e-9 {
+		t.Fatalf("status=%v obj=%f, want optimal -1", r.Status, r.Obj)
+	}
+	if r.X[1] != 0 {
+		t.Fatalf("x2 = %f, want 0", r.X[1])
+	}
+}
+
+func TestPresolveProvesInfeasible(t *testing.T) {
+	// Max activity of x1+x2 is 2 < 3.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{1, 1},
+		A:   [][]float64{{1, 1}},
+		Rel: []lp.Rel{lp.GE},
+		B:   []float64{3},
+		U:   []float64{1, 1},
+	}}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != InfeasibleProven {
+		t.Fatalf("status = %v, want infeasible", r.Status)
+	}
+}
+
+func TestPresolveDualityFixing(t *testing.T) {
+	// x2 has positive cost and only helps constraints when low, so some
+	// optimum has it at its lower bound.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{-2, 4},
+		A:   [][]float64{{1, 1}},
+		Rel: []lp.Rel{lp.LE},
+		B:   []float64{1},
+		U:   []float64{1, 1},
+	}}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != OptimalProven || math.Abs(r.Obj+2) > 1e-9 {
+		t.Fatalf("status=%v obj=%f, want optimal -2", r.Status, r.Obj)
+	}
+	if r.X[1] != 0 {
+		t.Fatalf("x2 = %f, want 0", r.X[1])
+	}
+}
+
+// fuzzModel decodes bytes into a pure binary program of 1-10 variables and
+// 1-6 mixed LE/GE/EQ rows; missing bytes read as zero.
+func fuzzModel(data []byte) *Model {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b
+	}
+	n := 1 + next()%10
+	rows := 1 + next()%6
+	m := &Model{Problem: lp.Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, rows),
+		Rel: make([]lp.Rel, rows),
+		B:   make([]float64, rows),
+		U:   make([]float64, n),
+	}}
+	for j := range m.C {
+		m.C[j] = float64(next()%21 - 10)
+		m.U[j] = 1
+	}
+	for i := range m.A {
+		m.A[i] = make([]float64, n)
+		for j := range m.A[i] {
+			m.A[i][j] = float64(next()%9 - 4)
+		}
+		m.Rel[i] = []lp.Rel{lp.LE, lp.GE, lp.EQ}[next()%3]
+		m.B[i] = float64(next()%(2*n+1) - n)
+	}
+	return m
+}
+
+// FuzzILP checks Solve on small random binary programs against exhaustive
+// enumeration, under both branching rules and one or two workers. A
+// proven status must match the oracle's; the node budget is larger than
+// any complete tree over 10 binaries, so every run must terminate.
+func FuzzILP(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 7, 13, 6, 5, 1, 9})
+	f.Add([]byte{9, 5, 3, 17, 0, 20, 11, 4, 8, 1, 16, 2, 7, 0, 6, 5, 3, 1, 8, 2, 4, 6, 0, 7, 1, 9, 30, 12})
+	f.Add([]byte{4, 2, 20, 0, 10, 5, 8, 8, 8, 8, 0, 3, 0, 0, 0, 0, 2, 5, 1, 7, 3, 5, 2, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rule, workers int
+		if len(data) > 0 {
+			rule, workers = int(data[0]&1), 1+int(data[0]>>1&1)
+			data = data[1:]
+		}
+		m := fuzzModel(data)
+		r, err := Solve(m, Options{
+			NodeLimit: 1 << 12,
+			Workers:   workers,
+			Branching: []string{"pseudocost", "mostfrac"}[rule],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, feasible := exhaustive(m)
+		switch r.Status {
+		case InfeasibleProven:
+			if feasible {
+				t.Fatalf("solver says infeasible, oracle optimum %v", want)
+			}
+			return
+		case OptimalProven:
+			if !feasible {
+				t.Fatalf("solver says optimal %v, oracle infeasible", r.Obj)
+			}
+			if math.Abs(r.Obj-want) > 1e-6 {
+				t.Fatalf("solver %v vs oracle %v", r.Obj, want)
+			}
+		case FeasibleBudget:
+			if !feasible || r.Obj < want-1e-6 || r.BoundObj > want+1e-6 {
+				t.Fatalf("budgeted incumbent %v, bound %v vs oracle %v (feasible %v)", r.Obj, r.BoundObj, want, feasible)
+			}
+		case NoSolution:
+			return
+		default:
+			t.Fatalf("status %v on a bounded binary program", r.Status)
+		}
+		// The incumbent is a binary point that meets every row and
+		// prices at Obj.
+		obj := 0.0
+		for j, x := range r.X {
+			if x != 0 && x != 1 {
+				t.Fatalf("x[%d] = %v is not binary", j, x)
+			}
+			obj += m.C[j] * x
+		}
+		if math.Abs(obj-r.Obj) > 1e-6 {
+			t.Fatalf("incumbent prices at %v, Obj %v", obj, r.Obj)
+		}
+		if !satisfies(m, r.X) {
+			t.Fatalf("incumbent %v violates a row", r.X)
+		}
+	})
 }

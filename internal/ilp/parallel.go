@@ -85,8 +85,7 @@ func (h *nodeHeap) Pop() any {
 }
 
 type search struct {
-	rd      *reduction
-	m       *Model
+	m       *Model // bounds materialized
 	isInt   []bool
 	br      brancher
 	workers int
@@ -103,18 +102,18 @@ type search struct {
 	waitCond    *sync.Cond // commit loop waits here for a claimed node
 	wg          sync.WaitGroup
 
-	cutoffBits atomic.Uint64 // reduced-space incumbent cutoff (advisory)
+	cutoffBits atomic.Uint64 // incumbent cutoff (advisory)
 
 	// commit-loop-only state.
 	open    nodeHeap
 	nextSeq int64
 }
 
-func newSearch(rd *reduction, br brancher, workers int) *search {
+func newSearch(m *Model, br brancher, workers int) *search {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &search{rd: rd, m: rd.m, isInt: rd.m.Integer, br: br, workers: workers}
+	s := &search{m: m, isInt: m.Integer, br: br, workers: workers}
 	s.workCond = sync.NewCond(&s.mu)
 	s.waitCond = sync.NewCond(&s.mu)
 	s.publishCutoff(math.Inf(1))
@@ -124,8 +123,8 @@ func newSearch(rd *reduction, br brancher, workers int) *search {
 func (s *search) publishCutoff(v float64) { s.cutoffBits.Store(math.Float64bits(v)) }
 func (s *search) readCutoff() float64     { return math.Float64frombits(s.cutoffBits.Load()) }
 
-// solveNode solves a node's LP relaxation: the reduced model with the
-// node's branching fixes applied to fresh bound arrays. Pure function of
+// solveNode solves a node's LP relaxation: the model with the node's
+// branching fixes applied to fresh bound arrays. Pure function of
 // the node, callable from any goroutine.
 func (s *search) solveNode(nd *pnode) (lp.Result, error) {
 	sub := s.m.Problem
@@ -368,9 +367,8 @@ func fractionalCols(x []float64, isInt []bool) []int {
 // run is the commit loop. It mutates res in place and returns an error
 // only on internal LP failures.
 func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
-	offset := s.rd.offset
-	cutoff := res.Obj // original-space incumbent objective
-	s.publishCutoff(cutoff - offset)
+	cutoff := res.Obj // incumbent objective
+	s.publishCutoff(cutoff)
 
 	root := &pnode{seq: 0, bound: math.Inf(-1), bvar: -1}
 	s.nextSeq = 1
@@ -391,8 +389,7 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 			break
 		}
 		nd := heap.Pop(&s.open).(*pnode)
-		cutoffRed := cutoff - offset
-		if nd.bound >= cutoffRed-1e-9 {
+		if nd.bound >= cutoff-1e-9 {
 			s.kill(nd)
 			continue
 		}
@@ -424,9 +421,9 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 		}
 		if !rootSolved {
 			rootSolved = true
-			res.BoundObj = r.Obj + offset
+			res.BoundObj = r.Obj
 		}
-		if r.Obj >= cutoffRed-1e-9 {
+		if r.Obj >= cutoff-1e-9 {
 			s.release(nd)
 			continue
 		}
@@ -442,10 +439,10 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 				}
 				obj += s.m.C[j] * x[j]
 			}
-			if obj+offset < cutoff {
-				cutoff = obj + offset
-				res.Obj = cutoff
-				res.X = s.rd.postsolve(x)
+			if obj < cutoff {
+				cutoff = obj
+				res.Obj = obj
+				res.X = x
 				s.publishCutoff(obj)
 			}
 			s.release(nd)
@@ -510,8 +507,8 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 	// Remaining frontier contributes to the proven bound.
 	frontier := res.Obj
 	for _, nd := range s.open {
-		if b := nd.bound + offset; b < frontier {
-			frontier = b
+		if nd.bound < frontier {
+			frontier = nd.bound
 		}
 	}
 	if len(s.open) == 0 && !truncated {

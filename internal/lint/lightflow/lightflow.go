@@ -4,8 +4,8 @@
 // sta.Analyzer.RunLight and the Retimer Time*Light methods skip path
 // extraction: the Timing they return carries bit-identical delays and
 // DcritPS but an empty Paths set. Three call sites historically guarded
-// this at runtime (core.NewAllocator, variation.TuneOn, the RBB recovery
-// entry points all reject tm.Light); a caller that slipped a light timing
+// this at runtime (core.NewAllocator, variation.TuneOn and
+// variation.RecoverLeakageWith all reject tm.Light); a caller that slipped a light timing
 // past review would have built a constraint-free clustering problem and
 // silently produced garbage biases. This pass promotes those guards to
 // compile-time errors.
@@ -17,8 +17,8 @@
 // tainted value reaches
 //
 //   - core.NewAllocator (any argument),
-//   - the nominal-timing parameter of variation.Tune/TuneOn or the
-//     RecoverLeakage* family, or
+//   - the nominal-timing parameter of variation.TuneOn or
+//     variation.RecoverLeakageWith, or
 //   - a read of the Paths field of an sta.Timing.
 //
 // Being intra-procedural, the pass checks each function body on its own: a
@@ -57,10 +57,7 @@ var sources = map[string]bool{
 // hold a full (path-extracting) timing; nil means every argument.
 var sinks = map[string][]int{
 	"repro/internal/core.NewAllocator":            nil,
-	"repro/internal/variation.Tune":               {1},
 	"repro/internal/variation.TuneOn":             {1},
-	"repro/internal/variation.RecoverLeakage":     {1},
-	"repro/internal/variation.RecoverLeakageOn":   {1},
 	"repro/internal/variation.RecoverLeakageWith": {2},
 }
 

@@ -36,9 +36,8 @@ func pathsRead(an *sta.Analyzer) int {
 	return len(tm.Paths) // want `reading Paths of a light \(Dcrit-only\) re-time`
 }
 
-func recoverFamily(rt *variation.Retimer, die *variation.Die, proc *tech.Process, lm *variation.LeakModel) {
+func recoverFamily(rt *variation.Retimer, die *variation.Die, lm *variation.LeakModel) {
 	nom, _ := rt.TimeLight(die)
-	variation.RecoverLeakageOn(rt, nom, die, proc, variation.RBBOptions{}) // want `light \(Dcrit-only\) re-time flows into repro/internal/variation\.RecoverLeakageOn`
 	variation.RecoverLeakageWith(rt, lm, nom, die, variation.RBBOptions{}) // want `light \(Dcrit-only\) re-time flows into repro/internal/variation\.RecoverLeakageWith`
 }
 

@@ -93,11 +93,8 @@ type ILPDiag struct {
 	// GapPct is the relative optimality gap of a budget-truncated solve
 	// (0 when proven).
 	GapPct float64 `json:"gapPct"`
-	// Branching names the rule that ran; Presolve* count the reductions.
-	Branching           string `json:"branching,omitempty"`
-	PresolveFixedVars   int    `json:"presolveFixedVars,omitempty"`
-	PresolveDroppedRows int    `json:"presolveDroppedRows,omitempty"`
-	PresolveTightened   int    `json:"presolveTightened,omitempty"`
+	// Branching names the rule that ran.
+	Branching string `json:"branching,omitempty"`
 	// RaceWinner names the winning portfolio member of a "race" solve.
 	RaceWinner string `json:"raceWinner,omitempty"`
 }
@@ -109,16 +106,13 @@ func ilpDiag(res *repro.Result) *ILPDiag {
 		return nil
 	}
 	return &ILPDiag{
-		Status:              ir.Status.String(),
-		Proven:              ir.Status == ilp.OptimalProven,
-		Nodes:               ir.Nodes,
-		StrongLPs:           ir.StrongLPs,
-		GapPct:              ir.Gap() * 100,
-		Branching:           ir.Branching,
-		PresolveFixedVars:   ir.PresolveFixedVars,
-		PresolveDroppedRows: ir.PresolveDroppedRows,
-		PresolveTightened:   ir.PresolveTightened,
-		RaceWinner:          res.RaceWinner,
+		Status:     ir.Status.String(),
+		Proven:     ir.Status == ilp.OptimalProven,
+		Nodes:      ir.Nodes,
+		StrongLPs:  ir.StrongLPs,
+		GapPct:     ir.Gap() * 100,
+		Branching:  ir.Branching,
+		RaceWinner: res.RaceWinner,
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // fanout adjacency, the estimated wire and pin load of every net, the
 // nominal loaded gate delays, and the endpoint structure — is computed once
 // at construction, so Run only re-evaluates delays, arrivals, requireds and
-// the extracted path set. Monte-Carlo loops (YieldStudy, RBB recovery,
+// the extracted path set. Monte-Carlo loops (YieldStream, RBB recovery,
 // aging) re-time thousands of per-die corners of one placement; with
 // Analyze each corner pays the full graph build, with an Analyzer each
 // corner is two linear passes plus path extraction into reused buffers.

@@ -37,10 +37,7 @@ func BenchmarkYieldStudy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := YieldStudy(context.Background(), pl, proc, m, dies, 7,
-			TuneOptions{GuardbandPct: 0.005, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
+		yieldStudy(b, pl, proc, m, dies, 7, TuneOptions{GuardbandPct: 0.005, Workers: 1})
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dies), "ns/die")
@@ -189,15 +186,17 @@ func BenchmarkYieldPerDie(b *testing.B) {
 			smp := NewSampler(y.pl, y.proc, y.m)
 			tn := NewTuner(NewRetimer(y.an), y.al)
 			tn.leak = NewLeakModel(y.pl, y.proc)
+			fast := opts
+			fast.SolveCache = core.NewSolveCache(y.al)
 			die := smp.SampleInto(nil, DieSeed(7, 0))
-			if _, err := TuneOn(tn, y.nom, die, y.proc, opts); err != nil {
+			if _, err := TuneOn(tn, y.nom, die, y.proc, fast); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				die = smp.SampleInto(die, DieSeed(7, i))
-				if _, err := TuneOn(tn, y.nom, die, y.proc, opts); err != nil {
+				if _, err := TuneOn(tn, y.nom, die, y.proc, fast); err != nil {
 					b.Fatal(err)
 				}
 			}

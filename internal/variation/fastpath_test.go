@@ -248,55 +248,6 @@ func TestRecoverLeakageWithMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestTunerSolveMemoBounded: the allocation memo is a bounded cache, not a
-// log — continuous escalation targets must not grow a worker's footprint
-// past maxSolMemo over a long stream, and a full memo must still return
-// correct (scratch-owned) solutions.
-func TestTunerSolveMemoBounded(t *testing.T) {
-	an, al, nom := streamFixture(t)
-	_ = nom
-	tn := NewTuner(NewRetimer(an), al)
-	var want *core.Solution
-	for i := 0; i < 3*maxSolMemo; i++ {
-		beta := 0.02 + 1e-6*float64(i) // continuous, never repeats
-		sol, solveErr, err := tn.solve(core.Options{Beta: beta, MaxClusters: 3, MaxBiasPairs: 2}, nil, true, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if solveErr != nil || sol == nil {
-			t.Fatalf("target %v unexpectedly infeasible: %v", beta, solveErr)
-		}
-		if i == 0 {
-			want = sol.Clone()
-		}
-		if len(tn.sols) > maxSolMemo {
-			t.Fatalf("memo grew to %d entries, cap is %d", len(tn.sols), maxSolMemo)
-		}
-	}
-	// Escalation-style (non-memoized) targets must never insert.
-	grew := len(tn.sols)
-	if _, _, err := tn.solve(core.Options{Beta: 0.0423, MaxClusters: 3, MaxBiasPairs: 2}, nil, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(tn.sols) != grew {
-		t.Fatalf("non-memoized solve grew the memo to %d entries", len(tn.sols))
-	}
-	// A key cached before the memo filled must still hit and agree with a
-	// fresh solve of the same instance.
-	sol, solveErr, err := tn.solve(core.Options{Beta: 0.02, MaxClusters: 3, MaxBiasPairs: 2}, nil, true, nil)
-	if err != nil || solveErr != nil {
-		t.Fatal(err, solveErr)
-	}
-	if sol.Clusters != want.Clusters || len(sol.Assign) != len(want.Assign) {
-		t.Fatal("cached solution diverged from the first solve")
-	}
-	for r := range want.Assign {
-		if sol.Assign[r] != want.Assign[r] {
-			t.Fatalf("cached assignment diverged at row %d", r)
-		}
-	}
-}
-
 // TestLightTimingRejectedAsNominal: the Light contract is enforced at the
 // path-consuming boundaries — a Dcrit-only re-time handed where a full
 // nominal analysis is required must be a hard error, not a silent

@@ -3,9 +3,20 @@ package variation
 import (
 	"testing"
 
+	"repro/internal/place"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
+
+// rbbEngines builds the Retimer and LeakModel a leakage recovery runs on.
+func rbbEngines(t *testing.T, pl *place.Placement, proc *tech.Process) (*Retimer, *LeakModel) {
+	t.Helper()
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewRetimer(an), NewLeakModel(pl, proc)
+}
 
 func TestRecoverLeakageOnFastDie(t *testing.T) {
 	pl := placed(t, "c1355")
@@ -14,13 +25,14 @@ func TestRecoverLeakageOnFastDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt, lm := rbbEngines(t, pl, proc)
 	m := Model{SigmaD2DmV: 25, SigmaSysmV: 0, SigmaRndmV: 0}
 	for seed := int64(0); seed < 40; seed++ {
 		die := m.Sample(pl, proc, seed)
 		if die.DVthV[0] > -0.02 {
 			continue // want a clearly fast die
 		}
-		r, err := RecoverLeakage(pl, nom, die, proc, RBBOptions{})
+		r, err := RecoverLeakageWith(rt, lm, nom, die, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +66,14 @@ func TestRecoverLeakageSlowDieUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt, lm := rbbEngines(t, pl, proc)
 	m := Model{SigmaD2DmV: 25, SigmaSysmV: 0, SigmaRndmV: 0}
 	for seed := int64(0); seed < 40; seed++ {
 		die := m.Sample(pl, proc, seed)
 		if die.DVthV[0] < 0.01 {
 			continue
 		}
-		r, err := RecoverLeakage(pl, nom, die, proc, RBBOptions{})
+		r, err := RecoverLeakageWith(rt, lm, nom, die, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/place"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
@@ -30,13 +29,13 @@ type TuneOptions struct {
 	// SlackTolPct accepts dies within this fraction above nominal Dcrit
 	// (default 0.001).
 	SlackTolPct float64
-	// Workers bounds concurrent die tunings in YieldStudy (0 = one per
+	// Workers bounds concurrent die tunings in YieldStream (0 = one per
 	// CPU, 1 = sequential). Per-die seeds keep the statistics independent
 	// of the worker count.
 	Workers int
 	// Solver picks the allocation engine (nil = the registered two-pass
 	// heuristic). A shared Solver must be safe for concurrent Solve calls
-	// on distinct Instances — the core built-ins are — since YieldStudy
+	// on distinct Instances — the core built-ins are — since YieldStream
 	// hands the same value to every worker.
 	Solver core.Solver
 	// BatchWidth sets how many dies YieldStream's population kernels
@@ -54,10 +53,12 @@ type TuneOptions struct {
 	// count actually run (reported in YieldStats.Dies). Zero (the
 	// default) disables it: all nDies always run.
 	TargetCI float64
-	// SolveCache shares first-iteration allocation solves across workers,
-	// streams and requests (a flow.Prefix carries one per placement); nil
-	// keeps solves memoized per worker only. The cache must be built over
-	// the same Allocator the tuning runs on.
+	// SolveCache memoizes the recurring (monitor-quantized, first-iteration)
+	// allocation solves across workers, streams and requests; a
+	// flow.Prefix carries one per placement. When nil, YieldStream uses a
+	// private cache for the one study and TuneOn solves every attempt
+	// directly. The cache must be built over the same Allocator the tuning
+	// runs on.
 	SolveCache *core.SolveCache
 }
 
@@ -107,100 +108,32 @@ type TuneResult struct {
 // (shared core.Allocator, private constraint and solver buffers) and a
 // LeakModel (shared tables via Clone, private per-die factors). Like the
 // Retimer it must not be used from more than one goroutine at a time;
-// YieldStudy creates one per worker via flow.MapWith.
+// YieldStream creates one per worker via flow.MapWith.
 type Tuner struct {
 	rt   *Retimer
 	al   *core.Allocator
 	inst *core.Instance
 	leak *LeakModel
-
-	// sols memoizes allocation outcomes per (beta, clusters, pairs): the
-	// clustering problem is built on the *nominal* timing and a target
-	// slowdown — it does not depend on the die — and the default
-	// monitor quantizes sensed targets, so a population keeps re-solving
-	// a handful of identical instances. Only first-iteration targets are
-	// inserted (escalated ones are continuous per-die floats that would
-	// never hit again) and insertion stops at maxSolMemo entries — the
-	// memo is a bounded cache, not a log, and a worker that lives for a
-	// million-die stream holds O(maxSolMemo) solutions. Solvers are
-	// deterministic, so a cached solution is the one re-solving would
-	// return; the memo is reset when the caller switches solvers.
-	sols       map[solKey]*solEntry
-	solsSolver core.Solver
 }
 
-// maxSolMemo bounds the Tuner's allocation memo. The default monitor's 1%
-// quantization yields a few dozen distinct first-iteration targets on any
-// realistic population; everything beyond that is a continuous escalation
-// target with no reuse value.
-const maxSolMemo = 64
-
-type solKey struct {
-	beta            float64
-	clusters, pairs int
-}
-
-type solEntry struct {
-	sol *core.Solution // detached clone; nil when the solve failed
-	err error
-}
-
-// solve returns the allocation for a target slowdown through the Tuner's
-// memo, materializing and solving through the shared Allocator on a miss.
-// memoize marks a reusable (first-iteration, monitor-quantized) target:
-// escalated targets are continuous per-die floats that would never hit
-// again, so they are looked up but never inserted — one-off keys cannot
-// crowd the bounded memo out of its reusable entries. When a shared
-// SolveCache is supplied, memoizable misses route through it — the first
-// worker of the whole process pays the materialize-and-solve, every later
-// worker, stream and request gets the entry — and the shared solution is
-// inserted into the local memo so subsequent hits in this worker skip the
-// cache lock entirely. solveErr is the graceful beyond-compensation-range
-// outcome (cached — it is as deterministic as a solution); err is a
-// structural materialization failure (fatal, never cached). The returned
-// Solution is owned by the Tuner or the shared cache (never the caller):
-// callers clone before retaining, exactly as they must for Instance-owned
-// solutions.
-func (tn *Tuner) solve(opts core.Options, solver core.Solver, memoize bool, shared *core.SolveCache) (sol *core.Solution, solveErr, err error) {
-	if tn.sols == nil || tn.solsSolver != solver {
-		tn.sols = make(map[solKey]*solEntry)
-		tn.solsSolver = solver
-	}
-	key := solKey{beta: opts.Beta, clusters: opts.MaxClusters, pairs: opts.MaxBiasPairs}
-	if e, ok := tn.sols[key]; ok {
-		return e.sol, e.err, nil
-	}
-	if memoize && shared != nil {
-		s, inst, serr, err := shared.Solve(opts, solver, tn.inst)
-		if err != nil {
-			return nil, nil, err
-		}
-		tn.inst = inst
-		if len(tn.sols) < maxSolMemo {
-			// The cached Solution is immutable and outlives the worker, so
-			// the local memo shares it instead of cloning.
-			tn.sols[key] = &solEntry{sol: s, err: serr}
-		}
-		return s, serr, nil
+// solve returns the allocation for a target slowdown: through cache when
+// one is given, else materialized and solved on the Tuner's Instance.
+// solveErr is the graceful beyond-compensation-range outcome; err is a
+// structural materialization failure. The returned Solution is owned by
+// the Instance or the cache (never the caller): callers clone before
+// retaining.
+func (tn *Tuner) solve(opts core.Options, solver core.Solver, cache *core.SolveCache) (sol *core.Solution, solveErr, err error) {
+	if cache != nil {
+		sol, tn.inst, solveErr, err = cache.Solve(opts, solver, tn.inst)
+		return sol, solveErr, err
 	}
 	inst, err := tn.al.At(opts, tn.inst)
 	if err != nil {
 		return nil, nil, err
 	}
 	tn.inst = inst
-	s, serr := inst.Solve(solver)
-	if !memoize || len(tn.sols) >= maxSolMemo {
-		// Hand the scratch-owned solution straight through. Skipping the
-		// insert only costs a potential future re-solve; correctness is
-		// unaffected since cached and fresh solves are identical.
-		return s, serr, nil
-	}
-	e := &solEntry{err: serr}
-	if s != nil {
-		e.sol = s.Clone() // s lives in the Instance scratch
-	}
-	tn.sols[key] = e
-	return e.sol, e.err, nil
+	sol, solveErr = inst.Solve(solver)
+	return sol, solveErr, nil
 }
 
 // NewTuner bundles a Retimer and a (possibly shared) Allocator with private
@@ -226,34 +159,19 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 	return tn.leak
 }
 
-// Tune runs the paper's post-silicon flow on one die: sense the slowdown,
+// TuneOn runs the paper's post-silicon flow on one die: sense the slowdown,
 // allocate clustered FBB for it on the design-time (nominal) timing model,
 // verify against the die's actual variation, and escalate the target
 // slowdown if the non-uniform variation defeats the uniform-beta model.
-// It is the one-shot form of TuneOn; loops over many dies of one placement
-// should build an Analyzer and an Allocator once and a Tuner per worker.
-func Tune(pl *place.Placement, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return nil, err
-	}
-	al, err := core.NewAllocator(pl, nom)
-	if err != nil {
-		return nil, err
-	}
-	return TuneOn(NewTuner(NewRetimer(an), al), nom, die, proc, opts)
-}
-
-// TuneOn is Tune on a reusable Tuner: the die re-timings run through the
-// shared Analyzer's Dcrit-only fast path into reused buffers (only the
-// critical delay of a die corner is ever read — the sensors walk the
-// *nominal* path set), each allocation attempt re-materializes the
-// clustering problem through the shared Allocator instead of a fresh
-// BuildProblem, and the per-die leakages are one exp pass plus
-// multiply-add sweeps through the Tuner's LeakModel — with the default
-// heuristic solver the whole escalation loop allocates almost nothing
-// beyond the solutions it reports (the ILP and local-search solvers buy
-// quality with their own working memory).
+// The die re-timings run through the Tuner's shared Analyzer's Dcrit-only
+// fast path into reused buffers (only the critical delay of a die corner is
+// ever read — the sensors walk the *nominal* path set), each allocation
+// attempt re-materializes the clustering problem through the shared
+// Allocator instead of a fresh BuildProblem, and the per-die leakages are
+// one exp pass plus multiply-add sweeps through the Tuner's LeakModel —
+// with the default heuristic solver the whole escalation loop allocates
+// almost nothing beyond the solutions it reports (the ILP and local-search
+// solvers buy quality with their own working memory).
 func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
 	if nom == nil || nom.Light {
 		return nil, errors.New("variation: nominal timing must be a full (path-extracting) analysis")
@@ -280,9 +198,9 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 
 	res.BetaSensed = opts.Sensor.MeasureBeta(nom, dieTm, die.Seed)
 	target := res.BetaSensed + opts.GuardbandPct
-	// Memoizing an allocation only pays when the target can recur, which
+	// Caching an allocation only pays when the target can recur, which
 	// takes a quantizing sensor: a noisy or exact reading is a continuous
-	// per-die float, and inserting it would just fill the bounded memo
+	// per-die float, and inserting it would just fill the bounded cache
 	// with dead entries.
 	mon, isMonitor := opts.Sensor.(InSituMonitor)
 	memoizable := isMonitor && mon.ResolutionPct > 0
@@ -304,7 +222,7 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 // operations are exactly TuneOn's.
 func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64, memoizable bool, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
 	lm := tn.leakModel(proc)
-	// Only a target that can recur is worth a memo slot: a quantized
+	// Only a target that can recur is worth a cache slot: a quantized
 	// reading plus the constant guardband, or the constant floor below. The
 	// monitor leaves negative readings unquantized, so a guardband that
 	// lifts one above zero gives a one-off per-die target.
@@ -315,11 +233,17 @@ func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, 
 
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		res.Iters = iter + 1
+		// Escalated targets are continuous per-die floats that never
+		// recur: they bypass the cache.
+		var cache *core.SolveCache
+		if memoizable && iter == 0 {
+			cache = opts.SolveCache
+		}
 		sol, solveErr, err := tn.solve(core.Options{
 			Beta:         target,
 			MaxClusters:  opts.MaxClusters,
 			MaxBiasPairs: opts.MaxBiasPairs,
-		}, opts.Solver, memoizable && iter == 0, opts.SolveCache)
+		}, opts.Solver, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -340,8 +264,8 @@ func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, 
 		if err != nil {
 			return nil, err
 		}
-		// sol lives in the Tuner's memo or the shared cache; detach the
-		// copy we report.
+		// sol lives in the Tuner's Instance or the cache; detach the copy
+		// we report.
 		res.Solution = sol.Clone()
 		res.DcritAfterPS = tuned.DcritPS
 		res.LeakAfterNW = lm.LeakageNW(res.Solution.Assign)
@@ -476,40 +400,6 @@ func (y *YieldStats) YieldPct() (before, after float64) {
 		100 * float64(y.MetAfter) / float64(y.Dies)
 }
 
-// YieldStudy samples nDies from the model, tunes each, and aggregates the
-// yield and leakage statistics — the system-level experiment motivating the
-// paper ("bring the slow dies back to within the range of acceptable
-// specs"). It builds the reusable STA analyzer and allocation engine
-// itself; callers that already hold them (e.g. a flow.Prefix) should use
-// YieldStudyOn.
-func YieldStudy(ctx context.Context, pl *place.Placement, proc *tech.Process, m Model, nDies int, seed int64, opts TuneOptions) (*YieldStats, error) {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return nil, err
-	}
-	nom, err := an.Run(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	al, err := core.NewAllocator(pl, nom)
-	if err != nil {
-		return nil, err
-	}
-	return YieldStudyOn(ctx, an, al, nom, proc, m, nDies, seed, opts)
-}
-
-// YieldStudyOn runs the Monte-Carlo tuning study over a shared Analyzer,
-// a shared Allocator built on its nominal timing, and that timing. Dies are
-// tuned concurrently on a flow worker pool (opts.Workers bounds it; default
-// one per CPU), each worker carrying a private Tuner — a Retimer over the
-// shared Analyzer beside an allocation Instance over the shared Allocator;
-// cancelling ctx aborts the study. Per-die seeds are mixed from the die
-// index alone (DieSeed), so the aggregated statistics are identical at any
-// worker count. It is YieldStream with no per-die consumer.
-func YieldStudyOn(ctx context.Context, an *sta.Analyzer, al *core.Allocator, nom *sta.Timing, proc *tech.Process, m Model, nDies int, seed int64, opts TuneOptions) (*YieldStats, error) {
-	return YieldStream(ctx, an, al, nom, proc, m, nDies, seed, opts, nil)
-}
-
 // yieldChunk bounds how many per-die results a yield study holds at once:
 // dies are tuned in windows of this size and handed to the consumer (or the
 // statistics accumulator) before the next window starts, so a million-die
@@ -541,10 +431,16 @@ func wilsonHalfWidth(n, successes int) float64 {
 	return wilsonZ / (1 + z2/fn) * math.Sqrt(p*(1-p)/fn+z2/(4*fn*fn))
 }
 
-// YieldStream is the streaming core of the yield study: it tunes nDies dies
-// in bounded windows (yieldChunk) over a worker pool and, when emit is
-// non-nil, invokes it once per die in strictly increasing die order with
-// that die's TuneResult. The result passed to emit is owned by the callee
+// YieldStream runs the Monte-Carlo tuning study — the system-level
+// experiment motivating the paper ("bring the slow dies back to within the
+// range of acceptable specs") — over a shared Analyzer, a shared Allocator
+// built on its nominal timing, and that timing. It samples nDies dies, tunes
+// each, and aggregates the yield and leakage statistics. Dies are tuned in
+// bounded windows (yieldChunk) on a flow worker pool (opts.Workers bounds
+// it; default one per CPU), each worker carrying a private Tuner; cancelling
+// ctx aborts the study. When emit is non-nil, it is invoked once per die in
+// strictly increasing die order with that die's TuneResult (nil emit just
+// aggregates). The result passed to emit is owned by the callee
 // only for the duration of the call at the aggregate level — it is never
 // referenced again by YieldStream, so emit may retain it, but memory stays
 // bounded only if emit does not.
@@ -558,8 +454,9 @@ func wilsonHalfWidth(n, successes int) float64 {
 // the worker count, and the chunk size) never changes a single byte of the
 // per-die results or the aggregate.
 //
-// The aggregated statistics are accumulated in die order and are therefore
-// byte-identical to YieldStudyOn's at any worker count or chunk size. When
+// Per-die seeds are mixed from the die index alone (DieSeed), and the
+// aggregated statistics are accumulated in die order, so they are
+// byte-identical at any worker count or chunk size. When
 // opts.TargetCI is set, the stream additionally stops after the die whose
 // accumulation satisfies the interval — identical to a fixed-count study of
 // exactly that many dies. An emit error, a tuning error, or ctx cancellation
@@ -618,7 +515,9 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	} else if sopts.Prior != nil && sopts.Prior.Dies != 0 {
 		return nil, fmt.Errorf("variation: Prior covers %d dies but StartDie is 0", sopts.Prior.Dies)
 	}
-	if opts.SolveCache != nil && opts.SolveCache.Allocator() != al {
+	if opts.SolveCache == nil {
+		opts.SolveCache = core.NewSolveCache(al)
+	} else if opts.SolveCache.Allocator() != al {
 		return nil, errors.New("variation: TuneOptions.SolveCache built over a different Allocator")
 	}
 	pl := an.Placement()

@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -196,7 +195,7 @@ func TestTuneSlowDie(t *testing.T) {
 		if beta < 0.03 || beta > 0.12 {
 			continue
 		}
-		r, err := Tune(pl, nom, die, proc, TuneOptions{GuardbandPct: 0.005})
+		r, err := TuneOn(freshTuner(t, pl, nom), nom, die, proc, TuneOptions{GuardbandPct: 0.005})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +230,7 @@ func TestTuneFastDieDoesNothing(t *testing.T) {
 		if die.DVthV[0] >= -0.01 {
 			continue // want a clearly fast die
 		}
-		r, err := Tune(pl, nom, die, proc, TuneOptions{})
+		r, err := TuneOn(freshTuner(t, pl, nom), nom, die, proc, TuneOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,10 +248,7 @@ func TestTuneFastDieDoesNothing(t *testing.T) {
 func TestYieldStudyImprovesYield(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	st, err := YieldStudy(context.Background(), pl, proc, Default(), 60, 1000, TuneOptions{GuardbandPct: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := yieldStudy(t, pl, proc, Default(), 60, 1000, TuneOptions{GuardbandPct: 0.005})
 	before, after := st.YieldPct()
 	t.Logf("yield %.0f%% -> %.0f%% (tuned dies: %d, failed: %d, mean leak %.0f -> %.0f nW)",
 		before, after, st.TunedDies, st.FailedCompensations,

@@ -5,9 +5,47 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/place"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
+
+// freshTuner builds a Tuner on a new Analyzer and Allocator over pl.
+func freshTuner(tb testing.TB, pl *place.Placement, nom *sta.Timing) *Tuner {
+	tb.Helper()
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	al, err := core.NewAllocator(pl, nom)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewTuner(NewRetimer(an), al)
+}
+
+// yieldStudy runs YieldStream with no per-die consumer over a new Analyzer,
+// its nominal run and an Allocator on it.
+func yieldStudy(tb testing.TB, pl *place.Placement, proc *tech.Process, m Model, nDies int, seed int64, opts TuneOptions) *YieldStats {
+	tb.Helper()
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nom, err := an.Run(nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	al, err := core.NewAllocator(pl, nom)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := YieldStream(context.Background(), an, al, nom, proc, m, nDies, seed, opts, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
 
 // TestYieldStudyParallelMatchesSequential pins the determinism fix: per-die
 // seeds are mixed from the die index alone, so the aggregated statistics
@@ -21,13 +59,8 @@ func TestYieldStudyParallelMatchesSequential(t *testing.T) {
 		dies = 24
 	}
 	run := func(workers int) *YieldStats {
-		t.Helper()
-		st, err := YieldStudy(context.Background(), pl, proc, Default(), dies, 77,
+		return yieldStudy(t, pl, proc, Default(), dies, 77,
 			TuneOptions{GuardbandPct: 0.005, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
 	}
 	seq := run(1)
 	for _, workers := range []int{2, 8, 0} {
@@ -38,9 +71,9 @@ func TestYieldStudyParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTuneOnMatchesTune checks the Retimer-based tuning path against the
-// one-shot Tune for a population of dies sharing one Retimer (and thus one
-// dirty Timing buffer).
+// TestTuneOnMatchesTune checks a Tuner reused across a population of dies
+// (one dirty Timing buffer and one allocation Instance) against a fresh
+// Tuner per die.
 func TestTuneOnMatchesTune(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -48,20 +81,12 @@ func TestTuneOnMatchesTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	al, err := core.NewAllocator(pl, nom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := NewTuner(NewRetimer(an), al)
+	tn := freshTuner(t, pl, nom)
 	m := Default()
 	opts := TuneOptions{GuardbandPct: 0.005}
 	for i := 0; i < 10; i++ {
 		die := m.Sample(pl, proc, DieSeed(5, i))
-		want, err := Tune(pl, nom, die, proc, opts)
+		want, err := TuneOn(freshTuner(t, pl, nom), nom, die, proc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +116,8 @@ func TestTuneOnMatchesTune(t *testing.T) {
 	}
 }
 
-// TestRecoverLeakageOnMatches checks the Retimer-based RBB scan against the
-// one-shot RecoverLeakage across a shared buffer.
+// TestRecoverLeakageOnMatches checks the RBB scan on a Retimer and a
+// LeakModel shared across dies against a fresh pair per die.
 func TestRecoverLeakageOnMatches(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -100,24 +125,21 @@ func TestRecoverLeakageOnMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRetimer(an)
+	rt, lm := rbbEngines(t, pl, proc)
 	m := Default()
 	for i := 0; i < 8; i++ {
 		die := m.Sample(pl, proc, DieSeed(31, i))
-		want, err := RecoverLeakage(pl, nom, die, proc, RBBOptions{})
+		frt, flm := rbbEngines(t, pl, proc)
+		want, err := RecoverLeakageWith(frt, flm, nom, die, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RecoverLeakageOn(rt, nom, die, proc, RBBOptions{})
+		got, err := RecoverLeakageWith(rt, lm, nom, die, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *want != *got {
-			t.Fatalf("die %d: RecoverLeakageOn diverged:\nwant %+v\ngot  %+v", i, want, got)
+			t.Fatalf("die %d: shared Retimer/LeakModel diverged:\nwant %+v\ngot  %+v", i, want, got)
 		}
 	}
 }
@@ -188,13 +210,8 @@ func TestYieldStudySolverSelection(t *testing.T) {
 	proc := tech.Default45nm()
 	dies := 10
 	run := func(solver core.Solver, workers int) *YieldStats {
-		t.Helper()
-		st, err := YieldStudy(context.Background(), pl, proc, Default(), dies, 99,
+		return yieldStudy(t, pl, proc, Default(), dies, 99,
 			TuneOptions{GuardbandPct: 0.005, Workers: workers, Solver: solver})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
 	}
 	local := &core.LocalSolver{Seed: 3}
 	seq := run(local, 1)

@@ -92,7 +92,7 @@ type Result struct {
 	ILPStatus string
 	ILPNodes  int
 	// ILPResult carries the full branch-and-bound diagnostics (nodes,
-	// bound, presolve reductions, branching rule, strong-branching LPs) of
+	// bound, branching rule, strong-branching LPs) of
 	// the most recent exact solve — RunILP's, or the primary solver's when
 	// it is "ilp" or "race". Nil when no exact solve ran.
 	ILPResult *ilp.Result
