@@ -80,9 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		aged = smp.AgedInto(aged, die, cp.years, 0.8)
 		hotProc := proc.WithTemperature(cp.tempK)
 		// Temperature also derates every gate uniformly.
-		for g := range aged.DelayScale {
-			aged.DelayScale[g] = hotProc.DelayFactorDVth(aged.DVthV[g])
-		}
+		hotProc.DelayFactorsDVth(aged.DelayScale, aged.DVthV)
 		r, err := variation.TuneOn(tn, nom, aged, hotProc, variation.TuneOptions{
 			GuardbandPct: 0.005,
 		})

@@ -200,3 +200,33 @@ func TestPick(t *testing.T) {
 		t.Error("Pick should fail for a 5-input NAND")
 	}
 }
+
+// TestSpiceDelayMatchesAnalyticModel measures the gap between the two
+// delay models the flow mixes: the allocator prices bias with each cell's
+// SPICE-characterized DelayFactor[j], while die-time re-timing uses the
+// analytic Proc.DelayFactor(Grid.Voltage(j)). Over every cell and level the
+// relative gap DelayFactor[j]/Proc.DelayFactor - 1 peaks at +0.00425 (SPICE
+// slower), at the top level (0.5 V) for the single-stack cells (INV, BUF);
+// its most negative value is -0.000073, for the 3-stack cells at 0.1 V. The
+// pins are those extremes plus a margin of 0.00025 and 0.000027.
+func TestSpiceDelayMatchesAnalyticModel(t *testing.T) {
+	const minGap, maxGap = -0.0001, 0.0045
+	l := Default()
+	worst, worstCell, worstLevel := 0.0, "", 0
+	for _, c := range l.Cells() {
+		for j, df := range c.DelayFactor {
+			gap := df/l.Proc.DelayFactor(l.Grid.Voltage(j)) - 1
+			if gap < minGap || gap > maxGap {
+				t.Errorf("%s level %d (%.3f V): SPICE/analytic delay gap %+.6f outside [%v, %v]",
+					c.Name, j, l.Grid.Voltage(j), gap, minGap, maxGap)
+			}
+			if gap > worst {
+				worst, worstCell, worstLevel = gap, c.Name, j
+			}
+		}
+	}
+	if worst < maxGap-0.0005 {
+		t.Errorf("largest gap %+.6f (%s): the models moved closer, re-measure and tighten the pin", worst, worstCell)
+	}
+	t.Logf("largest gap %+.6f: %s at level %d (%.3f V)", worst, worstCell, worstLevel, l.Grid.Voltage(worstLevel))
+}

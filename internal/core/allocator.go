@@ -83,7 +83,7 @@ type allocGroup struct {
 	// candidate marks classes whose beta-0 delta vector lies within
 	// decimal-formatting distance of another class over the same rows:
 	// only these can ever merge across classes under BuildProblem's
-	// "%.6f" signature, so only these pay for key formatting in At.
+	// "%.6f" signature, so only these pay for merge keys in At.
 	candidate bool
 }
 
@@ -547,15 +547,14 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			}
 			contribs = append(contribs, RowContrib{Row: row, DeltaPS: dv})
 			if g.candidate {
-				// The signature covers every level (BuildProblem's
-				// "%d:" + "%.6f," format, byte for byte): constraints
-				// may only merge when their whole coefficient vectors
-				// agree.
+				// The signature covers every level, keyed so that it
+				// partitions exactly as BuildProblem's "%d:" + "%.6f,"
+				// text does: constraints may only merge when their
+				// whole coefficient vectors agree.
 				keys = strconv.AppendInt(keys, int64(row), 10)
 				keys = append(keys, ':')
 				for j := 1; j < a.p; j++ {
-					keys = strconv.AppendFloat(keys, dv[j], 'f', 6, 64)
-					keys = append(keys, ',')
+					keys = appendLevelKey(keys, dv[j])
 				}
 				keys = append(keys, ';')
 			}

@@ -161,13 +161,17 @@ func (p *Process) DelayFactor(vbs float64) float64 {
 // voltage shift dvth (e.g. from process variation or aging). Positive shifts
 // slow the gate down.
 func (p *Process) DelayFactorDVth(dvth float64) float64 {
-	over0 := p.VddV - p.Vth0V + p.DIBLOverdriveV
+	over0 := p.overdrive0()
 	over := over0 - dvth
 	if over < 0.05 {
 		over = 0.05 // near/below-threshold clamp: extremely slow, not infinite
 	}
 	return alphaPow(over0/over, p.Alpha) * p.tempDelayFactor()
 }
+
+// overdrive0 is the nominal effective overdrive Vdd - Vth0 + DIBL, the
+// numerator of every delay ratio.
+func (p *Process) overdrive0() float64 { return p.VddV - p.Vth0V + p.DIBLOverdriveV }
 
 // alphaPow returns math.Pow(r, alpha) bit for bit, faster on the domain the
 // sampler and re-timer live on. For 1 <= alpha <= 1.5, math.Modf splits
@@ -201,8 +205,12 @@ func (p *Process) SubthresholdFactor(vbs float64) float64 {
 // LeakageFactorBias, which batched leakage evaluation (variation.LeakModel)
 // precomputes per die; the per-bias-level factor is SubthresholdFactor.
 func (p *Process) SubFactorDVth(dvth float64) float64 {
-	return math.Exp(-dvth / (p.SubIdeality * BoltzmannEV * RoomTempK))
+	return math.Exp(-dvth / p.subSlope())
 }
+
+// subSlope is the subthreshold slope n kT/q at the 300 K characterization
+// temperature.
+func (p *Process) subSlope() float64 { return p.SubIdeality * BoltzmannEV * RoomTempK }
 
 // JunctionFactor returns the forward source-body junction current at vbs,
 // expressed relative to the total nominal leakage. It is negligible below

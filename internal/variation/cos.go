@@ -1,11 +1,15 @@
 package variation
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpufeat"
+)
 
 // cosAVX2 selects the AVX2 sweep in cosWave. It is fixed at init from the
 // host's CPU features and is false on every non-amd64 build; tests clear it
 // to force the portable loop.
-var cosAVX2 = haveAVX2()
+var cosAVX2 = cpufeat.AVX2()
 
 // cosWave adds one systematic wave to a die row:
 //

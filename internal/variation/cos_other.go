@@ -2,7 +2,5 @@
 
 package variation
 
-func haveAVX2() bool { return false }
-
 // cosBlocksAVX2 does no gates off amd64; cosWave never calls it there.
 func cosBlocksAVX2(dv, xs, ys []float64, kx, ky, phase, amp float64) int { return 0 }

@@ -34,6 +34,7 @@ type LeakModel struct {
 	temp   float64   // TempLeakFactor
 	// Per-die scratch.
 	fsub []float64 // SubFactorDVth(DVthV[g]) of the die SetDie saw
+	fblk []float64 // LeakageBlockNW's per-lane factors
 }
 
 // NewLeakModel precomputes the assignment-independent leakage structure of
@@ -68,7 +69,7 @@ func NewLeakModel(pl *place.Placement, proc *tech.Process) *LeakModel {
 // per-die scratch, the per-worker form of a shared model.
 func (lm *LeakModel) Clone() *LeakModel {
 	c := *lm
-	c.fsub = nil
+	c.fsub, c.fblk = nil, nil
 	return &c
 }
 
@@ -85,9 +86,7 @@ func (lm *LeakModel) SetDie(die *Die) {
 		lm.fsub = make([]float64, n)
 	}
 	lm.fsub = lm.fsub[:n]
-	for g, dv := range die.DVthV[:n] {
-		lm.fsub[g] = lm.proc.SubFactorDVth(dv)
-	}
+	lm.proc.SubFactorsDVth(lm.fsub, die.DVthV[:n])
 }
 
 // LeakageNW returns the SetDie die's total leakage in nanowatts under a
@@ -106,23 +105,25 @@ func (lm *LeakModel) LeakageNW(assign []int) float64 {
 }
 
 // LeakageBlockNW computes the unbiased total leakage of the listed block
-// lanes in one pass each, appending to out in lane order. Per lane it is
-// bit-identical to SetDie(blk.Die(d)) followed by LeakageNW(nil) — the same
-// per-gate factorization evaluated in the same order — but fused: the
-// variation factor feeds the multiply-add directly instead of being staged
-// through the per-die scratch, so an unbiased lane costs one sweep instead
-// of two and lm.fsub (the SetDie die) is left untouched. The batch yield
-// kernel uses it for the no-bias lanes of a block, whose leakage is the only
-// thing still owed after the batched re-timing.
+// lanes, appending to out in lane order. Per lane it is bit-identical to
+// SetDie(blk.Die(d)) followed by LeakageNW(nil) — the same per-gate
+// factorization evaluated in the same order — but stages the variation
+// factors in private scratch, so lm.fsub (the SetDie die) is left
+// untouched. The batch yield kernel uses it for the no-bias lanes of a
+// block, whose leakage is the only thing still owed after the batched
+// re-timing.
 func (lm *LeakModel) LeakageBlockNW(blk *DieBlock, lanes []int, out []float64) []float64 {
 	n := len(lm.baseNW)
 	w := lm.proc.SubthresholdFactor(0)
 	j := lm.proc.JunctionFactor(0)
+	if cap(lm.fblk) < n {
+		lm.fblk = make([]float64, n)
+	}
+	fs := lm.fblk[:n]
 	for _, d := range lanes {
-		row := blk.DVthV[d*blk.N : d*blk.N+n]
+		lm.proc.SubFactorsDVth(fs, blk.DVthV[d*blk.N:d*blk.N+n])
 		total := 0.0
-		for g, dv := range row {
-			f := lm.proc.SubFactorDVth(dv)
+		for g, f := range fs {
 			total += lm.baseNW[g] * ((lm.subShr*(w*f) + lm.gls + j) * lm.temp)
 		}
 		out = append(out, total)

@@ -102,8 +102,9 @@ func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]floa
 	}
 	scale := rt.scaleBuf(len(die.DelayScale))
 	for g := range scale {
-		scale[g] = proc.DelayFactorDVth(shift[pl.RowOf[g]] + die.DVthV[g])
+		scale[g] = shift[pl.RowOf[g]] + die.DVthV[g]
 	}
+	proc.DelayFactorsDVth(scale, scale)
 	return scale, nil
 }
 
@@ -113,8 +114,9 @@ func (rt *Retimer) uniformScale(die *Die, proc *tech.Process, vbs float64) []flo
 	shift := proc.VthShift(vbs)
 	scale := rt.scaleBuf(len(die.DVthV))
 	for g := range scale {
-		scale[g] = proc.DelayFactorDVth(shift + die.DVthV[g])
+		scale[g] = shift + die.DVthV[g]
 	}
+	proc.DelayFactorsDVth(scale, scale)
 	return scale
 }
 

@@ -107,10 +107,9 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 	}
 
 	for g := range dv {
-		dvth := d2d + dv[g] + s.rng.NormFloat64()*s.m.SigmaRndmV/1000
-		dv[g] = dvth
-		dscale[g] = s.proc.DelayFactorDVth(dvth)
+		dv[g] = d2d + dv[g] + s.rng.NormFloat64()*s.m.SigmaRndmV/1000
 	}
+	s.proc.DelayFactorsDVth(dscale, dv)
 }
 
 // AgedInto ages d into out's reused buffers (nil allocates a fresh Die; out
@@ -154,7 +153,7 @@ func agedInto(out, d *Die, rng *rand.Rand, proc *tech.Process, years, activity f
 	out.grow(len(d.DVthV))
 	for g := range d.DVthV {
 		out.DVthV[g] = d.DVthV[g] + drift*(1+0.2*rng.NormFloat64())
-		out.DelayScale[g] = proc.DelayFactorDVth(out.DVthV[g])
 	}
+	proc.DelayFactorsDVth(out.DelayScale, out.DVthV)
 	return out
 }
