@@ -354,28 +354,6 @@ func BenchmarkGeneratorResolutionAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkHeuristicRefineAblation measures the heuristic with and without
-// its cleanup sweep (a design choice called out in DESIGN.md).
-func BenchmarkHeuristicRefineAblation(b *testing.B) {
-	res, err := Run(Config{Benchmark: "c1355", Beta: 0.05, SkipLayout: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := res.Problem.SolveHeuristicOpts(core.HeuristicOptions{SkipRefine: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printOnce("refine-ablation", func() {
-		bare, _ := res.Problem.SolveHeuristicOpts(core.HeuristicOptions{SkipRefine: true})
-		full, _ := res.Problem.SolveHeuristic()
-		fmt.Printf("\n[ablation] c1355 heuristic refine sweep: off %.1f%% vs on %.1f%% savings\n",
-			core.Savings(res.Single, bare), core.Savings(res.Single, full))
-	})
-}
-
 // BenchmarkRBBLeakageRecovery exercises the reverse-body-bias extension:
 // fast dies give leakage back (section 1-2 of the paper, after [8]).
 func BenchmarkRBBLeakageRecovery(b *testing.B) {

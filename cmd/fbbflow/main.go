@@ -163,9 +163,6 @@ func printResult(w io.Writer, res *repro.Result, beta float64, runILP, ascii, ti
 		if g := ir.Gap(); g > 0 {
 			fmt.Fprintf(w, "; gap %.2f%%", g*100)
 		}
-		if res.RaceWinner != "" {
-			fmt.Fprintf(w, "; race winner: %s", res.RaceWinner)
-		}
 		fmt.Fprintln(w)
 	}
 

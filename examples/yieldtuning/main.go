@@ -77,11 +77,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// An unbounded exact solve per escalation per die would run for ages;
 	// a node budget keeps it bounded — and, unlike the historical
 	// wall-clock cap, deterministic at any -parallel.
-	switch sv := s.(type) {
-	case *core.ILPSolver:
+	if sv, ok := s.(*core.ILPSolver); ok {
 		sv.Opts.NodeLimit = 50000
-	case *core.RaceSolver:
-		sv.ILP.NodeLimit = 50000
 	}
 	st, err := variation.YieldStream(context.Background(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
 		proc, model, *dies, *seed,

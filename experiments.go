@@ -90,7 +90,7 @@ type Table1Options struct {
 	// ILPGateLimit skips the ILP on larger designs, reproducing the
 	// paper's missing entries for Industrial2/3 (default 5000 gates).
 	ILPGateLimit int
-	// Solver names the registered allocation engine for the table's
+	// Solver names the built-in allocation engine for the table's
 	// non-ILP columns ("" = "heuristic"; e.g. "local" re-evaluates the
 	// table with the portfolio solver). The exact columns always use the
 	// ILP, warm-started from this solver's solution.

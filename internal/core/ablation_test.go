@@ -1,8 +1,41 @@
 package core
 
 import (
+	"sort"
 	"testing"
 )
+
+// heuristicSteps replays the two-pass heuristic step by step — PassOne, the
+// PassTwo level walk and the routing reconcile — and runs the final
+// refineDown sweep only when refine is set, so ablations can compare the
+// allocator with and without it.
+func heuristicSteps(tb testing.TB, p *Problem, refine bool) *Solution {
+	tb.Helper()
+	assign := make([]int, p.N)
+	jopt, err := p.passOneInto(assign)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if jopt > 0 {
+		order := make([]int, p.N)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Stable(&ctSorter{order: order, key: p.RowCriticality()})
+		st := p.newTimingState(assign)
+		p.walkDown(st, order, jopt)
+		var s heurScratch
+		p.reconcilePairs(st, assign, &s)
+		if refine {
+			p.refineDown(st, assign, &s)
+		}
+	}
+	sol, err := p.solutionFor(assign, "heuristic", false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sol
+}
 
 func TestRefineDownAblation(t *testing.T) {
 	// The cleanup sweep must never hurt and should help on at least one
@@ -14,10 +47,10 @@ func TestRefineDownAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, err := p.SolveHeuristicOpts(HeuristicOptions{SkipRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The step-by-step replay must be the production heuristic, or
+		// the ablation below would compare against something else.
+		requireSolutionsEqual(t, full, heuristicSteps(t, p, true), name+" replay")
+		bare := heuristicSteps(t, p, false)
 		if full.ExtraLeakNW > bare.ExtraLeakNW+1e-9 {
 			t.Errorf("%s: refineDown increased leakage %.2f -> %.2f",
 				name, bare.ExtraLeakNW, full.ExtraLeakNW)
@@ -29,6 +62,39 @@ func TestRefineDownAblation(t *testing.T) {
 	}
 	if !helped {
 		t.Error("refineDown never improved a solution; sweep is dead code")
+	}
+}
+
+// TestLocalNeverWorseThanHeuristic pins why LocalSolver is kept: on the
+// paper's ISCAS designs it never leaks more than the two-pass heuristic and
+// strictly less somewhere.
+func TestLocalNeverWorseThanHeuristic(t *testing.T) {
+	better := 0
+	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
+		for _, beta := range []float64{0.02, 0.05, 0.10} {
+			for _, c := range []int{2, 3} {
+				p := problem(t, name, beta, c)
+				heur, err := p.SolveHeuristic()
+				if err != nil {
+					t.Fatal(err)
+				}
+				loc, err := (&LocalSolver{}).solveProblem(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if loc.ExtraLeakNW > heur.ExtraLeakNW+1e-9 {
+					t.Errorf("%s beta=%g C=%d: local leaks %.2fnW > heuristic %.2fnW",
+						name, beta, c, loc.ExtraLeakNW, heur.ExtraLeakNW)
+				}
+				if loc.ExtraLeakNW < heur.ExtraLeakNW-1e-9 {
+					better++
+				}
+			}
+		}
+	}
+	t.Logf("local strictly below the heuristic on %d/24 cells", better)
+	if better == 0 {
+		t.Error("local never beat the heuristic; it would be dead weight")
 	}
 }
 

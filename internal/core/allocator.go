@@ -378,10 +378,6 @@ type Instance struct {
 	// exact solve on this instance (nil before one runs).
 	ILPResult *ilp.Result
 
-	// RaceWinner names the portfolio member whose solution the most
-	// recent RaceSolver solve returned ("" before one runs).
-	RaceWinner string
-
 	prob Problem
 
 	constraints  []PathConstraint
@@ -434,7 +430,6 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 		inst = &Instance{}
 	}
 	inst.ILPResult = nil
-	inst.RaceWinner = ""
 
 	p := &inst.prob
 	p.Pl, p.Tm, p.Grid = a.pl, a.tm, a.grid
@@ -627,7 +622,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 }
 
 // SolveAt materializes the instance for opts into buf and solves it with
-// solver (nil = the registered two-pass heuristic). It returns the solution
+// solver (nil = the built-in two-pass heuristic). It returns the solution
 // and the instance actually used, so callers can thread the same buffer
 // through repeated solves; the solution follows the Instance buffer
 // contract (Clone to keep).

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -304,19 +305,11 @@ func TestAllocatorValidation(t *testing.T) {
 	}
 }
 
-// TestSolverRegistry pins the registry contract.
+// TestSolverRegistry pins the closed set of built-in solvers.
 func TestSolverRegistry(t *testing.T) {
 	names := SolverNames()
-	for _, want := range []string{"heuristic", "ilp", "local"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry is missing %q (have %v)", want, names)
-		}
+	if want := []string{"heuristic", "ilp", "local"}; !slices.Equal(names, want) {
+		t.Errorf("SolverNames() = %v, want %v", names, want)
 	}
 	for _, name := range names {
 		s, err := NewNamedSolver(name)
@@ -326,6 +319,13 @@ func TestSolverRegistry(t *testing.T) {
 		if s.Name() != name {
 			t.Errorf("solver %q reports Name()=%q", name, s.Name())
 		}
+	}
+	// Every call constructs a fresh value, so callers may configure it
+	// without racing other users.
+	a, _ := NewNamedSolver("local")
+	b, _ := NewNamedSolver("local")
+	if a == b {
+		t.Error(`two NewNamedSolver("local") calls returned the same value`)
 	}
 	if _, err := NewNamedSolver("no-such-solver"); err == nil {
 		t.Error("unknown solver accepted")

@@ -121,3 +121,25 @@ func BenchmarkLocalSolver(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHeuristicRefineAblation times the heuristic without its final
+// refineDown sweep on c1355 and reports the leakage savings with the sweep
+// off and on.
+func BenchmarkHeuristicRefineAblation(b *testing.B) {
+	pl, tm := benchTimed(b, "c1355")
+	p, err := BuildProblem(pl, tm, Options{Beta: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	single, err := p.SingleBB()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		heuristicSteps(b, p, false)
+	}
+	b.StopTimer()
+	b.ReportMetric(Savings(single, heuristicSteps(b, p, false)), "off_savings_pct")
+	b.ReportMetric(Savings(single, heuristicSteps(b, p, true)), "on_savings_pct")
+}

@@ -194,15 +194,6 @@ func (st *timingState) move(row, to int) {
 
 func (st *timingState) feasible() bool { return st.violated == 0 }
 
-// HeuristicOptions toggle the post-passes of the greedy allocator, mainly
-// for ablation studies; the zero value enables everything.
-type HeuristicOptions struct {
-	// SkipReconcile disables the routing-cap enforcement pass.
-	SkipReconcile bool
-	// SkipRefine disables the final lowering sweep.
-	SkipRefine bool
-}
-
 // SolveHeuristic runs the two-pass greedy allocator (the paper's Figure 5).
 //
 // PassTwo interpretation (the published pseudocode reuses indices
@@ -215,13 +206,8 @@ type HeuristicOptions struct {
 // Complexity is O(P*N) row moves, each with an incremental timing check, so
 // the runtime is linear in the rows, as the paper claims.
 func (p *Problem) SolveHeuristic() (*Solution, error) {
-	return p.SolveHeuristicOpts(HeuristicOptions{})
-}
-
-// SolveHeuristicOpts is SolveHeuristic with ablation toggles.
-func (p *Problem) SolveHeuristicOpts(hopts HeuristicOptions) (*Solution, error) {
 	var s heurScratch
-	sol, err := p.solveHeuristicScratch(&s, hopts)
+	sol, err := p.solveHeuristicScratch(&s)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +218,7 @@ func (p *Problem) SolveHeuristicOpts(hopts HeuristicOptions) (*Solution, error) 
 // heuristic, running entirely on s's reusable buffers; Problem.SolveHeuristic
 // and Instance solves both route here, so they cannot diverge. The returned
 // Solution is s.sol, invalidated by the next solve on the same scratch.
-func (p *Problem) solveHeuristicScratch(s *heurScratch, hopts HeuristicOptions) (*Solution, error) {
+func (p *Problem) solveHeuristicScratch(s *heurScratch) (*Solution, error) {
 	s.assign = growInts(s.assign, p.N)
 	s.levelSeen = growBools(s.levelSeen, p.P)
 	assign := s.assign
@@ -271,12 +257,8 @@ func (p *Problem) solveHeuristicScratch(s *heurScratch, hopts HeuristicOptions) 
 	if !st.feasible() {
 		return nil, errors.New("core: heuristic produced an infeasible assignment")
 	}
-	if !hopts.SkipReconcile {
-		p.reconcilePairs(&st, assign, s)
-	}
-	if !hopts.SkipRefine {
-		p.refineDown(&st, assign, s)
-	}
+	p.reconcilePairs(&st, assign, s)
+	p.refineDown(&st, assign, s)
 	if err := p.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
 		return nil, err
 	}

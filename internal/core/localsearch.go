@@ -18,14 +18,17 @@ type LocalSolver struct {
 	// Seed is the base seed of the per-restart RNG streams (any fixed
 	// value is fine; zero is valid and distinct from one).
 	Seed int64
-	// Restarts is the number of greedy walks (default 4). Restart 0
-	// replays the unperturbed criticality ranking, so the portfolio never
-	// starts worse than the plain heuristic's walk.
-	Restarts int
-	// Sweeps bounds the repair sweeps per restart (default 3); a sweep
-	// without an accepted move ends the search early.
-	Sweeps int
 }
+
+const (
+	// localRestarts is the number of greedy walks. Restart 0 replays the
+	// unperturbed criticality ranking, so the portfolio never starts worse
+	// than the plain heuristic's walk.
+	localRestarts = 4
+	// localSweeps bounds the repair sweeps per restart; a sweep without an
+	// accepted move ends the search early.
+	localSweeps = 3
+)
 
 // Name implements Solver.
 func (*LocalSolver) Name() string { return "local" }
@@ -48,15 +51,6 @@ func restartSeed(seed int64, restart int) int64 {
 }
 
 func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
-	restarts := s.Restarts
-	if restarts <= 0 {
-		restarts = 4
-	}
-	sweeps := s.Sweeps
-	if sweeps <= 0 {
-		sweeps = 3
-	}
-
 	assign := make([]int, p.N)
 	jopt, err := p.passOneInto(assign)
 	if err != nil {
@@ -72,7 +66,7 @@ func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
 	sigma := make([]float64, len(p.Constraints))
 	var scratch heurScratch
 	var best *Solution
-	for r := 0; r < restarts; r++ {
+	for r := 0; r < localRestarts; r++ {
 		rng := rand.New(rand.NewSource(restartSeed(s.Seed, r)))
 		for i := range key {
 			if r == 0 {
@@ -97,7 +91,7 @@ func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
 		}
 		p.walkDown(&st, order, jopt)
 		p.reconcilePairs(&st, assign, &scratch)
-		s.repair(p, &st, assign, rng, sweeps)
+		s.repair(p, &st, assign, rng)
 		p.refineDown(&st, assign, &scratch)
 		if !st.feasible() {
 			continue // defensive; the passes above preserve feasibility
@@ -122,7 +116,7 @@ func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
 // level — accepting the pair only when it is feasible and strictly cheaper.
 // Rows only ever move between levels already in use, so the cluster and
 // bias-pair caps can never be exceeded (levels may empty; none appear).
-func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *rand.Rand, sweeps int) {
+func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *rand.Rand) {
 	if p.N == 0 || p.P < 2 {
 		return
 	}
@@ -132,7 +126,7 @@ func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *ran
 	}
 	viol := make([]int, 0, len(p.Constraints))
 	tries := 2 * p.N
-	for sw := 0; sw < sweeps; sw++ {
+	for sw := 0; sw < localSweeps; sw++ {
 		improved := false
 		for t := 0; t < tries; t++ {
 			r1 := rng.Intn(p.N)

@@ -33,7 +33,7 @@ type SolveCache struct {
 const maxSolveCache = 256
 
 // solveKey identifies one allocation instance: the normalized options plus
-// the solver value itself (nil = the registered default heuristic). Keying
+// the solver value itself (nil = the built-in default heuristic). Keying
 // on the interface value means two requests share an entry only when they
 // share the solver configuration, not merely its name.
 type solveKey struct {

@@ -1,15 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// Solver is a pluggable allocation engine over a materialized Instance. The
-// paper evaluates two points of the quality-vs-speed space (the linear-time
-// heuristic and the exact ILP); the seam lets experiments register and sweep
-// others without touching the callers.
+// Solver is an allocation engine over a materialized Instance. The paper
+// evaluates two points of the quality-vs-speed space (the linear-time
+// heuristic and the exact ILP); LocalSolver sits between them. The built-ins
+// are constructed by name through NewNamedSolver; callers holding a Solver
+// value (tests, TuneOptions.Solver) may pass any implementation.
 //
 // Implementations must be safe for concurrent Solve calls on *distinct*
 // Instances (the built-ins are: any mutable per-solve state lives in the
@@ -17,78 +14,41 @@ import (
 // invalidated by the next solve or At on the same Instance; Clone it to
 // keep it.
 type Solver interface {
-	// Name identifies the solver in registries, flags, and Solution.Method.
+	// Name identifies the solver in flags and Solution.Method.
 	Name() string
 	// Solve allocates clustered FBB on the materialized instance.
 	Solve(inst *Instance) (*Solution, error)
 }
 
-var (
-	solverMu        sync.RWMutex
-	solverFactories = map[string]func() Solver{}
-)
-
-// RegisterSolver makes a solver constructable by name (NewNamedSolver). The
-// factory returns a fresh, default-configured value so callers may adjust
-// fields without racing other users. Registering a duplicate or empty name
-// panics: registration is an init-time programming act, not runtime input.
-func RegisterSolver(name string, factory func() Solver) {
-	if name == "" || factory == nil {
-		panic("core: RegisterSolver needs a name and a factory")
-	}
-	solverMu.Lock()
-	defer solverMu.Unlock()
-	if _, dup := solverFactories[name]; dup {
-		panic("core: duplicate solver " + name)
-	}
-	solverFactories[name] = factory
-}
-
-// NewNamedSolver returns a fresh instance of the named registered solver.
+// NewNamedSolver returns a fresh, default-configured value of the named
+// built-in solver, so callers may adjust its fields without racing other
+// users.
 func NewNamedSolver(name string) (Solver, error) {
-	solverMu.RLock()
-	factory := solverFactories[name]
-	solverMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("core: unknown solver %q (have %v)", name, SolverNames())
+	switch name {
+	case "heuristic":
+		return HeuristicSolver{}, nil
+	case "ilp":
+		return &ILPSolver{}, nil
+	case "local":
+		return &LocalSolver{}, nil
 	}
-	return factory(), nil
+	return nil, fmt.Errorf("core: unknown solver %q (have %v)", name, SolverNames())
 }
 
-// SolverNames lists the registered solvers, sorted.
-func SolverNames() []string {
-	solverMu.RLock()
-	defer solverMu.RUnlock()
-	names := make([]string, 0, len(solverFactories))
-	for n := range solverFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterSolver("heuristic", func() Solver { return HeuristicSolver{} })
-	RegisterSolver("ilp", func() Solver { return &ILPSolver{} })
-	RegisterSolver("local", func() Solver { return &LocalSolver{} })
-	RegisterSolver("race", func() Solver { return &RaceSolver{} })
-}
+// SolverNames lists the built-in solvers, sorted.
+func SolverNames() []string { return []string{"heuristic", "ilp", "local"} }
 
 // HeuristicSolver is the paper's two-pass greedy allocator (Figure 5) as a
 // Solver: identical, bit for bit, to Problem.SolveHeuristic — both run the
 // same scratch implementation — but allocation-free on a warmed Instance.
-type HeuristicSolver struct {
-	// Opts toggle the ablation switches; the zero value enables every
-	// post-pass.
-	Opts HeuristicOptions
-}
+type HeuristicSolver struct{}
 
 // Name implements Solver.
 func (HeuristicSolver) Name() string { return "heuristic" }
 
 // Solve implements Solver.
-func (h HeuristicSolver) Solve(inst *Instance) (*Solution, error) {
-	return inst.prob.solveHeuristicScratch(&inst.heur, h.Opts)
+func (HeuristicSolver) Solve(inst *Instance) (*Solution, error) {
+	return inst.prob.solveHeuristicScratch(&inst.heur)
 }
 
 // ILPSolver is the paper's exact allocator (equations 1-5) as a Solver. It

@@ -72,7 +72,7 @@ type TuneResponse struct {
 	// Summary is set in flow mode (no die requested).
 	Summary *repro.Summary `json:"summary,omitempty"`
 	// ILP carries the branch-and-bound diagnostics of a flow-mode tune
-	// whose solver ran the exact engine ("ilp" or "race"). The solves run
+	// whose solver ran the exact engine ("ilp"). The solves run
 	// under node budgets, so every field is deterministic and safe to
 	// include in the byte-reproducible response.
 	ILP *ILPDiag `json:"ilp,omitempty"`
@@ -95,8 +95,6 @@ type ILPDiag struct {
 	GapPct float64 `json:"gapPct"`
 	// Branching names the rule that ran.
 	Branching string `json:"branching,omitempty"`
-	// RaceWinner names the winning portfolio member of a "race" solve.
-	RaceWinner string `json:"raceWinner,omitempty"`
 }
 
 // ilpDiag digests a Result's exact-solve diagnostics (nil when none ran).
@@ -106,13 +104,12 @@ func ilpDiag(res *repro.Result) *ILPDiag {
 		return nil
 	}
 	return &ILPDiag{
-		Status:     ir.Status.String(),
-		Proven:     ir.Status == ilp.OptimalProven,
-		Nodes:      ir.Nodes,
-		StrongLPs:  ir.StrongLPs,
-		GapPct:     ir.Gap() * 100,
-		Branching:  ir.Branching,
-		RaceWinner: res.RaceWinner,
+		Status:    ir.Status.String(),
+		Proven:    ir.Status == ilp.OptimalProven,
+		Nodes:     ir.Nodes,
+		StrongLPs: ir.StrongLPs,
+		GapPct:    ir.Gap() * 100,
+		Branching: ir.Branching,
 	}
 }
 

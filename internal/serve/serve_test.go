@@ -512,6 +512,7 @@ func TestValidationErrors(t *testing.T) {
 		{"bad beta", "/v1/tune", `{"benchmark":"c1355","beta":-1}`, 400, "beta"},
 		{"bad clusters", "/v1/tune", `{"benchmark":"c1355","maxClusters":99}`, 400, "maxClusters"},
 		{"bad solver", "/v1/tune", `{"benchmark":"c1355","solver":"zap"}`, 400, "unknown solver"},
+		{"race solver", "/v1/tune", `{"benchmark":"c1355","solver":"race"}`, 400, "unknown solver"},
 		{"unknown benchmark", "/v1/tune", `{"benchmark":"zap"}`, 400, "unknown benchmark"},
 		{"unknown field", "/v1/tune", `{"benchmrk":"c1355"}`, 400, "unknown field"},
 		{"trailing garbage", "/v1/tune", `{"benchmark":"c1355"} {}`, 400, "trailing data"},

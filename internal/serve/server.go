@@ -310,7 +310,7 @@ func (s *Server) prefix(ctx context.Context, ref *DesignRef) (*flow.Prefix, *api
 }
 
 // resolveSolver maps a request solver name to a core.Solver for the
-// variation paths (nil = registered heuristic) through repro.NamedSolver —
+// variation paths (nil = built-in heuristic) through repro.NamedSolver —
 // the same resolution the in-process drivers use — turning a typo into the
 // client's 400.
 func resolveSolver(name string) (core.Solver, *apiError) {

@@ -33,7 +33,7 @@ type TuneOptions struct {
 	// CPU, 1 = sequential). Per-die seeds keep the statistics independent
 	// of the worker count.
 	Workers int
-	// Solver picks the allocation engine (nil = the registered two-pass
+	// Solver picks the allocation engine (nil = the built-in two-pass
 	// heuristic). A shared Solver must be safe for concurrent Solve calls
 	// on distinct Instances — the core built-ins are — since YieldStream
 	// hands the same value to every worker.

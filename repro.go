@@ -44,11 +44,10 @@ type Config struct {
 	MaxClusters  int
 	MaxBiasPairs int
 
-	// Solver names the registered core.Solver producing the Result's
+	// Solver names the built-in core.Solver producing the Result's
 	// primary allocation ("" = "heuristic"; see core.SolverNames). The
-	// "ilp" and "race" solvers are configured with the ILP* budgets below;
-	// selecting "ilp" makes the primary allocation exact, independently of
-	// RunILP.
+	// "ilp" solver is configured with the ILP* budgets below; selecting it
+	// makes the primary allocation exact, independently of RunILP.
 	Solver string
 
 	// RunILP additionally runs the exact allocator under the ILP* budgets.
@@ -94,11 +93,8 @@ type Result struct {
 	// ILPResult carries the full branch-and-bound diagnostics (nodes,
 	// bound, branching rule, strong-branching LPs) of
 	// the most recent exact solve — RunILP's, or the primary solver's when
-	// it is "ilp" or "race". Nil when no exact solve ran.
+	// it is "ilp". Nil when no exact solve ran.
 	ILPResult *ilp.Result
-	// RaceWinner names the portfolio member whose solution the "race"
-	// solver returned ("" unless Solver is "race").
-	RaceWinner string
 
 	// HeuristicTime and ILPTime are wall-clock allocator runtimes.
 	HeuristicTime time.Duration
@@ -218,9 +214,9 @@ func stageProblem(pfx *flow.Prefix, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// NamedSolver resolves a registered solver name to a core.Solver value
+// NamedSolver resolves a built-in solver name to a core.Solver value
 // ("" and "heuristic" resolve to nil, the built-in default), threading
-// ilpOpts into an "ilp" or "race" selection. The zero options are the
+// ilpOpts into an "ilp" selection. The zero options are the
 // deterministic default: a node budget (ilp's 1<<20) instead of the
 // historical 30s wall clock. NamedSolver is the single solver resolution
 // path shared by the in-process drivers and the fbbd service, so the two
@@ -233,11 +229,8 @@ func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch sv := s.(type) {
-	case *core.ILPSolver:
+	if sv, ok := s.(*core.ILPSolver); ok {
 		sv.Opts = ilpOpts
-	case *core.RaceSolver:
-		sv.ILP = ilpOpts
 	}
 	return s, nil
 }
@@ -252,8 +245,7 @@ func (cfg Config) ilpOptions() core.ILPOptions {
 }
 
 // resolveSolver maps Config.Solver to a core.Solver value ("" = the
-// default heuristic), threading the ILP budgets into an "ilp" or "race"
-// selection.
+// default heuristic), threading the ILP budgets into an "ilp" selection.
 func resolveSolver(cfg Config) (core.Solver, string, error) {
 	s, err := NamedSolver(cfg.Solver, cfg.ilpOptions())
 	if err != nil {
@@ -289,7 +281,6 @@ func stageAllocate(res *Result, cfg Config) error {
 	res.Heuristic = sol.Clone()
 	res.HeuristicTime = time.Since(start)
 	res.ILPResult = res.inst.ILPResult
-	res.RaceWinner = res.inst.RaceWinner
 
 	if cfg.RunILP {
 		opts := cfg.ilpOptions()

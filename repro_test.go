@@ -266,7 +266,7 @@ func TestRunSolverSelection(t *testing.T) {
 	if base.SolverName != "heuristic" {
 		t.Errorf("default SolverName = %q, want heuristic", base.SolverName)
 	}
-	for _, name := range []string{"local", "ilp", "race"} {
+	for _, name := range []string{"local", "ilp"} {
 		cfg := Config{Benchmark: "c1355", Beta: 0.05, Solver: name, SkipLayout: true}
 		res, err := Run(cfg)
 		if err != nil {
@@ -275,19 +275,11 @@ func TestRunSolverSelection(t *testing.T) {
 		if res.SolverName != name {
 			t.Errorf("%s: SolverName = %q", name, res.SolverName)
 		}
-		switch name {
-		case "race":
-			// The race returns its winning member's solution and names it.
-			if res.RaceWinner == "" || res.Heuristic.Method != res.RaceWinner {
-				t.Errorf("race: winner %q but method %q", res.RaceWinner, res.Heuristic.Method)
-			}
-			if res.ILPResult == nil {
-				t.Error("race: no ILP diagnostics surfaced")
-			}
-		default:
-			if res.Heuristic.Method != name {
-				t.Errorf("%s: method %q", name, res.Heuristic.Method)
-			}
+		if res.Heuristic.Method != name {
+			t.Errorf("%s: method %q", name, res.Heuristic.Method)
+		}
+		if name == "ilp" && res.ILPResult == nil {
+			t.Error("ilp: no ILP diagnostics surfaced")
 		}
 		if !res.Problem.CheckTiming(res.Heuristic.Assign) {
 			t.Errorf("%s: allocation violates timing", name)
