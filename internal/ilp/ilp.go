@@ -5,7 +5,9 @@
 // a deterministically parallel tree search: worker goroutines speculatively
 // solve node relaxations ahead of a sequential commit order, so the result
 // — incumbent, objective, status, node count — is byte-identical at any
-// worker count. Like the paper's runs, where the ILP "did not converge in
+// worker count. The root relaxation is solved cold; every other node
+// warm-starts from its parent's optimal basis (lp.SolveFrom), which keeps
+// each relaxation a pure function of the node. Like the paper's runs, where the ILP "did not converge in
 // a specified amount of time" on the two largest designs, the solver takes
 // a node budget (deterministic) or a caller-wired interrupt (wall-clock
 // opt-out) and reports the best incumbent with its proven bound when the
@@ -14,6 +16,7 @@ package ilp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/lp"
@@ -122,6 +125,10 @@ func Solve(m *Model, opts Options) (Result, error) {
 		}
 	} else if len(isInt) != n {
 		return Result{}, errors.New("ilp: Integer length mismatch")
+	}
+
+	if opts.HasWarm && len(opts.WarmX) != n {
+		return Result{}, fmt.Errorf("ilp: WarmX length %d, want %d", len(opts.WarmX), n)
 	}
 
 	nodeLimit := opts.NodeLimit

@@ -121,6 +121,23 @@ func TestWarmStartPrunes(t *testing.T) {
 	}
 }
 
+func TestWarmXLengthChecked(t *testing.T) {
+	// An unimprovable warm start used to come back as Result.X verbatim,
+	// so a short WarmX surfaced as a wrong-length solution.
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{-10, -13, -7},
+		A:   [][]float64{{3, 4, 2}},
+		Rel: []lp.Rel{lp.LE},
+		B:   []float64{6},
+		U:   []float64{1, 1, 1},
+	}}
+	for _, x := range [][]float64{nil, {0, 1}, {0, 1, 1, 0}} {
+		if _, err := Solve(m, Options{HasWarm: true, WarmObj: -20, WarmX: x}); err == nil {
+			t.Errorf("WarmX of length %d accepted for 3 variables", len(x))
+		}
+	}
+}
+
 func TestNodeBudgetReportsBound(t *testing.T) {
 	// A larger knapsack; a 1-node budget cannot prove optimality.
 	rng := rand.New(rand.NewSource(3))

@@ -5,11 +5,12 @@ package ilp
 // ties — and is the only place incumbents, pseudo-costs, statuses and the
 // node count change. Worker goroutines speculate: they solve the LP
 // relaxations of still-pending nodes in the same order. A node's
-// relaxation depends only on its branching fixes, never on the incumbent,
-// so a speculative result is exactly what the commit loop would have
-// computed inline; workers therefore change wall-clock time but no
-// observable output, and the search is byte-identical at any worker
-// count. The incumbent objective is published atomically so workers can
+// relaxation depends only on its branching fixes and the optimal basis of
+// its parent's relaxation (its warm start), never on the incumbent or on
+// which goroutine solves it, so a speculative result is exactly what the
+// commit loop would have computed inline; workers therefore change
+// wall-clock time but no observable output, and the search is
+// byte-identical at any worker count. The incumbent objective is published atomically so workers can
 // skip nodes the commit loop is guaranteed to prune; because the cutoff
 // only ever decreases, that skip can never suppress a result the commit
 // loop needs.
@@ -48,6 +49,7 @@ type pnode struct {
 	seq   int64
 	bound float64 // parent relaxation objective: a lower bound here
 	fixes []bfix
+	basis *lp.Basis // the parent relaxation's optimal basis (nil at the root)
 	// state/res/err are guarded by search.mu until the commit loop has
 	// consumed the node.
 	state  nodeState
@@ -93,6 +95,9 @@ type search struct {
 	// strong-branching accounting (commit loop only).
 	strongLPs int
 	strongErr error
+	// ws[0] is the commit loop's node-solve scratch; runAll's goroutine i
+	// uses ws[i] while the commit loop waits for it.
+	ws []*nodeWS
 
 	mu          sync.Mutex
 	spec        nodeHeap // pending nodes visible to workers
@@ -113,7 +118,7 @@ func newSearch(m *Model, br brancher, workers int) *search {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &search{m: m, isInt: m.Integer, br: br, workers: workers}
+	s := &search{m: m, isInt: m.Integer, br: br, workers: workers, ws: []*nodeWS{new(nodeWS)}}
 	s.workCond = sync.NewCond(&s.mu)
 	s.waitCond = sync.NewCond(&s.mu)
 	s.publishCutoff(math.Inf(1))
@@ -123,13 +128,22 @@ func newSearch(m *Model, br brancher, workers int) *search {
 func (s *search) publishCutoff(v float64) { s.cutoffBits.Store(math.Float64bits(v)) }
 func (s *search) readCutoff() float64     { return math.Float64frombits(s.cutoffBits.Load()) }
 
-// solveNode solves a node's LP relaxation: the model with the node's
-// branching fixes applied to fresh bound arrays. Pure function of
-// the node, callable from any goroutine.
-func (s *search) solveNode(nd *pnode) (lp.Result, error) {
+// nodeWS is one search goroutine's scratch for node solves: the LP
+// workspace and the bound arrays a node's fixes are applied to.
+type nodeWS struct {
+	lp   lp.Workspace
+	L, U []float64
+}
+
+// solveNode solves a node's LP relaxation — the model with the node's
+// branching fixes applied — warm from the parent's basis (cold at the
+// root). A pure function of the node, callable from any goroutine with
+// its own scratch.
+func (s *search) solveNode(nd *pnode, ws *nodeWS) (lp.Result, error) {
 	sub := s.m.Problem
-	L := append([]float64(nil), s.m.L...)
-	U := append([]float64(nil), s.m.U...)
+	L := append(ws.L[:0], s.m.L...)
+	U := append(ws.U[:0], s.m.U...)
+	ws.L, ws.U = L, U
 	for _, f := range nd.fixes {
 		if f.upper {
 			if f.v < U[f.j] {
@@ -140,7 +154,7 @@ func (s *search) solveNode(nd *pnode) (lp.Result, error) {
 		}
 	}
 	sub.L, sub.U = L, U
-	return lp.Solve(&sub)
+	return ws.lp.SolveFrom(&sub, nd.basis)
 }
 
 // boundsAt returns the effective bounds of column j at a node.
@@ -163,6 +177,7 @@ func (s *search) boundsAt(nd *pnode, j int) (lo, hi float64) {
 
 func (s *search) workerLoop() {
 	defer s.wg.Done()
+	ws := new(nodeWS)
 	s.mu.Lock()
 	for {
 		var nd *pnode
@@ -187,7 +202,7 @@ func (s *search) workerLoop() {
 		nd.state = nodeClaimed
 		nd.bySpec = true
 		s.mu.Unlock()
-		r, err := s.solveNode(nd)
+		r, err := s.solveNode(nd, ws)
 		s.mu.Lock()
 		if nd.state == nodeDead {
 			nd = nil
@@ -210,7 +225,7 @@ func (s *search) ensure(nd *pnode) (lp.Result, error) {
 	case nodePending:
 		nd.state = nodeClaimed
 		s.mu.Unlock()
-		r, err := s.solveNode(nd)
+		r, err := s.solveNode(nd, s.ws[0])
 		s.mu.Lock()
 		nd.res, nd.err = r, err
 		nd.state = nodeSolved
@@ -265,10 +280,10 @@ func (s *search) close() {
 	s.wg.Wait()
 }
 
-// runAll executes tasks on up to s.workers goroutines and joins them all
-// (used for strong branching; determinism comes from joining before any
-// result is consumed).
-func (s *search) runAll(tasks []func()) {
+// runAll executes tasks on up to s.workers goroutines, each with its own
+// node-solve scratch, and joins them all (used for strong branching;
+// determinism comes from joining before any result is consumed).
+func (s *search) runAll(tasks []func(*nodeWS)) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -276,9 +291,12 @@ func (s *search) runAll(tasks []func()) {
 	if nw > len(tasks) {
 		nw = len(tasks)
 	}
+	for len(s.ws) < nw {
+		s.ws = append(s.ws, new(nodeWS))
+	}
 	if nw <= 1 {
 		for _, t := range tasks {
-			t()
+			t(s.ws[0])
 		}
 		return
 	}
@@ -286,28 +304,30 @@ func (s *search) runAll(tasks []func()) {
 	var wg sync.WaitGroup
 	for i := 0; i < nw; i++ {
 		wg.Add(1)
-		go func() {
+		go func(ws *nodeWS) {
 			defer wg.Done()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(tasks) {
 					return
 				}
-				tasks[k]()
+				tasks[k](ws)
 			}
-		}()
+		}(s.ws[i])
 	}
 	wg.Wait()
 }
 
 // strongBranch solves the down/up child relaxations for each candidate
 // column (in parallel, joined before returning) and charges the LP budget.
+// The children warm-start from r's basis, exactly as the search would
+// solve them as nodes, so their results are reusable as node results.
 func (s *search) strongBranch(nd *pnode, cols []int, r *lp.Result) []strongOut {
 	outs := make([]strongOut, len(cols))
 	if len(cols) == 0 {
 		return outs
 	}
-	var tasks []func()
+	var tasks []func(*nodeWS)
 	for i, c := range cols {
 		o := &outs[i]
 		x := r.X[c]
@@ -315,16 +335,16 @@ func (s *search) strongBranch(nd *pnode, cols []int, r *lp.Result) []strongOut {
 		hi := lo + 1
 		effL, effU := s.boundsAt(nd, c)
 		if lo >= effL-1e-9 {
-			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: true, v: lo})}
-			tasks = append(tasks, func() {
-				o.down, o.downErr = s.solveNode(child)
+			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: true, v: lo}), basis: r.Basis}
+			tasks = append(tasks, func(ws *nodeWS) {
+				o.down, o.downErr = s.solveNode(child, ws)
 				o.downSolved = o.downErr == nil
 			})
 		}
 		if hi <= effU+1e-9 {
-			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: false, v: hi})}
-			tasks = append(tasks, func() {
-				o.up, o.upErr = s.solveNode(child)
+			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: false, v: hi}), basis: r.Basis}
+			tasks = append(tasks, func(ws *nodeWS) {
+				o.up, o.upErr = s.solveNode(child, ws)
 				o.upSolved = o.upErr == nil
 			})
 		}
@@ -471,6 +491,7 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 				seq:       s.nextSeq,
 				bound:     r.Obj,
 				fixes:     appendBfix(nd.fixes, f),
+				basis:     r.Basis,
 				hasParent: true,
 				bvar:      pk.col,
 				bdir:      dir,

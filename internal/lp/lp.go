@@ -12,6 +12,18 @@
 // may sit at either bound), which keeps the tableau at the constraint count
 // rather than adding a row per bound — essential for the FBB instances whose
 // x_ij variables are all bounded binaries in the relaxation.
+//
+// Every optimal Result carries its Basis in a layout that does not depend on
+// the bounds or the right-hand side. SolveFrom re-solves a problem that
+// differs from the one a basis came from only in its variable bounds — a
+// branch-and-bound child — by refactoring that basis and running a dual
+// simplex: a bound change keeps an optimal basis dual feasible, so a child
+// typically needs a handful of dual pivots where a cold solve needs a full
+// phase 1. Whenever the basis is unusable (singular, dual infeasible, an
+// artificial left basic, an iteration cap) SolveFrom falls back to Solve;
+// the decision depends only on the problem and the basis, so SolveFrom is
+// as deterministic as Solve. Solve stays the reference: the differential
+// tests hold SolveFrom to it.
 package lp
 
 import (
@@ -73,8 +85,12 @@ type Result struct {
 	X []float64
 	// Obj is C.X.
 	Obj float64
-	// Iters counts simplex pivots across both phases.
+	// Iters counts simplex pivots across both phases (for SolveFrom, the
+	// dual and cleanup pivots; refactoring the start basis is not counted).
 	Iters int
+	// Basis is the optimal basis (nil unless Status == Optimal), the warm
+	// start SolveFrom takes for a problem that differs only in bounds.
+	Basis *Basis
 }
 
 const (
@@ -83,26 +99,69 @@ const (
 	tolFeas  = 1e-7
 )
 
-// Validate checks dimensional consistency.
+// InputError reports a malformed Problem: inconsistent dimensions, a
+// non-finite coefficient or right-hand side, an unusable bound or an
+// unknown relation. Solving such a problem would return a wrong answer
+// rather than fail, so Validate rejects it up front.
+type InputError struct {
+	msg string
+}
+
+func (e *InputError) Error() string { return "lp: " + e.msg }
+
+func inputErrorf(format string, args ...any) error {
+	return &InputError{msg: fmt.Sprintf(format, args...)}
+}
+
+// finite reports whether v is neither NaN nor infinite (v-v is NaN
+// exactly then), one subtraction per coefficient on the per-node path.
+func finite(v float64) bool { return v-v == 0 }
+
+// Validate checks dimensional consistency, that C, A and B are finite,
+// that every relation is known, and that every bound interval is a
+// nonempty [finite, finite or +Inf]. Every failure is an *InputError.
 func (p *Problem) Validate() error {
 	n := len(p.C)
 	if len(p.A) != len(p.B) || len(p.A) != len(p.Rel) {
-		return fmt.Errorf("lp: %d rows, %d rhs, %d relations", len(p.A), len(p.B), len(p.Rel))
+		return inputErrorf("%d rows, %d rhs, %d relations", len(p.A), len(p.B), len(p.Rel))
+	}
+	for j, c := range p.C {
+		if !finite(c) {
+			return inputErrorf("cost %d is %g", j, c)
+		}
 	}
 	for i, row := range p.A {
 		if len(row) != n {
-			return fmt.Errorf("lp: row %d has %d coefficients, want %d", i, len(row), n)
+			return inputErrorf("row %d has %d coefficients, want %d", i, len(row), n)
+		}
+		for j, a := range row {
+			if !finite(a) {
+				return inputErrorf("row %d coefficient %d is %g", i, j, a)
+			}
+		}
+		if !finite(p.B[i]) {
+			return inputErrorf("row %d right-hand side is %g", i, p.B[i])
+		}
+		if p.Rel[i] > EQ {
+			return inputErrorf("row %d has unknown relation %d", i, p.Rel[i])
 		}
 	}
 	if p.L != nil && len(p.L) != n {
-		return fmt.Errorf("lp: L length %d, want %d", len(p.L), n)
+		return inputErrorf("L length %d, want %d", len(p.L), n)
 	}
 	if p.U != nil && len(p.U) != n {
-		return fmt.Errorf("lp: U length %d, want %d", len(p.U), n)
+		return inputErrorf("U length %d, want %d", len(p.U), n)
 	}
 	for j := 0; j < n; j++ {
-		if p.lower(j) > p.upper(j)+tolFeas {
-			return fmt.Errorf("lp: variable %d has empty bound interval [%g, %g]", j, p.lower(j), p.upper(j))
+		lo, hi := p.lower(j), p.upper(j)
+		if !finite(lo) {
+			return inputErrorf("variable %d has lower bound %g", j, lo)
+		}
+		if math.IsNaN(hi) {
+			return inputErrorf("variable %d has upper bound %g", j, hi)
+		}
+		if lo > hi+tolFeas {
+			return inputErrorf("variable %d has empty bound interval [%g, %g]", j, lo, hi)
 		}
 	}
 	return nil
@@ -151,11 +210,16 @@ type simplex struct {
 	stall   int
 }
 
-// Solve optimizes the problem.
+// Solve optimizes the problem from scratch with a two-phase primal simplex.
 func Solve(p *Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
+	return solveCold(p)
+}
+
+// solveCold is Solve on a validated problem.
+func solveCold(p *Problem) (Result, error) {
 	n := len(p.C)
 	m := len(p.A)
 
@@ -208,16 +272,30 @@ func Solve(p *Problem) (Result, error) {
 		return Result{Status: st, Iters: s.iters}, nil
 	}
 
-	// Recover the solution in original coordinates.
-	x := make([]float64, n)
+	return s.optimum(p), nil
+}
+
+// optimum packages the current (optimal) vertex in original coordinates,
+// with its basis.
+func (s *simplex) optimum(p *Problem) Result {
+	n := s.n
+	x := make([]float64, n) // shifted values first
+	for i, bj := range s.basis {
+		if bj < n {
+			x[bj] = s.xB[i]
+		}
+	}
 	for j := 0; j < n; j++ {
-		x[j] = p.lower(j) + s.value(j)
+		if s.stat[j] == atUpper {
+			x[j] = s.ub[j]
+		}
+		x[j] = p.lower(j) + x[j]
 	}
 	obj := 0.0
 	for j := 0; j < n; j++ {
 		obj += p.C[j] * x[j]
 	}
-	return Result{Status: Optimal, X: x, Obj: obj, Iters: s.iters}, nil
+	return Result{Status: Optimal, X: x, Obj: obj, Iters: s.iters, Basis: s.saveBasis()}
 }
 
 func maxIters(m, n int) int { return 200*(m+n) + 20000 }
@@ -349,6 +427,7 @@ func (s *simplex) setPhase1Cost() {
 		s.cost[j] = 1
 	}
 	s.computeReducedCosts()
+	s.computeObjective()
 }
 
 func (s *simplex) setPhase2Cost(p *Problem) {
@@ -357,6 +436,7 @@ func (s *simplex) setPhase2Cost(p *Problem) {
 	}
 	copy(s.cost[:s.n], p.C)
 	s.computeReducedCosts()
+	s.computeObjective()
 }
 
 // rebuildActive recollects the columns with room to move (ub > 0). A frozen
@@ -374,8 +454,8 @@ func (s *simplex) rebuildActive() {
 	}
 }
 
-// computeReducedCosts rebuilds d = c - c_B * T and the objective value from
-// scratch (done at each phase start).
+// computeReducedCosts rebuilds d = c - c_B * T from scratch (done at each
+// phase start) and resets the anti-cycling state.
 func (s *simplex) computeReducedCosts() {
 	s.rebuildActive()
 	for _, j := range s.act {
@@ -391,13 +471,17 @@ func (s *simplex) computeReducedCosts() {
 			s.d[j] -= cb * row[j]
 		}
 	}
+	s.bland = false
+	s.stall = 0
+}
+
+// computeObjective recomputes the phase objective from the current vertex.
+func (s *simplex) computeObjective() {
 	obj := 0.0
 	for j := 0; j < s.nCols; j++ {
 		obj += s.cost[j] * s.value(j)
 	}
 	s.objVal = obj
-	s.bland = false
-	s.stall = 0
 }
 
 // run iterates the bounded-variable simplex until optimality or a limit.
@@ -521,6 +605,15 @@ func (s *simplex) step(q int) Status {
 	if s.stat[q] == atUpper {
 		newVal = s.ub[q] - tMax
 	}
+	s.pivot(leave, q, newVal, leaveToUpper)
+	return Optimal
+}
+
+// pivot makes column q basic in row leave at value newVal. The column
+// leaving goes nonbasic at its upper bound when leaveToUpper, at its lower
+// bound otherwise. Basic values other than the entering one must already be
+// updated for the move.
+func (s *simplex) pivot(leave, q int, newVal float64, leaveToUpper bool) {
 	out := s.basis[leave]
 	if leaveToUpper {
 		s.stat[out] = atUpper
@@ -566,5 +659,4 @@ func (s *simplex) step(q int) Status {
 		}
 		s.d[q] = 0
 	}
-	return Optimal
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,11 +203,38 @@ func TestDegenerateRedundantRows(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Solve(&Problem{C: []float64{1}, A: [][]float64{{1, 2}}, Rel: []Rel{LE}, B: []float64{1}}); err == nil {
-		t.Error("ragged matrix accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	// cover is x1 + x2 >= 1 over x >= 0, edited per case.
+	cover := func(edit func(p *Problem)) *Problem {
+		p := &Problem{C: []float64{1, 1}, A: [][]float64{{1, 1}}, Rel: []Rel{GE}, B: []float64{1}}
+		edit(p)
+		return p
 	}
-	if _, err := Solve(&Problem{C: []float64{1}, L: []float64{3}, U: []float64{1}}); err == nil {
-		t.Error("empty bound interval accepted")
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+	}{
+		{"ragged matrix", &Problem{C: []float64{1}, A: [][]float64{{1, 2}}, Rel: []Rel{LE}, B: []float64{1}}},
+		{"empty bound interval", &Problem{C: []float64{1}, L: []float64{3}, U: []float64{1}}},
+		{"NaN rhs", cover(func(p *Problem) { p.B[0] = nan })},
+		{"infinite rhs", cover(func(p *Problem) { p.B[0] = -inf })},
+		{"infinite coefficient", cover(func(p *Problem) { p.A[0][1] = inf })},
+		{"NaN coefficient", cover(func(p *Problem) { p.A[0][0] = nan })},
+		{"infinite cost", cover(func(p *Problem) { p.C[1] = -inf })},
+		{"NaN cost", cover(func(p *Problem) { p.C[0] = nan })},
+		{"-Inf lower bound", cover(func(p *Problem) { p.L = []float64{-inf, 0} })},
+		{"+Inf lower bound", cover(func(p *Problem) { p.L = []float64{0, inf}; p.U = []float64{inf, inf} })},
+		{"NaN lower bound", cover(func(p *Problem) { p.L = []float64{nan, 0} })},
+		{"NaN upper bound", cover(func(p *Problem) { p.U = []float64{1, nan} })},
+		{"unknown relation", cover(func(p *Problem) { p.Rel[0] = Rel(7) })},
+	} {
+		for _, solve := range []func(*Problem) (Result, error){Solve, func(p *Problem) (Result, error) { return SolveFrom(p, nil) }} {
+			_, err := solve(tc.p)
+			var ie *InputError
+			if !errors.As(err, &ie) {
+				t.Errorf("%s: err = %v, want *InputError", tc.name, err)
+			}
+		}
 	}
 }
 
@@ -317,42 +345,83 @@ func gauss(a [][]float64) ([]float64, bool) {
 	return x, true
 }
 
+// randomInequalityLP draws a small feasible box-bounded LP of <= and >=
+// rows around a random interior point.
+func randomInequalityLP(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(3)
+	m := 1 + rng.Intn(4)
+	p := &Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, m),
+		Rel: make([]Rel, m),
+		B:   make([]float64, m),
+		U:   make([]float64, n),
+	}
+	for j := 0; j < n; j++ {
+		p.C[j] = float64(rng.Intn(11) - 5)
+		p.U[j] = float64(1 + rng.Intn(5))
+	}
+	// A feasible point inside the box guarantees feasibility.
+	x0 := make([]float64, n)
+	for j := range x0 {
+		x0[j] = rng.Float64() * p.U[j]
+	}
+	for i := 0; i < m; i++ {
+		p.A[i] = make([]float64, n)
+		v := 0.0
+		for j := 0; j < n; j++ {
+			p.A[i][j] = float64(rng.Intn(7) - 3)
+			v += p.A[i][j] * x0[j]
+		}
+		if rng.Intn(2) == 0 {
+			p.Rel[i] = LE
+			p.B[i] = v + rng.Float64()
+		} else {
+			p.Rel[i] = GE
+			p.B[i] = v - rng.Float64()
+		}
+	}
+	return p
+}
+
+// randomEqualityLP draws a small feasible box-bounded LP with one = row
+// and one <= row.
+func randomEqualityLP(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(3)
+	p := &Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, 2),
+		Rel: []Rel{EQ, LE},
+		B:   make([]float64, 2),
+		U:   make([]float64, n),
+	}
+	for j := 0; j < n; j++ {
+		p.C[j] = float64(rng.Intn(9) - 4)
+		p.U[j] = float64(1 + rng.Intn(4))
+	}
+	x0 := make([]float64, n)
+	for j := range x0 {
+		x0[j] = rng.Float64() * p.U[j]
+	}
+	for i := 0; i < 2; i++ {
+		p.A[i] = make([]float64, n)
+		v := 0.0
+		for j := 0; j < n; j++ {
+			p.A[i][j] = float64(rng.Intn(5) - 2)
+			v += p.A[i][j] * x0[j]
+		}
+		p.B[i] = v
+		if p.Rel[i] == LE {
+			p.B[i] += rng.Float64()
+		}
+	}
+	return p
+}
+
 func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(3)
-		m := 1 + rng.Intn(4)
-		p := &Problem{
-			C:   make([]float64, n),
-			A:   make([][]float64, m),
-			Rel: make([]Rel, m),
-			B:   make([]float64, m),
-			U:   make([]float64, n),
-		}
-		for j := 0; j < n; j++ {
-			p.C[j] = float64(rng.Intn(11) - 5)
-			p.U[j] = float64(1 + rng.Intn(5))
-		}
-		// A feasible point inside the box guarantees feasibility.
-		x0 := make([]float64, n)
-		for j := range x0 {
-			x0[j] = rng.Float64() * p.U[j]
-		}
-		for i := 0; i < m; i++ {
-			p.A[i] = make([]float64, n)
-			v := 0.0
-			for j := 0; j < n; j++ {
-				p.A[i][j] = float64(rng.Intn(7) - 3)
-				v += p.A[i][j] * x0[j]
-			}
-			if rng.Intn(2) == 0 {
-				p.Rel[i] = LE
-				p.B[i] = v + rng.Float64()
-			} else {
-				p.Rel[i] = GE
-				p.B[i] = v - rng.Float64()
-			}
-		}
+		p := randomInequalityLP(rng)
 		r := solveOK(t, p)
 		if r.Status != Optimal {
 			t.Fatalf("trial %d: status %v on a feasible bounded problem", trial, r.Status)
@@ -371,34 +440,7 @@ func TestAgainstBruteForce(t *testing.T) {
 func TestEqualityAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 150; trial++ {
-		n := 2 + rng.Intn(3)
-		p := &Problem{
-			C:   make([]float64, n),
-			A:   make([][]float64, 2),
-			Rel: []Rel{EQ, LE},
-			B:   make([]float64, 2),
-			U:   make([]float64, n),
-		}
-		for j := 0; j < n; j++ {
-			p.C[j] = float64(rng.Intn(9) - 4)
-			p.U[j] = float64(1 + rng.Intn(4))
-		}
-		x0 := make([]float64, n)
-		for j := range x0 {
-			x0[j] = rng.Float64() * p.U[j]
-		}
-		for i := 0; i < 2; i++ {
-			p.A[i] = make([]float64, n)
-			v := 0.0
-			for j := 0; j < n; j++ {
-				p.A[i][j] = float64(rng.Intn(5) - 2)
-				v += p.A[i][j] * x0[j]
-			}
-			p.B[i] = v
-			if p.Rel[i] == LE {
-				p.B[i] += rng.Float64()
-			}
-		}
+		p := randomEqualityLP(rng)
 		r := solveOK(t, p)
 		if r.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, r.Status)
