@@ -115,13 +115,13 @@ func BenchmarkTable1Industrial3(b *testing.B) { table1Bench(b, "industrial3") }
 // C = 2..11 on c5315 at beta = 5% gains only ~2.5%.
 func BenchmarkClusterCountSweepC5315(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterSweep("c5315", 0.05, 2, 11, 0); err != nil {
+		if _, err := ClusterSweep("c5315", 0.05, 2, 11, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	printOnce("sweep", func() {
-		pts, err := ClusterSweep("c5315", 0.05, 2, 11, 5*time.Second)
+		pts, err := ClusterSweep("c5315", 0.05, 2, 11, true)
 		if err != nil {
 			fmt.Println("sweep:", err)
 			return
@@ -166,7 +166,7 @@ func BenchmarkRuntimeILP(b *testing.B) {
 	}
 	b.StopTimer()
 	printOnce("runtime", func() {
-		rows, err := RuntimeComparison([]string{"c1355", "c3540", "c5315"}, 0.05, 20*time.Second)
+		rows, err := RuntimeComparison([]string{"c1355", "c3540", "c5315"}, 0.05)
 		if err != nil {
 			fmt.Println("runtime:", err)
 			return

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	fbbflow -bench c5315 -beta 0.05 -c 3 [-solver heuristic] [-ilp]
-//	        [-ilp-nodes 0] [-ilp-workers 0] [-ilp-timeout 0] [-parallel 0]
+//	        [-ilp-nodes 0] [-ilp-workers 0] [-parallel 0]
 //	        [-ascii]
 package main
 
@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		runILP     = fs.Bool("ilp", false, "also run the exact ILP allocator")
 		ilpNodes   = fs.Int("ilp-nodes", 0, "ILP node budget (0 = solver default; deterministic)")
 		ilpWorkers = fs.Int("ilp-workers", 0, "ILP tree-parallelism (0 = one per CPU; never changes the result)")
-		ilpTimeout = fs.Duration("ilp-timeout", 0, "additional ILP wall-clock budget (0 = none; nondeterministic truncation)")
 		parallel   = fs.Int("parallel", 0, "concurrent benchmark flows (0 = one per CPU, 1 = sequential)")
 		ascii      = fs.Bool("ascii", false, "print the clustered layout (Figure 3 style)")
 		timing     = fs.Bool("timing", false, "print a timing report (slack histogram, worst paths)")
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				RunILP:       *runILP,
 				ILPNodeLimit: *ilpNodes,
 				ILPWorkers:   *ilpWorkers,
-				ILPTimeLimit: *ilpTimeout,
 			})
 		})
 

@@ -12,15 +12,14 @@
 // how many cells run concurrently (0 = one per CPU, 1 = sequential). Every
 // column is byte-identical at any -parallel: the ILP runs under a node
 // budget (-ilp-nodes), which is deterministic regardless of core
-// contention. Setting -ilp-timeout opts back into wall-clock truncation,
-// whose cells may vary run to run. A failing cell is reported on stderr and
-// the completed rows still print; the exit status is non-zero if any cell
-// failed.
+// contention; no wall-clock limit exists. A failing cell is reported on
+// stderr and the completed rows still print; the exit status is non-zero
+// if any cell failed.
 //
 // Usage:
 //
 //	table1 [-benchmarks c1355,c3540] [-betas 0.05,0.10] [-solver heuristic]
-//	       [-ilp-nodes 50000] [-ilp-timeout 0] [-ilp-gates 5000]
+//	       [-ilp-nodes 50000] [-ilp-gates 5000]
 //	       [-parallel 0] [-csv]
 package main
 
@@ -49,14 +48,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		benchList  = fs.String("benchmarks", "", "comma-separated benchmark names (default: all)")
-		betaList   = fs.String("betas", "0.05,0.10", "comma-separated slowdown coefficients")
-		ilpNodes   = fs.Int("ilp-nodes", 0, "ILP node budget per instance (0 = default 50000; deterministic)")
-		ilpTimeout = fs.Duration("ilp-timeout", 0, "additional ILP wall-clock budget (0 = none; nondeterministic truncation)")
-		ilpGates   = fs.Int("ilp-gates", 5000, "skip the ILP above this gate count")
-		solver     = fs.String("solver", "heuristic", "allocation engine for the non-ILP columns ("+strings.Join(core.SolverNames(), ", ")+")")
-		parallel   = fs.Int("parallel", 0, "concurrent table cells (0 = one per CPU, 1 = sequential)")
-		csv        = fs.Bool("csv", false, "emit CSV")
+		benchList = fs.String("benchmarks", "", "comma-separated benchmark names (default: all)")
+		betaList  = fs.String("betas", "0.05,0.10", "comma-separated slowdown coefficients")
+		ilpNodes  = fs.Int("ilp-nodes", 0, "ILP node budget per instance (0 = default 50000; deterministic)")
+		ilpGates  = fs.Int("ilp-gates", 5000, "skip the ILP above this gate count")
+		solver    = fs.String("solver", "heuristic", "allocation engine for the non-ILP columns ("+strings.Join(core.SolverNames(), ", ")+")")
+		parallel  = fs.Int("parallel", 0, "concurrent table cells (0 = one per CPU, 1 = sequential)")
+		csv       = fs.Bool("csv", false, "emit CSV")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -67,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := repro.Table1Options{
 		ILPNodeLimit: *ilpNodes,
-		ILPTimeLimit: *ilpTimeout,
 		ILPGateLimit: *ilpGates,
 		Solver:       *solver,
 	}

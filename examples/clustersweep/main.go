@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"repro"
 )
@@ -44,11 +43,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	limit := 10 * time.Second
-	if *heuristicOnly {
-		limit = 0
-	}
-	pts, err := repro.ClusterSweep(*bench, 0.05, *from, *to, limit)
+	pts, err := repro.ClusterSweep(*bench, 0.05, *from, *to, !*heuristicOnly)
 	if err != nil {
 		return err
 	}

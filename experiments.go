@@ -76,17 +76,13 @@ type Table1Options struct {
 	// Betas to evaluate (default 5% and 10%).
 	Betas []float64
 	// ILPNodeLimit bounds each exact solve's branch-and-bound nodes
-	// (default 50000). Node budgets make the ILP columns bit-reproducible
-	// at any Runner parallelism and any ILPWorkers.
+	// (default 50000); the paper likewise capped lp_solve's runtime. Node
+	// budgets make the ILP columns bit-reproducible at any Runner
+	// parallelism and any ILPWorkers.
 	ILPNodeLimit int
 	// ILPWorkers sets each exact solve's tree parallelism (0 =
 	// GOMAXPROCS); wall clock only, never the result.
 	ILPWorkers int
-	// ILPTimeLimit additionally interrupts each exact solve on wall clock
-	// (0 = none); the paper likewise capped lp_solve's runtime. Where the
-	// clock cuts the tree is machine-dependent, so setting it reintroduces
-	// run-to-run variation in truncated cells.
-	ILPTimeLimit time.Duration
 	// ILPGateLimit skips the ILP on larger designs, reproducing the
 	// paper's missing entries for Industrial2/3 (default 5000 gates).
 	ILPGateLimit int
@@ -137,8 +133,6 @@ type Table1Row struct {
 // Every column is deterministic at any Runner parallelism: the ILP runs
 // under a node budget (ILPNodeLimit), so its incumbent, Proven bits and
 // node counts are bit-identical run to run regardless of core contention.
-// Setting ILPTimeLimit opts back into wall-clock truncation, whose cells
-// may vary between runs.
 func (r *Runner) Table1(opts Table1Options) ([]Table1Row, error) {
 	opts = opts.withDefaults()
 
@@ -169,13 +163,18 @@ func Table1(opts Table1Options) ([]Table1Row, error) {
 	return NewRunner(1).Table1(opts)
 }
 
+// ilpNodeBudget is the node budget of every exact solve the experiment
+// drivers run unless told otherwise: Table 1's default and the budget of
+// ClusterSweep and RuntimeComparison.
+const ilpNodeBudget = 50000
+
 // withCellDefaults fills the Table1Options fields a single cell reads.
 // Table1CellOn applies it, so a cell computed directly on a prefix (the
 // fbbd /v1/table1 path) sees exactly the per-cell defaults a full Table1
 // run would.
 func (o Table1Options) withCellDefaults() Table1Options {
 	if o.ILPNodeLimit <= 0 {
-		o.ILPNodeLimit = 50000
+		o.ILPNodeLimit = ilpNodeBudget
 	}
 	if o.ILPGateLimit <= 0 {
 		o.ILPGateLimit = 5000
@@ -193,6 +192,15 @@ func (o Table1Options) withDefaults() Table1Options {
 		o.Betas = []float64{0.05, 0.10}
 	}
 	return o.withCellDefaults()
+}
+
+// Grid returns the benchmarks and betas a Table 1 run iterates: the
+// options' own lists, or all benchmarks and 5% and 10% where they are
+// empty. fbbd and fbbrouter walk the grid themselves; reading it here
+// keeps their rows exactly Runner.Table1's.
+func (o Table1Options) Grid() (benchmarks []string, betas []float64) {
+	o = o.withDefaults()
+	return o.Benchmarks, o.Betas
 }
 
 // table1Cell computes one (benchmark, beta) row on a shared engine. Errors
@@ -238,7 +246,6 @@ func Table1CellOn(pfx *flow.Prefix, name string, beta float64, opts Table1Option
 			sol, ires, err := res.Problem.SolveILP(core.ILPOptions{
 				NodeLimit: opts.ILPNodeLimit,
 				Workers:   opts.ILPWorkers,
-				TimeLimit: opts.ILPTimeLimit,
 				WarmStart: res.Heuristic,
 			})
 			if err != nil {
@@ -278,14 +285,12 @@ type SweepPoint struct {
 // ClusterSweep sweeps the cluster cap. The routing pair limit is lifted to
 // match C, as in the paper's what-if study (its conclusion — the marginal
 // gain beyond C=3 is small — is what justifies the 2-pair layout). When
-// ilpLimit is positive the sweep uses the exact allocator (warm-started by
-// the heuristic) under that wall-clock budget, matching the paper's
+// exact is set the sweep uses the exact allocator (warm-started by the
+// heuristic) under Table 1's node budget, matching the paper's
 // optimizer-quality sweep; otherwise it reports the heuristic, whose greedy
-// split is noticeably weaker at C=2. The heuristic-only sweep is
-// deterministic at any parallelism; the wall-clock-limited ILP may return
-// different incumbents under core contention (Table1's node-budgeted path
-// is the deterministic alternative).
-func (r *Runner) ClusterSweep(name string, beta float64, cFrom, cTo int, ilpLimit time.Duration) ([]SweepPoint, error) {
+// split is noticeably weaker at C=2. Either sweep is deterministic at any
+// parallelism.
+func (r *Runner) ClusterSweep(name string, beta float64, cFrom, cTo int, exact bool) ([]SweepPoint, error) {
 	if cFrom < 1 || cTo < cFrom {
 		return nil, fmt.Errorf("repro: bad sweep range [%d, %d]", cFrom, cTo)
 	}
@@ -303,9 +308,9 @@ func (r *Runner) ClusterSweep(name string, beta float64, cFrom, cTo int, ilpLimi
 				return SweepPoint{}, err
 			}
 			best := res.Heuristic
-			if ilpLimit > 0 {
+			if exact {
 				sol, _, err := res.Problem.SolveILP(core.ILPOptions{
-					TimeLimit: ilpLimit,
+					NodeLimit: ilpNodeBudget,
 					WarmStart: res.Heuristic,
 				})
 				if err == nil && sol != nil {
@@ -321,8 +326,8 @@ func (r *Runner) ClusterSweep(name string, beta float64, cFrom, cTo int, ilpLimi
 }
 
 // ClusterSweep sweeps the cluster cap sequentially; see Runner.ClusterSweep.
-func ClusterSweep(name string, beta float64, cFrom, cTo int, ilpLimit time.Duration) ([]SweepPoint, error) {
-	return NewRunner(1).ClusterSweep(name, beta, cFrom, cTo, ilpLimit)
+func ClusterSweep(name string, beta float64, cFrom, cTo int, exact bool) ([]SweepPoint, error) {
+	return NewRunner(1).ClusterSweep(name, beta, cFrom, cTo, exact)
 }
 
 // RuntimeRow compares allocator runtimes on one design (the paper reports
@@ -337,19 +342,20 @@ type RuntimeRow struct {
 	ILPStatus     string
 }
 
-// RuntimeComparison measures both allocators. The allocator wall-clock
-// times are the measurement, so the cells always run one at a time
-// regardless of the Runner's parallelism (CPU contention would inflate
-// them); the pool still provides cancellation and the engine still shares
-// the prefixes with the other drivers.
-func (r *Runner) RuntimeComparison(names []string, beta float64, ilpLimit time.Duration) ([]RuntimeRow, error) {
+// RuntimeComparison measures both allocators, the exact one under Table
+// 1's node budget. The allocator wall-clock times are the measurement, so
+// the cells always run one at a time regardless of the Runner's
+// parallelism (CPU contention would inflate them); the pool still provides
+// cancellation and the engine still shares the prefixes with the other
+// drivers.
+func (r *Runner) RuntimeComparison(names []string, beta float64) ([]RuntimeRow, error) {
 	return flow.Map(r.context(), 1, len(names),
 		func(_ context.Context, i int) (RuntimeRow, error) {
 			res, err := RunOn(r.eng, Config{
 				Benchmark:    names[i],
 				Beta:         beta,
 				RunILP:       true,
-				ILPTimeLimit: ilpLimit,
+				ILPNodeLimit: ilpNodeBudget,
 				SkipLayout:   true,
 			})
 			if err != nil {
@@ -370,8 +376,8 @@ func (r *Runner) RuntimeComparison(names []string, beta float64, ilpLimit time.D
 }
 
 // RuntimeComparison measures both allocators; see Runner.RuntimeComparison.
-func RuntimeComparison(names []string, beta float64, ilpLimit time.Duration) ([]RuntimeRow, error) {
-	return NewRunner(1).RuntimeComparison(names, beta, ilpLimit)
+func RuntimeComparison(names []string, beta float64) ([]RuntimeRow, error) {
+	return NewRunner(1).RuntimeComparison(names, beta)
 }
 
 // LayoutStudy bundles the physical-implementation artifacts of Figures 3

@@ -116,21 +116,28 @@ func TestClusterSweepParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		cTo = 4
 	}
-	seq, err := NewRunner(1).ClusterSweep("c1355", 0.05, 2, cTo, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewRunner(8).ClusterSweep("c1355", 0.05, 2, cTo, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%#v", seq) != fmt.Sprintf("%#v", par) {
-		t.Errorf("parallel sweep differs:\nseq: %#v\npar: %#v", seq, par)
-	}
-	for i, p := range seq {
-		if p.C != 2+i {
-			t.Fatalf("point %d has C=%d, want %d (ordering must be deterministic)", i, p.C, 2+i)
-		}
+	for _, tc := range []struct {
+		name  string
+		exact bool
+	}{{"heuristic", false}, {"exact", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, err := NewRunner(1).ClusterSweep("c1355", 0.05, 2, cTo, tc.exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := NewRunner(8).ClusterSweep("c1355", 0.05, 2, cTo, tc.exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%#v", seq) != fmt.Sprintf("%#v", par) {
+				t.Errorf("parallel sweep differs:\nseq: %#v\npar: %#v", seq, par)
+			}
+			for i, p := range seq {
+				if p.C != 2+i {
+					t.Fatalf("point %d has C=%d, want %d (ordering must be deterministic)", i, p.C, 2+i)
+				}
+			}
+		})
 	}
 }
 

@@ -81,7 +81,7 @@ func TestILPOptimaGolden(t *testing.T) {
 			t.Fatalf("%s: %v", key, err)
 		}
 		sol, ir, err := res.Problem.SolveILP(core.ILPOptions{
-			NodeLimit: Table1Options{}.withCellDefaults().ILPNodeLimit,
+			NodeLimit: ilpNodeBudget,
 			WarmStart: res.Heuristic,
 		})
 		if err != nil {
@@ -111,6 +111,66 @@ func TestILPOptimaGolden(t *testing.T) {
 		}
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestExactLeakageMonotone checks two metamorphic laws of the exact
+// allocator on the Table 1 family. Allowing more clusters (C, with as many
+// routed bias pairs) only enlarges the feasible set, so the optimal extra
+// leakage never rises with C; a larger slowdown beta only adds and
+// tightens path constraints, so it never falls with beta. Both laws hold
+// only for proven optima, so an unproven cell fails the test.
+func TestExactLeakageMonotone(t *testing.T) {
+	betas := []float64{0.02, 0.05, 0.10}
+	const cFrom, cTo = 2, 5
+	eng := NewRunner(1).Engine()
+	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
+		// extra[b][c-cFrom] is the optimum at betas[b] and cluster cap c.
+		extra := make([][]float64, len(betas))
+		for b, beta := range betas {
+			for c := cFrom; c <= cTo; c++ {
+				key := optimaCell{name, beta, c}.key()
+				res, err := RunOn(eng, Config{
+					Benchmark:    name,
+					Beta:         beta,
+					MaxClusters:  c,
+					MaxBiasPairs: c,
+					SkipLayout:   true,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				sol, ir, err := res.Problem.SolveILP(core.ILPOptions{
+					NodeLimit: ilpNodeBudget,
+					WarmStart: res.Heuristic,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if !sol.Proven {
+					t.Fatalf("%s: not proven optimal (%v after %d nodes)", key, ir.Status, ir.Nodes)
+				}
+				extra[b] = append(extra[b], sol.ExtraLeakNW)
+			}
+		}
+		// above reports a > b beyond a relative tolerance of 1e-9.
+		above := func(a, b float64) bool { return a > b+1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+		for b := range betas {
+			for i := 1; i < len(extra[b]); i++ {
+				if above(extra[b][i], extra[b][i-1]) {
+					t.Errorf("%s beta=%g%%: extra leakage rose from C=%d to C=%d: %.9g -> %.9g nW",
+						name, betas[b]*100, cFrom+i-1, cFrom+i, extra[b][i-1], extra[b][i])
+				}
+			}
+		}
+		for b := 1; b < len(betas); b++ {
+			for i := range extra[b] {
+				if above(extra[b-1][i], extra[b][i]) {
+					t.Errorf("%s C=%d: extra leakage fell from beta=%g%% to %g%%: %.9g -> %.9g nW",
+						name, cFrom+i, betas[b-1]*100, betas[b]*100, extra[b-1][i], extra[b][i])
+				}
+			}
 		}
 	}
 }

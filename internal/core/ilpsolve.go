@@ -1,29 +1,22 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/ilp"
 	"repro/internal/lp"
 )
 
-// ILPOptions configure the exact solve. The default budget is a node
-// limit, which makes results reproducible at any worker count; TimeLimit
-// is the explicit wall-clock opt-out.
+// ILPOptions configure the exact solve. Its only budget is a node limit,
+// which makes results reproducible at any worker count.
 type ILPOptions struct {
 	// NodeLimit bounds explored branch-and-bound nodes (0 = solver
-	// default, 1<<20). Node budgets are deterministic: the same model and
-	// limit yield a bit-identical result regardless of Workers.
+	// default, 1<<20). The paper reports no ILP results for its two
+	// largest designs because lp_solve "did not converge in a specified
+	// amount of time"; this budget plays that role deterministically: the
+	// same model and limit yield a bit-identical result regardless of
+	// Workers.
 	NodeLimit int
-	// TimeLimit additionally interrupts the search on wall clock
-	// (0 = none). The paper reports no ILP results for its two largest
-	// designs because lp_solve "did not converge in a specified amount of
-	// time"; the same budget semantics apply here — but unlike NodeLimit,
-	// where the clock cuts the tree is machine-dependent, so truncated
-	// results may vary run to run.
-	TimeLimit time.Duration
 	// Workers sets the tree-parallelism degree (0 = GOMAXPROCS). Any
 	// value returns the same result under a node budget.
 	Workers int
@@ -191,7 +184,7 @@ func (p *Problem) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, f
 }
 
 // NoIncumbentError reports an exact solve that ended without any feasible
-// incumbent: the node or time budget expired before branch and bound found
+// incumbent: the node budget expired before branch and bound found
 // an integer point (ilp.NoSolution), or the relaxation was unbounded. It
 // replaces the historical (nil, res, nil) return, which handed callers a
 // silent nil Solution to dereference.
@@ -217,11 +210,6 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 	iopts.NodeLimit = opts.NodeLimit
 	iopts.Workers = opts.Workers
 	iopts.Branching = opts.Branching
-	if opts.TimeLimit > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), opts.TimeLimit)
-		defer cancel()
-		iopts.Interrupt = func() bool { return ctx.Err() != nil }
-	}
 	warmOK := false
 	if opts.WarmStart != nil {
 		if x, obj, ok := p.warmVector(m, inv, opts.WarmStart); ok {

@@ -7,11 +7,12 @@
 // — incumbent, objective, status, node count — is byte-identical at any
 // worker count. The root relaxation is solved cold; every other node
 // warm-starts from its parent's optimal basis (lp.SolveFrom), which keeps
-// each relaxation a pure function of the node. Like the paper's runs, where the ILP "did not converge in
-// a specified amount of time" on the two largest designs, the solver takes
-// a node budget (deterministic) or a caller-wired interrupt (wall-clock
-// opt-out) and reports the best incumbent with its proven bound when the
-// budget expires.
+// each relaxation a pure function of the node. Like the paper's runs, where
+// the ILP "did not converge in a specified amount of time" on the two
+// largest designs, the solver takes a node budget and reports the best
+// incumbent with its proven bound when the budget expires; the budget is
+// counted in committed nodes, never wall clock, so truncation is
+// deterministic too.
 package ilp
 
 import (
@@ -77,12 +78,6 @@ type Options struct {
 	// Branching selects the branching rule: "pseudocost" (default, with
 	// reliability initialization by strong branching) or "mostfrac".
 	Branching string
-	// Interrupt, when non-nil, is polled between node commits; once it
-	// returns true the search stops and reports FeasibleBudget (or
-	// NoSolution). This is the wall-clock opt-out: callers wire a
-	// deadline here and accept nondeterministic truncation. Leave nil
-	// for deterministic runs.
-	Interrupt func() bool
 	// WarmObj primes the incumbent objective (e.g. from a heuristic);
 	// use with WarmX. Zero values mean no warm start.
 	WarmObj float64
@@ -157,7 +152,7 @@ func Solve(m *Model, opts Options) (Result, error) {
 		sm.U[j] = upperOf(&m.Problem, j)
 	}
 	sr := newSearch(sm, br, opts.Workers)
-	if err := sr.run(&res, nodeLimit, opts.Interrupt); err != nil {
+	if err := sr.run(&res, nodeLimit); err != nil {
 		return Result{}, err
 	}
 	return res, nil

@@ -386,7 +386,7 @@ func fractionalCols(x []float64, isInt []bool) []int {
 
 // run is the commit loop. It mutates res in place and returns an error
 // only on internal LP failures.
-func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
+func (s *search) run(res *Result, nodeLimit int) error {
 	cutoff := res.Obj // incumbent objective
 	s.publishCutoff(cutoff)
 
@@ -404,7 +404,7 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 	rootSolved := false
 	truncated := false
 	for len(s.open) > 0 {
-		if res.Nodes >= nodeLimit || (interrupt != nil && interrupt()) {
+		if res.Nodes >= nodeLimit {
 			truncated = true
 			break
 		}

@@ -9,7 +9,10 @@
 //
 // In the packages listed in Packages, non-test code may not:
 //
-//   - call time.Now, time.Since or time.Until (wall-clock reads);
+//   - call time.Now, time.Since or time.Until (wall-clock reads), or
+//     arm a clock-driven event: context.WithTimeout, context.WithDeadline,
+//     time.After, time.AfterFunc, time.NewTimer, time.NewTicker or
+//     time.Tick;
 //   - call math/rand package-level functions (the global, locked,
 //     entropy-seeded stream: rand.Intn, rand.Float64, rand.Shuffle, ...);
 //   - call rand.New with anything but an inline rand.NewSource(seed);
@@ -49,11 +52,19 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// wallClock names the forbidden time package functions.
+// wallClock names the forbidden functions that read the clock or fire on
+// it.
 var wallClock = map[string]bool{
-	"time.Now":   true,
-	"time.Since": true,
-	"time.Until": true,
+	"time.Now":             true,
+	"time.Since":           true,
+	"time.Until":           true,
+	"time.After":           true,
+	"time.AfterFunc":       true,
+	"time.NewTimer":        true,
+	"time.NewTicker":       true,
+	"time.Tick":            true,
+	"context.WithTimeout":  true,
+	"context.WithDeadline": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -4,6 +4,7 @@
 package sta
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
@@ -14,6 +15,36 @@ func wallClock() time.Time {
 
 func elapsed(start time.Time) time.Duration {
 	return time.Since(start) // want `time\.Since in deterministic kernel package`
+}
+
+func timedOut(ctx context.Context) context.Context {
+	ctx, cancel := context.WithTimeout(ctx, time.Second) // want `context\.WithTimeout in deterministic kernel package`
+	cancel()
+	return ctx
+}
+
+func deadlined(ctx context.Context, at time.Time) context.Context {
+	ctx, cancel := context.WithDeadline(ctx, at) // want `context\.WithDeadline in deterministic kernel package`
+	cancel()
+	return ctx
+}
+
+func timers(d time.Duration) {
+	<-time.After(d)              // want `time\.After in deterministic kernel package`
+	time.AfterFunc(d, func() {}) // want `time\.AfterFunc in deterministic kernel package`
+	time.NewTimer(d).Stop()      // want `time\.NewTimer in deterministic kernel package`
+	time.NewTicker(d).Stop()     // want `time\.NewTicker in deterministic kernel package`
+	for range time.Tick(d) {     // want `time\.Tick in deterministic kernel package`
+		break
+	}
+}
+
+// A context without a clock is deterministic: only the clock-armed
+// constructors are flagged.
+func cancellable(ctx context.Context) context.Context {
+	ctx, cancel := context.WithCancel(ctx)
+	cancel()
+	return ctx
 }
 
 func globalStream() int {

@@ -228,7 +228,7 @@ type YieldStatsJSON struct {
 // Table1Request is the body of POST /v1/table1. Cells run sequentially
 // within the request (cross-request parallelism comes from the worker
 // pool), and the exact solves run under node budgets, so every column is
-// byte-reproducible unless ilpTimeLimitMS opts back into the wall clock.
+// byte-reproducible.
 type Table1Request struct {
 	// Benchmarks to run (default: all nine in paper order).
 	Benchmarks []string `json:"benchmarks,omitempty"`
@@ -237,9 +237,6 @@ type Table1Request struct {
 	// ILPNodeLimit bounds each exact solve's branch-and-bound nodes
 	// (default 50000); results are deterministic under it.
 	ILPNodeLimit int `json:"ilpNodeLimit,omitempty"`
-	// ILPTimeLimitMS additionally interrupts each exact solve on wall
-	// clock (0 = none). Truncated cells then vary run to run.
-	ILPTimeLimitMS int `json:"ilpTimeLimitMS,omitempty"`
 	// ILPGateLimit skips the ILP on larger designs (default 5000; use 1
 	// to skip it everywhere).
 	ILPGateLimit int `json:"ilpGateLimit,omitempty"`
@@ -412,9 +409,6 @@ func (q *Table1Request) validate() *apiError {
 	}
 	if q.ILPNodeLimit < 0 || q.ILPNodeLimit > 10_000_000 {
 		return badRequest("ilpNodeLimit %d out of range [0, 10000000]", q.ILPNodeLimit)
-	}
-	if q.ILPTimeLimitMS < 0 || q.ILPTimeLimitMS > 600_000 {
-		return badRequest("ilpTimeLimitMS %d out of range [0, 600000]", q.ILPTimeLimitMS)
 	}
 	if q.ILPGateLimit < 0 {
 		return badRequest("ilpGateLimit %d out of range [0, ∞)", q.ILPGateLimit)

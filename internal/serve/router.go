@@ -493,14 +493,7 @@ func (rt *Router) handleTable1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	benchmarks := req.Benchmarks
-	if len(benchmarks) == 0 {
-		benchmarks = repro.Benchmarks()
-	}
-	betas := req.Betas
-	if len(betas) == 0 {
-		betas = []float64{0.05, 0.10}
-	}
+	benchmarks, betas := repro.Table1Options{Benchmarks: req.Benchmarks, Betas: req.Betas}.Grid()
 
 	parts := make([]t1part, len(benchmarks))
 	var wg sync.WaitGroup

@@ -520,6 +520,7 @@ func TestValidationErrors(t *testing.T) {
 		{"yield no dies", "/v1/yield", `{"benchmark":"c1355"}`, 400, "dies"},
 		{"yield bad workers", "/v1/yield", `{"benchmark":"c1355","dies":1,"workers":-2}`, 400, "workers"},
 		{"table1 bad beta", "/v1/table1", `{"betas":[0]}`, 400, "beta"},
+		{"table1 time limit", "/v1/table1", `{"ilpTimeLimitMS":1000}`, 400, "unknown field"},
 		{"table1 too many betas", "/v1/table1", `{"betas":[0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.1]}`, 400, "too many betas"},
 	}
 	for _, tc := range cases {

@@ -33,7 +33,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"encoding/json"
 
@@ -502,20 +501,14 @@ func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	benchmarks := req.Benchmarks
-	if len(benchmarks) == 0 {
-		benchmarks = repro.Benchmarks()
-	}
-	betas := req.Betas
-	if len(betas) == 0 {
-		betas = []float64{0.05, 0.10}
-	}
 	opts := repro.Table1Options{
+		Benchmarks:   req.Benchmarks,
+		Betas:        req.Betas,
 		ILPNodeLimit: req.ILPNodeLimit,
-		ILPTimeLimit: time.Duration(req.ILPTimeLimitMS) * time.Millisecond,
 		ILPGateLimit: req.ILPGateLimit,
 		Solver:       req.Solver,
 	}
+	benchmarks, betas := opts.Grid()
 
 	// Cells run sequentially in grid order: deterministic rows, and the
 	// request occupies exactly the one worker slot it was admitted for.

@@ -46,11 +46,11 @@ type Config struct {
 
 	// Solver names the built-in core.Solver producing the Result's
 	// primary allocation ("" = "heuristic"; see core.SolverNames). The
-	// "ilp" solver is configured with the ILP* budgets below; selecting it
+	// "ilp" solver is configured with the ILP* settings below; selecting it
 	// makes the primary allocation exact, independently of RunILP.
 	Solver string
 
-	// RunILP additionally runs the exact allocator under the ILP* budgets.
+	// RunILP additionally runs the exact allocator under the ILP* settings.
 	RunILP bool
 	// ILPNodeLimit bounds explored branch-and-bound nodes (0 = solver
 	// default, 1<<20). Node budgets are deterministic: the same instance
@@ -59,10 +59,6 @@ type Config struct {
 	// ILPWorkers sets the branch-and-bound tree parallelism (0 =
 	// GOMAXPROCS); it changes wall clock only, never the result.
 	ILPWorkers int
-	// ILPTimeLimit additionally interrupts the exact solve on wall clock
-	// (0 = none). Unlike the node budget, where the clock cuts the tree
-	// is machine-dependent, so truncated results may vary run to run.
-	ILPTimeLimit time.Duration
 
 	// ForceRows overrides the placer's row count (0 = automatic).
 	ForceRows int
@@ -216,9 +212,8 @@ func stageProblem(pfx *flow.Prefix, cfg Config) (*Result, error) {
 
 // NamedSolver resolves a built-in solver name to a core.Solver value
 // ("" and "heuristic" resolve to nil, the built-in default), threading
-// ilpOpts into an "ilp" selection. The zero options are the
-// deterministic default: a node budget (ilp's 1<<20) instead of the
-// historical 30s wall clock. NamedSolver is the single solver resolution
+// ilpOpts into an "ilp" selection. The zero options mean ilp's default
+// node budget (1<<20). NamedSolver is the single solver resolution
 // path shared by the in-process drivers and the fbbd service, so the two
 // cannot drift.
 func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
@@ -235,17 +230,16 @@ func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
 	return s, nil
 }
 
-// ilpOptions collects Config's exact-solve budgets (WarmStart unset).
+// ilpOptions collects Config's exact-solve settings (WarmStart unset).
 func (cfg Config) ilpOptions() core.ILPOptions {
 	return core.ILPOptions{
 		NodeLimit: cfg.ILPNodeLimit,
 		Workers:   cfg.ILPWorkers,
-		TimeLimit: cfg.ILPTimeLimit,
 	}
 }
 
 // resolveSolver maps Config.Solver to a core.Solver value ("" = the
-// default heuristic), threading the ILP budgets into an "ilp" selection.
+// default heuristic), threading the ILP settings into an "ilp" selection.
 func resolveSolver(cfg Config) (core.Solver, string, error) {
 	s, err := NamedSolver(cfg.Solver, cfg.ilpOptions())
 	if err != nil {
@@ -356,10 +350,8 @@ func (r *Result) summarizeAlloc(s *core.Solution) AllocSummary {
 }
 
 // Summarize digests the Result into its deterministic JSON form. The ILP
-// entry is present only when RunILP produced a solution. Under the default
-// node budgets every solver is fully deterministic; only a Config that sets
-// ILPTimeLimit can make summaries differ run to run (wall-clock truncation
-// cuts the tree at a machine-dependent point).
+// entry is present only when RunILP produced a solution. Every solver is
+// fully deterministic: the exact one stops early only on its node budget.
 func (r *Result) Summarize() *Summary {
 	s := &Summary{
 		Benchmark:   r.Design.Name,

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -143,7 +142,7 @@ func TestTable1SmallSlice(t *testing.T) {
 func TestClusterSweepMarginalGains(t *testing.T) {
 	// The paper's in-text experiment: c5315 swept C=2..11 at beta=5%
 	// gains only ~2.5% over C=2 (optimizer-quality sweep).
-	pts, err := ClusterSweep("c5315", 0.05, 2, 11, 10*time.Second)
+	pts, err := ClusterSweep("c5315", 0.05, 2, 11, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func TestYieldDriver(t *testing.T) {
 }
 
 func TestRuntimeComparisonDriver(t *testing.T) {
-	rows, err := RuntimeComparison([]string{"c1355"}, 0.05, 20*time.Second)
+	rows, err := RuntimeComparison([]string{"c1355"}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
