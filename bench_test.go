@@ -145,7 +145,7 @@ func BenchmarkRuntimeHeuristic(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := res.Problem.SolveHeuristic(); err != nil {
+		if _, err := res.Problem.Solve(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

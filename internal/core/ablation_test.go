@@ -9,7 +9,7 @@ import (
 // PassTwo level walk and the routing reconcile — and runs the final
 // refineDown sweep only when refine is set, so ablations can compare the
 // allocator with and without it.
-func heuristicSteps(tb testing.TB, p *Problem, refine bool) *Solution {
+func heuristicSteps(tb testing.TB, p *Instance, refine bool) *Solution {
 	tb.Helper()
 	assign := make([]int, p.N)
 	jopt, err := p.passOneInto(assign)
@@ -21,7 +21,7 @@ func heuristicSteps(tb testing.TB, p *Problem, refine bool) *Solution {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Stable(&ctSorter{order: order, key: p.RowCriticality()})
+		sort.Stable(&ctSorter{order: order, key: p.rowCriticality(make([]float64, p.N))})
 		st := p.newTimingState(assign)
 		p.walkDown(st, order, jopt)
 		var s heurScratch
@@ -43,7 +43,7 @@ func TestRefineDownAblation(t *testing.T) {
 	helped := false
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
 		p := problem(t, name, 0.05, 3)
-		full, err := p.SolveHeuristic()
+		full, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +74,11 @@ func TestLocalNeverWorseThanHeuristic(t *testing.T) {
 		for _, beta := range []float64{0.02, 0.05, 0.10} {
 			for _, c := range []int{2, 3} {
 				p := problem(t, name, beta, c)
-				heur, err := p.SolveHeuristic()
+				heur, err := p.Solve(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				loc, err := (&LocalSolver{}).solveProblem(p)
+				loc, err := (&LocalSolver{}).Solve(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +104,7 @@ func TestReconcileAblationRespectsRouting(t *testing.T) {
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552", "adder128"} {
 		for _, beta := range []float64{0.05, 0.10} {
 			p := problem(t, name, beta, 3)
-			sol, err := p.SolveHeuristic()
+			sol, err := p.Solve(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

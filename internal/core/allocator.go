@@ -8,23 +8,27 @@ import (
 	"strconv"
 
 	"repro/internal/cell"
-	"repro/internal/ilp"
 	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
-// Allocator is the reusable form of BuildProblem for batched allocation:
+// Allocator materializes clustering Instances (At is their constructor):
 // everything a (beta, cluster-cap) pair cannot change — the L_ij leakage
 // table, each path's cells grouped by placement row in CSR form, and the
 // per-gate bias delay factors — is computed once at construction, so At only
 // re-evaluates the beta-dependent requirements, delay-delta tables and
 // signature merging into reused buffers. Tuning loops (variation.TuneOn,
 // YieldStream) and experiment grids (Table 1, cluster sweeps) construct
-// thousands of Problems over one fixed (placement, nominal timing) pair;
-// with BuildProblem each pays the full grouping, table and map work, with an
-// Allocator each is a linear re-materialization with ~zero allocations.
+// thousands of Instances over one fixed (placement, nominal timing) pair,
+// and each is a linear re-materialization with ~zero allocations.
+//
+// At's output is defined by a direct reference construction, kept as the
+// test oracle buildProblem (reference_test.go): group each violating
+// path's gates by row with a map and a sort, and merge constraints whose
+// "%.6f"-formatted coefficient vectors agree. At must match it bit for
+// bit; the comments below call it "the reference".
 //
 // An Allocator is immutable after construction and therefore safe for
 // concurrent use: all per-call state lives in the caller-provided Instance
@@ -33,9 +37,9 @@ import (
 // Timing buffers).
 //
 // The placement and timing must not be mutated while the Allocator is in
-// use: like Problem, it reads tm's paths and gate delays at every call, so
-// tm must be a stable nominal timing (e.g. flow.Prefix.Timing), never a
-// Retimer's reused buffer.
+// use: like an Instance, it reads tm's paths and gate delays at every call,
+// so tm must be a stable nominal timing (e.g. flow.Prefix.Timing), never a
+// reused re-timing buffer.
 type Allocator struct {
 	pl   *place.Placement
 	tm   *sta.Timing
@@ -43,7 +47,7 @@ type Allocator struct {
 	n, p int
 
 	// rowLeak is the beta-independent L_ij table, shared (read-only) with
-	// every materialized Problem.
+	// every materialized Instance.
 	rowLeak [][]float64
 
 	// Per-path row grouping, beta-independent, in CSR form: path pi's
@@ -68,7 +72,7 @@ type Allocator struct {
 	// (gate delay, delay factors) produce bit-identical delta vectors at
 	// every beta, so their constraints merge at every beta. At processes
 	// one exemplar per class, which is where the batched path beats
-	// BuildProblem: the duplicate delta accumulations and — decisively —
+	// the reference: the duplicate delta accumulations and — decisively —
 	// the duplicate "%.6f" signature formatting disappear.
 	groups []allocGroup
 }
@@ -82,7 +86,7 @@ type allocGroup struct {
 	members []int32
 	// candidate marks classes whose beta-0 delta vector lies within
 	// decimal-formatting distance of another class over the same rows:
-	// only these can ever merge across classes under BuildProblem's
+	// only these can ever merge across classes under the reference's
 	// "%.6f" signature, so only these pay for merge keys in At.
 	candidate bool
 }
@@ -120,7 +124,7 @@ func NewAllocator(pl *place.Placement, tm *sta.Timing) (*Allocator, error) {
 	}
 
 	// Group every path's gates by row, rows ascending, gates in path order
-	// within each row — the exact order BuildProblem's map-and-sort pass
+	// within each row — the exact order the reference's map-and-sort pass
 	// visits them, so the per-level delta accumulation is bit-identical.
 	rowCount := make([]int32, a.n)
 	rowOffset := make([]int32, a.n)
@@ -359,49 +363,6 @@ func (a *Allocator) Placement() *place.Placement { return a.pl }
 // Timing returns the nominal timing the Allocator was built for.
 func (a *Allocator) Timing() *sta.Timing { return a.tm }
 
-// Instance is one materialized clustering problem over an Allocator's
-// precomputed structure, plus the scratch every solver pass reuses.
-//
-// Buffer contract (mirroring sta.Timing under Analyzer.Run): everything an
-// Instance exposes — Prob, its constraint tables, and any Solution returned
-// by a solve on it — lives in the Instance's buffers and is invalidated by
-// the next At/SolveAt/Solve call on the same Instance; Clone a Solution (or
-// finish reading Prob) before re-materializing. An Instance must not be
-// shared between concurrent solves, but the Allocator may be: keep one
-// Instance per worker.
-type Instance struct {
-	// Prob is the materialized problem, fully interchangeable with a
-	// BuildProblem result (same constraints, bit-exact).
-	Prob *Problem
-
-	// ILPResult reports the branch-and-bound outcome of the most recent
-	// exact solve on this instance (nil before one runs).
-	ILPResult *ilp.Result
-
-	prob Problem
-
-	constraints  []PathConstraint
-	contribArena []RowContrib
-	deltaArena   []float64
-	involved     []bool
-	rowConsStart []int32
-	rowConsRefs  []rowConRef
-
-	// Signature-merge scratch: an open-addressed chain over the key byte
-	// arena replaces BuildProblem's map[string] so repeat materializations
-	// allocate nothing.
-	keyArena []byte
-	keyOff   []int32
-	keyLen   []int32
-	buckets  []int32
-	bnext    []int32
-
-	viol     []violGroup
-	violSort violSorter
-
-	heur heurScratch
-}
-
 // violGroup is one violating structural class during materialization.
 type violGroup struct {
 	group   int32
@@ -411,7 +372,7 @@ type violGroup struct {
 }
 
 // violSorter orders violating classes by their registering path, matching
-// BuildProblem's constraint order, without sort.Slice's closure allocation.
+// the reference's constraint order, without sort.Slice's closure allocation.
 type violSorter struct{ v []violGroup }
 
 func (s *violSorter) Len() int           { return len(s.v) }
@@ -419,7 +380,7 @@ func (s *violSorter) Less(i, j int) bool { return s.v[i].firstPi < s.v[j].firstP
 func (s *violSorter) Swap(i, j int)      { s.v[i], s.v[j] = s.v[j], s.v[i] }
 
 // At materializes the clustering instance for opts into buf (nil allocates a
-// fresh Instance), replicating BuildProblem bit-for-bit: identical
+// fresh Instance), replicating the reference bit for bit: identical
 // constraints, merge decisions, and requirement values.
 func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	if err := opts.normalize(); err != nil {
@@ -430,16 +391,14 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 		inst = &Instance{}
 	}
 	inst.ILPResult = nil
+	inst.Pl, inst.Tm, inst.Grid = a.pl, a.tm, a.grid
+	inst.Beta = opts.Beta
+	inst.MaxClusters, inst.MaxBiasPairs = opts.MaxClusters, opts.MaxBiasPairs
+	inst.N, inst.P = a.n, a.p
+	inst.RowLeakNW = a.rowLeak
+	inst.RawViolations = 0
 
-	p := &inst.prob
-	p.Pl, p.Tm, p.Grid = a.pl, a.tm, a.grid
-	p.Beta = opts.Beta
-	p.MaxClusters, p.MaxBiasPairs = opts.MaxClusters, opts.MaxBiasPairs
-	p.N, p.P = a.n, a.p
-	p.RowLeakNW = a.rowLeak
-	p.RawViolations = 0
-
-	cons := inst.constraints[:0]
+	cons := inst.Constraints[:0]
 	contribs := inst.contribArena
 	if cap(contribs) < a.maxContribs {
 		contribs = make([]RowContrib, 0, a.maxContribs)
@@ -471,11 +430,11 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	dcrit := a.tm.DcritPS
 
 	// Pass 1: find the violating classes, recording for each the member
-	// that registers its constraint in BuildProblem's path order (the
+	// that registers its constraint in the reference's path order (the
 	// first violating one) and the binding requirement (the largest one).
 	// The class's PathIdx collapses to -1 exactly when a member after the
 	// registering one strictly tightened the requirement — compared on
-	// the computed requirement floats, exactly as BuildProblem's merge
+	// the computed requirement floats, exactly as the reference's merge
 	// does (two ulp-apart delays can round to equal requirements, and the
 	// tie must then keep the first member's PathIdx).
 	viol := inst.viol[:0]
@@ -501,7 +460,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 		if count == 0 {
 			continue
 		}
-		p.RawViolations += count
+		inst.RawViolations += count
 		viol = append(viol, violGroup{
 			group:   int32(gi),
 			firstPi: firstPi,
@@ -543,7 +502,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			contribs = append(contribs, RowContrib{Row: row, DeltaPS: dv})
 			if g.candidate {
 				// The signature covers every level, keyed so that it
-				// partitions exactly as BuildProblem's "%d:" + "%.6f,"
+				// partitions exactly as the reference's "%d:" + "%.6f,"
 				// text does: constraints may only merge when their
 				// whole coefficient vectors agree.
 				keys = strconv.AppendInt(keys, int64(row), 10)
@@ -599,25 +558,20 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 		})
 	}
 
-	p.Constraints = cons
-	inst.involved = growBools(inst.involved, a.n)
-	for i := range inst.involved {
-		inst.involved[i] = false
+	inst.Constraints = cons
+	inst.Involved = growBools(inst.Involved, a.n)
+	for i := range inst.Involved {
+		inst.Involved[i] = false
 	}
-	p.Involved = inst.involved
-	p.rowConsStart, p.rowConsRefs = buildRowCons(a.n, cons, p.Involved,
+	inst.rowConsStart, inst.rowConsRefs = buildRowCons(a.n, cons, inst.Involved,
 		inst.rowConsStart, inst.rowConsRefs)
 
-	inst.constraints = cons
 	inst.contribArena = contribs
 	inst.deltaArena = deltas
 	inst.keyArena = keys
 	inst.keyOff = keyOff
 	inst.keyLen = keyLen
 	inst.bnext = bnext
-	inst.rowConsStart = p.rowConsStart
-	inst.rowConsRefs = p.rowConsRefs
-	inst.Prob = p
 	return inst, nil
 }
 
@@ -647,11 +601,4 @@ func (inst *Instance) Solve(solver Solver) (*Solution, error) {
 		solver = defaultSolver
 	}
 	return solver.Solve(inst)
-}
-
-// SingleBB returns the block-level single-voltage baseline on the
-// instance's scratch (same buffer contract as Solve, but a separate slot:
-// a SingleBB result and one later Solve result may coexist).
-func (inst *Instance) SingleBB() (*Solution, error) {
-	return inst.prob.singleBBScratch(&inst.heur)
 }

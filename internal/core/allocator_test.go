@@ -63,12 +63,15 @@ func randomTimed(tb testing.TB, lib *cell.Library, seed int64) (*place.Placement
 	return pl, tm
 }
 
-// requireProblemsEqual asserts the materialized problem matches a fresh
-// BuildProblem bit for bit: same constraints, same merge decisions, same
+// requireProblemsEqual asserts the materialized instance matches a fresh
+// buildProblem bit for bit: same constraints, same merge decisions, same
 // requirement values, same indices. Any drift is a real divergence — both
 // sides compute the same float operations in the same order.
-func requireProblemsEqual(tb testing.TB, want, got *Problem, label string) {
+func requireProblemsEqual(tb testing.TB, want, got *Instance, label string) {
 	tb.Helper()
+	if want.Pl != got.Pl || want.Tm != got.Tm || want.Grid != got.Grid {
+		tb.Fatalf("%s: placement, timing or bias grid differ", label)
+	}
 	if want.Beta != got.Beta || want.MaxClusters != got.MaxClusters ||
 		want.MaxBiasPairs != got.MaxBiasPairs || want.N != got.N || want.P != got.P {
 		tb.Fatalf("%s: header mismatch: want (%v %d %d %d %d) got (%v %d %d %d %d)", label,
@@ -171,7 +174,7 @@ func randomOpts(rng *rand.Rand) Options {
 // TestAllocatorMatchesBuildProblem is the differential harness of the
 // batched allocation path: across random placements and random (beta, C,
 // pairs) points, one dirty, continually reused Instance must materialize
-// problems bit-identical to fresh BuildProblem calls and solve them to
+// problems bit-identical to fresh buildProblem calls and solve them to
 // bit-identical heuristic and single-BB solutions.
 func TestAllocatorMatchesBuildProblem(t *testing.T) {
 	lib := cell.Default()
@@ -185,7 +188,7 @@ func TestAllocatorMatchesBuildProblem(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			opts := randomOpts(rng)
-			want, err := BuildProblem(pl, tm, opts)
+			want, err := buildProblem(pl, tm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,9 +196,9 @@ func TestAllocatorMatchesBuildProblem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireProblemsEqual(t, want, inst.Prob, "materialize")
+			requireProblemsEqual(t, want, inst, "materialize")
 
-			wantH, errW := want.SolveHeuristic()
+			wantH, errW := want.Solve(nil)
 			gotH, errG := inst.Solve(nil)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("heuristic error diverged: %v vs %v", errW, errG)
@@ -235,7 +238,7 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Beta: 0.03 + rng.Float64()*0.07, MaxClusters: 2 + rng.Intn(2)}
-		want, err := BuildProblem(pl, tm, opts)
+		want, err := buildProblem(pl, tm, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +249,7 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantH, err := want.SolveHeuristic()
+		wantH, err := want.Solve(nil)
 		if err != nil {
 			continue // beyond compensation range; ILP infeasible too
 		}
@@ -354,7 +357,7 @@ func TestLocalSolverInvariants(t *testing.T) {
 		if errAt != nil {
 			t.Fatal(errAt)
 		}
-		if inst.Prob.NumConstraints() == 0 {
+		if inst.NumConstraints() == 0 {
 			continue
 		}
 		single, err := inst.SingleBB()
@@ -368,14 +371,14 @@ func TestLocalSolverInvariants(t *testing.T) {
 			t.Fatalf("trial %d: local solver failed on feasible instance: %v", trial, err)
 		}
 		exercised++
-		if !inst.Prob.CheckTiming(sol.Assign) {
+		if !inst.CheckTiming(sol.Assign) {
 			t.Fatalf("trial %d: local solution violates timing", trial)
 		}
 		if sol.Clusters > opts.MaxClusters {
 			t.Fatalf("trial %d: %d clusters exceed C=%d", trial, sol.Clusters, opts.MaxClusters)
 		}
-		if pairs := BiasPairs(sol.Assign); pairs > inst.Prob.MaxBiasPairs {
-			t.Fatalf("trial %d: %d bias pairs exceed cap %d", trial, pairs, inst.Prob.MaxBiasPairs)
+		if pairs := BiasPairs(sol.Assign); pairs > inst.MaxBiasPairs {
+			t.Fatalf("trial %d: %d bias pairs exceed cap %d", trial, pairs, inst.MaxBiasPairs)
 		}
 		if sol.ExtraLeakNW > singleExtra+1e-9 {
 			t.Fatalf("trial %d: local leakage %f above single BB %f",
@@ -390,7 +393,7 @@ func TestLocalSolverInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inst.Prob.CheckTiming(other.Assign) {
+		if !inst.CheckTiming(other.Assign) {
 			t.Fatalf("trial %d: reseeded local solution violates timing", trial)
 		}
 	}
@@ -401,7 +404,7 @@ func TestLocalSolverInvariants(t *testing.T) {
 
 // FuzzAllocatorSolveAt fuzzes the differential property: for any (design
 // seed, option seed), a dirty reused Instance must materialize and solve
-// bit-identically to a fresh BuildProblem + SolveHeuristic.
+// bit-identically to a fresh buildProblem and its heuristic solve.
 func FuzzAllocatorSolveAt(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(2), int64(7))
@@ -422,7 +425,7 @@ func FuzzAllocatorSolveAt(f *testing.F) {
 			if math.IsNaN(opts.Beta) {
 				t.Skip("degenerate beta")
 			}
-			want, err := BuildProblem(pl, tm, opts)
+			want, err := buildProblem(pl, tm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,8 +433,8 @@ func FuzzAllocatorSolveAt(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireProblemsEqual(t, want, inst.Prob, "fuzz materialize")
-			wantH, errW := want.SolveHeuristic()
+			requireProblemsEqual(t, want, inst, "fuzz materialize")
+			wantH, errW := want.Solve(nil)
 			gotH, errG := inst.Solve(nil)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("fuzz heuristic error diverged: %v vs %v", errW, errG)

@@ -16,7 +16,7 @@ import (
 
 // tinyProblem builds a random small circuit on a coarse 3-level grid and a
 // handful of rows, so the full assignment space (levels^rows) is enumerable.
-func tinyProblem(t *testing.T, rng *rand.Rand) *Problem {
+func tinyProblem(t *testing.T, rng *rand.Rand) *Instance {
 	t.Helper()
 	coarse, err := cell.NewLibrary(tech.Default45nm(), tech.BiasGrid{StepV: 0.25, MaxV: 0.5})
 	if err != nil {
@@ -63,7 +63,11 @@ func tinyProblem(t *testing.T, rng *rand.Rand) *Problem {
 	}
 	beta := 0.03 + rng.Float64()*0.09
 	c := 2 + rng.Intn(2)
-	p, err := BuildProblem(pl, tm, Options{Beta: beta, MaxClusters: c, MaxBiasPairs: c})
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := al.At(Options{Beta: beta, MaxClusters: c, MaxBiasPairs: c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func tinyProblem(t *testing.T, rng *rand.Rand) *Problem {
 
 // bruteForce enumerates every assignment and returns the minimum leakage
 // overhead among timing-feasible ones within the cluster and pair caps.
-func bruteForce(p *Problem) (float64, bool) {
+func bruteForce(p *Instance) (float64, bool) {
 	assign := make([]int, p.N)
 	best := math.Inf(1)
 	found := false
@@ -125,7 +129,7 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 		tried++
 
 		// Heuristic: feasible and no better than the optimum.
-		h, err := p.SolveHeuristic()
+		h, err := p.Solve(nil)
 		if err != nil {
 			t.Fatalf("trial %d: heuristic failed on feasible instance: %v", trial, err)
 		}
@@ -140,7 +144,7 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 		// oracle optimum below and the single-BB baseline above; nothing
 		// tighter is guaranteed, but it must never "beat" an exhaustive
 		// enumeration.
-		ls, err := (&LocalSolver{Seed: 7}).solveProblem(p)
+		ls, err := (&LocalSolver{Seed: 7}).Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: local solver failed on feasible instance: %v", trial, err)
 		}
@@ -189,7 +193,7 @@ func TestSolveILPWorkerInvariance(t *testing.T) {
 		if p.NumConstraints() == 0 {
 			continue
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.Solve(nil)
 		if err != nil {
 			continue // uncompensatable instance; the oracle test covers these
 		}

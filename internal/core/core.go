@@ -26,10 +26,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"strings"
 
+	"repro/internal/ilp"
 	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/sta"
@@ -60,8 +59,20 @@ type PathConstraint struct {
 	PathIdx int
 }
 
-// Problem is a fully constructed FBB clustering instance.
-type Problem struct {
+// Instance is the one form of an FBB clustering problem: the a_ijk
+// delay-reduction constraints and the L_ij leakage table that both the
+// exact ILP (equations 1-5) and the two-pass heuristic (figures 4-5) read,
+// plus the scratch every solver pass reuses. Allocator.At materializes it.
+//
+// Buffer contract (mirroring sta.Timing under Analyzer.Run): everything an
+// Instance exposes — its fields, its constraint tables, and any Solution
+// returned by Solve or SingleBB on it — lives in the Instance's buffers
+// and is invalidated by the next At/SolveAt/Solve call on the same
+// Instance; Clone a Solution (or finish reading the fields) before
+// re-materializing. SolveILP, CheckTiming and VbsOf only read the
+// instance. An Instance must not be shared between concurrent solves, but
+// the Allocator may be: keep one Instance per worker.
+type Instance struct {
 	Pl   *place.Placement
 	Tm   *sta.Timing
 	Grid tech.BiasGrid
@@ -91,12 +102,35 @@ type Problem struct {
 	// Involved marks rows contributing to at least one constraint.
 	Involved []bool
 
+	// ILPResult reports the branch-and-bound outcome of the most recent
+	// exact solve through ILPSolver on this instance (nil before one
+	// runs).
+	ILPResult *ilp.Result
+
 	// rowConsStart/rowConsRefs index, in CSR form, the (constraint,
 	// position) pairs each row contributes to, for incremental timing
 	// checks: row i's references are rowConsRefs[rowConsStart[i]:
 	// rowConsStart[i+1]].
 	rowConsStart []int32
 	rowConsRefs  []rowConRef
+
+	// Materialization arenas: Constraints[k].Rows and their DeltaPS
+	// vectors are slices of these, regrown only when an At needs more.
+	contribArena []RowContrib
+	deltaArena   []float64
+
+	// Signature-merge scratch: an open-addressed chain over the key byte
+	// arena, so repeat materializations allocate nothing.
+	keyArena []byte
+	keyOff   []int32
+	keyLen   []int32
+	buckets  []int32
+	bnext    []int32
+
+	viol     []violGroup
+	violSort violSorter
+
+	heur heurScratch
 }
 
 type rowConRef struct {
@@ -115,9 +149,7 @@ type Options struct {
 	MaxBiasPairs int
 }
 
-// normalize applies the defaults and validates the options; BuildProblem and
-// Allocator.At share it so both construction paths accept exactly the same
-// inputs.
+// normalize applies the defaults and validates the options.
 func (o *Options) normalize() error {
 	if o.Beta <= 0 {
 		return errors.New("core: beta must be positive")
@@ -135,91 +167,6 @@ func (o *Options) normalize() error {
 		return errors.New("core: MaxBiasPairs must be >= 1")
 	}
 	return nil
-}
-
-// BuildProblem constructs the clustering instance from a placed, timed
-// design: computes the L_ij leakage table, extracts the violating paths
-// under beta, groups their cells by row into the a_ijk coefficients, and
-// merges duplicate constraints keeping the tightest requirement.
-func BuildProblem(pl *place.Placement, tm *sta.Timing, opts Options) (*Problem, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	grid := pl.Lib.Grid
-	p := &Problem{
-		Pl:           pl,
-		Tm:           tm,
-		Grid:         grid,
-		Beta:         opts.Beta,
-		MaxClusters:  opts.MaxClusters,
-		MaxBiasPairs: opts.MaxBiasPairs,
-		N:            pl.NumRows,
-		P:            grid.NumLevels(),
-		RowLeakNW:    power.RowLeakTable(pl),
-		Involved:     make([]bool, pl.NumRows),
-	}
-
-	// Extract violating paths and their per-row reduction vectors.
-	type sigEntry struct{ idx int }
-	sigs := map[string]sigEntry{}
-	var key strings.Builder
-	for pi, path := range tm.Paths {
-		req := path.DelayPS*(1+opts.Beta) - tm.DcritPS
-		if req <= feasTolPS {
-			continue // meets timing even degraded; prune
-		}
-		p.RawViolations++
-		// Group the path's gates by row; delta per level is the sum of
-		// the gates' degraded-delay reductions.
-		perRow := map[int][]float64{}
-		for _, g := range path.Gates {
-			row := pl.RowOf[g]
-			dv := perRow[row]
-			if dv == nil {
-				dv = make([]float64, p.P)
-				perRow[row] = dv
-			}
-			c := pl.Design.Gates[g].Cell
-			degraded := tm.GateDelayPS[g] * (1 + opts.Beta)
-			for j := 0; j < p.P; j++ {
-				dv[j] += degraded * (1 - c.DelayFactor[j])
-			}
-		}
-		rows := make([]int, 0, len(perRow))
-		for r := range perRow {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
-		pc := PathConstraint{ReqPS: req, PathIdx: pi}
-		key.Reset()
-		for _, r := range rows {
-			dv := perRow[r]
-			pc.Rows = append(pc.Rows, RowContrib{Row: r, DeltaPS: dv})
-			// The signature covers every level: constraints may only
-			// merge when their whole coefficient vectors agree.
-			fmt.Fprintf(&key, "%d:", r)
-			for j := 1; j < p.P; j++ {
-				fmt.Fprintf(&key, "%.6f,", dv[j])
-			}
-			key.WriteByte(';')
-		}
-		// Merge constraints with identical row/delta signatures: only
-		// the tightest requirement binds.
-		k := key.String()
-		if e, ok := sigs[k]; ok {
-			if req > p.Constraints[e.idx].ReqPS {
-				p.Constraints[e.idx].ReqPS = req
-				p.Constraints[e.idx].PathIdx = -1
-			}
-			continue
-		}
-		sigs[k] = sigEntry{idx: len(p.Constraints)}
-		p.Constraints = append(p.Constraints, pc)
-	}
-
-	// Row-to-constraint index and involvement flags.
-	p.rowConsStart, p.rowConsRefs = buildRowCons(p.N, p.Constraints, p.Involved, nil, nil)
-	return p, nil
 }
 
 // buildRowCons constructs the CSR row-to-constraint index and the
@@ -265,18 +212,18 @@ func buildRowCons(n int, constraints []PathConstraint, involved []bool, startBuf
 }
 
 // rowCons returns row i's constraint references.
-func (p *Problem) rowCons(i int) []rowConRef {
-	return p.rowConsRefs[p.rowConsStart[i]:p.rowConsStart[i+1]]
+func (inst *Instance) rowCons(i int) []rowConRef {
+	return inst.rowConsRefs[inst.rowConsStart[i]:inst.rowConsStart[i+1]]
 }
 
 // NumConstraints returns M, the paper's "No.Constr".
-func (p *Problem) NumConstraints() int { return len(p.Constraints) }
+func (inst *Instance) NumConstraints() int { return len(inst.Constraints) }
 
 // CheckTiming reports whether a row-to-level assignment meets every path
 // constraint (the paper's Figure 4 routine).
-func (p *Problem) CheckTiming(assign []int) bool {
-	for k := range p.Constraints {
-		c := &p.Constraints[k]
+func (inst *Instance) CheckTiming(assign []int) bool {
+	for k := range inst.Constraints {
+		c := &inst.Constraints[k]
 		sigma := 0.0
 		for _, rc := range c.Rows {
 			sigma += rc.DeltaPS[assign[rc.Row]]
@@ -340,9 +287,9 @@ func (s *Solution) Clone() *Solution {
 }
 
 // solutionFor packages an assignment.
-func (p *Problem) solutionFor(assign []int, method string, proven bool) (*Solution, error) {
+func (inst *Instance) solutionFor(assign []int, method string, proven bool) (*Solution, error) {
 	sol := &Solution{}
-	if err := p.fillSolution(sol, nil, assign, method, proven); err != nil {
+	if err := inst.fillSolution(sol, nil, assign, method, proven); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -351,14 +298,14 @@ func (p *Problem) solutionFor(assign []int, method string, proven bool) (*Soluti
 // fillSolution populates sol from assign, reusing sol's Assign buffer and,
 // when non-nil, levelSeen (len >= P, contents ignored) as cluster-count
 // scratch, so a warmed-up caller fills without allocating.
-func (p *Problem) fillSolution(sol *Solution, levelSeen []bool, assign []int, method string, proven bool) error {
-	extra, err := power.AssignExtraLeakageNW(p.Pl, assign)
+func (inst *Instance) fillSolution(sol *Solution, levelSeen []bool, assign []int, method string, proven bool) error {
+	extra, err := power.AssignExtraLeakageNW(inst.Pl, assign)
 	if err != nil {
 		return err
 	}
 	clusters := 0
 	if levelSeen != nil {
-		seen := levelSeen[:p.P]
+		seen := levelSeen[:inst.P]
 		for j := range seen {
 			seen[j] = false
 		}
@@ -373,7 +320,7 @@ func (p *Problem) fillSolution(sol *Solution, levelSeen []bool, assign []int, me
 	}
 	sol.Assign = append(sol.Assign[:0], assign...)
 	sol.ExtraLeakNW = extra
-	sol.TotalLeakNW = power.DesignLeakageNW(p.Pl.Design) + extra
+	sol.TotalLeakNW = power.DesignLeakageNW(inst.Pl.Design) + extra
 	sol.Clusters = clusters
 	sol.Method = method
 	sol.Proven = proven
@@ -382,7 +329,7 @@ func (p *Problem) fillSolution(sol *Solution, levelSeen []bool, assign []int, me
 
 // VbsOf returns the bias voltages (NMOS side) of the clusters used by a
 // solution, ascending.
-func (p *Problem) VbsOf(s *Solution) []float64 {
+func (inst *Instance) VbsOf(s *Solution) []float64 {
 	seen := map[int]struct{}{}
 	for _, j := range s.Assign {
 		seen[j] = struct{}{}
@@ -394,7 +341,7 @@ func (p *Problem) VbsOf(s *Solution) []float64 {
 	sort.Ints(levels)
 	out := make([]float64, len(levels))
 	for i, j := range levels {
-		out[i] = p.Grid.Voltage(j)
+		out[i] = inst.Grid.Voltage(j)
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/sta"
 )
 
-func problem(t *testing.T, name string, beta float64, c int) *Problem {
+func problem(t *testing.T, name string, beta float64, c int) *Instance {
 	t.Helper()
 	l := cell.Default()
 	d, err := gen.Build(name, l)
@@ -25,7 +25,7 @@ func problem(t *testing.T, name string, beta float64, c int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(pl, tm, Options{Beta: beta, MaxClusters: c})
+	p, err := buildProblem(pl, tm, Options{Beta: beta, MaxClusters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHeuristicInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.Solve(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -137,7 +137,7 @@ func TestHeuristicSavesLeakage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestSavingsGrowWithBeta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h5, err := p5.SolveHeuristic()
+		h5, err := p5.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSavingsGrowWithBeta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h10, err := p10.SolveHeuristic()
+		h10, err := p10.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestCOneDegeneratesToSingleBB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.SolveHeuristic()
+	h, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func TestInfeasibleBetaRejected(t *testing.T) {
 	// A 50% slowdown needs a ~33% delay reduction; FBB tops out around
 	// 15-18%, so PassOne must fail.
 	p := problem(t, "c1355", 0.50, 3)
-	if _, err := p.PassOne(); err == nil {
+	if _, err := p.passOneInto(make([]int, p.N)); err == nil {
 		t.Fatal("PassOne accepted an uncompensatable slowdown")
 	}
-	if _, err := p.SolveHeuristic(); err == nil {
+	if _, err := p.Solve(nil); err == nil {
 		t.Fatal("heuristic accepted an uncompensatable slowdown")
 	}
 }
@@ -217,7 +217,7 @@ func TestILPOnSmallDesign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ func TestILPOnSmallDesign(t *testing.T) {
 func TestILPMoreClustersNeverWorse(t *testing.T) {
 	p2 := problem(t, "c1355", 0.10, 2)
 	p3 := problem(t, "c1355", 0.10, 3)
-	h2, err := p2.SolveHeuristic()
+	h2, err := p2.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := p3.SolveHeuristic()
+	h3, err := p3.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,17 +303,17 @@ func TestBuildProblemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildProblem(pl, tm, Options{Beta: 0}); err == nil {
+	if _, err := buildProblem(pl, tm, Options{Beta: 0}); err == nil {
 		t.Error("beta=0 accepted")
 	}
-	if _, err := BuildProblem(pl, tm, Options{Beta: 0.05, MaxClusters: -2}); err == nil {
+	if _, err := buildProblem(pl, tm, Options{Beta: 0.05, MaxClusters: -2}); err == nil {
 		t.Error("negative cluster cap accepted")
 	}
 }
 
 func TestVbsOf(t *testing.T) {
 	p := problem(t, "c1355", 0.05, 3)
-	h, err := p.SolveHeuristic()
+	h, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestVbsOf(t *testing.T) {
 
 func TestCriticalityRanksInvolvedRowsHigher(t *testing.T) {
 	p := problem(t, "c5315", 0.05, 3)
-	ct := p.RowCriticality()
+	ct := p.rowCriticality(make([]float64, p.N))
 	maxUninvolved, minInvolvedMax := 0.0, 0.0
 	for i := 0; i < p.N; i++ {
 		if p.Involved[i] {

@@ -44,77 +44,60 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// passOneInto is PassOne writing the winning uniform assignment into assign
-// (len N): on success assign is uniformly jopt, exactly the starting point
+// passOneInto finds the lowest uniform bias level meeting timing: assign
+// every row to level j for increasing j and check timing (the paper's
+// Figure 5, PASSONE). The result is jopt; the corresponding uniform
+// assignment is the block-level "single BB" baseline of Table 1. On
+// success assign (len N) is uniformly jopt, exactly the starting point
 // PassTwo wants.
-func (p *Problem) passOneInto(assign []int) (int, error) {
-	for j := 0; j < p.P; j++ {
+func (inst *Instance) passOneInto(assign []int) (int, error) {
+	for j := 0; j < inst.P; j++ {
 		for i := range assign {
 			assign[i] = j
 		}
-		if p.CheckTiming(assign) {
+		if inst.CheckTiming(assign) {
 			return j, nil
 		}
 	}
 	return 0, fmt.Errorf("core: no uniform bias meets timing at beta=%.1f%% "+
-		"(design slowed beyond the FBB compensation range)", p.Beta*100)
+		"(design slowed beyond the FBB compensation range)", inst.Beta*100)
 }
 
-// PassOne finds the lowest uniform bias level meeting timing: assign every
-// row to level j for increasing j and check timing (the paper's Figure 5,
-// PASSONE). The result is jopt; the corresponding uniform assignment is the
-// block-level "single BB" baseline of Table 1.
-func (p *Problem) PassOne() (int, error) {
-	return p.passOneInto(make([]int, p.N))
-}
-
-// SingleBB returns the block-level single-voltage baseline: all rows at jopt.
-func (p *Problem) SingleBB() (*Solution, error) {
-	var s heurScratch
-	sol, err := p.singleBBScratch(&s)
-	if err != nil {
+// SingleBB returns the block-level single-voltage baseline, all rows at
+// jopt, on the instance's scratch (same buffer contract as Solve, but a
+// separate slot: a SingleBB result and one later Solve result may
+// coexist).
+func (inst *Instance) SingleBB() (*Solution, error) {
+	s := &inst.heur
+	s.assign = growInts(s.assign, inst.N)
+	if _, err := inst.passOneInto(s.assign); err != nil {
 		return nil, err
 	}
-	return sol.Clone(), nil
-}
-
-// singleBBScratch is SingleBB on reusable buffers; the returned Solution is
-// s.solSingle — a slot separate from the heuristic's, so a baseline and one
-// later heuristic solve may coexist — and is invalidated by the next
-// singleBBScratch call on the same scratch.
-func (p *Problem) singleBBScratch(s *heurScratch) (*Solution, error) {
-	s.assign = growInts(s.assign, p.N)
-	if _, err := p.passOneInto(s.assign); err != nil {
-		return nil, err
-	}
-	s.levelSeen = growBools(s.levelSeen, p.P)
-	if err := p.fillSolution(&s.solSingle, s.levelSeen, s.assign, "single-bb", true); err != nil {
+	s.levelSeen = growBools(s.levelSeen, inst.P)
+	if err := inst.fillSolution(&s.solSingle, s.levelSeen, s.assign, "single-bb", true); err != nil {
 		return nil, err
 	}
 	return &s.solSingle, nil
 }
 
-// RowCriticality returns the paper's timing-criticality coefficient per row:
-// ct_i = sum over paths k of Q_ik / slack_k, where Q_ik counts the path's
-// cells in row i and the slack is taken under the degraded timing (floored
-// at one picosecond so violating paths dominate the ranking).
-func (p *Problem) RowCriticality() []float64 {
-	return p.rowCriticalityInto(make([]float64, p.N))
-}
-
-func (p *Problem) rowCriticalityInto(ct []float64) []float64 {
+// rowCriticality fills ct (len N) with the paper's timing-criticality
+// coefficient per row: ct_i = sum over paths k of Q_ik / slack_k, where
+// Q_ik counts the path's cells in row i and the slack is taken under the
+// degraded timing (floored at one picosecond so violating paths dominate
+// the ranking).
+func (inst *Instance) rowCriticality(ct []float64) []float64 {
 	const minSlackPS = 1.0
 	for i := range ct {
 		ct[i] = 0
 	}
-	for _, path := range p.Tm.Paths {
-		slack := p.Tm.DcritPS - path.DelayPS*(1+p.Beta)
+	for _, path := range inst.Tm.Paths {
+		slack := inst.Tm.DcritPS - path.DelayPS*(1+inst.Beta)
 		if slack < minSlackPS {
 			slack = minSlackPS
 		}
 		w := 1 / slack
 		for _, g := range path.Gates {
-			ct[p.Pl.RowOf[g]] += w
+			ct[inst.Pl.RowOf[g]] += w
 		}
 	}
 	return ct
@@ -137,27 +120,21 @@ func (s *ctSorter) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.
 // levels, making each heuristic step O(paths touching the row) instead of
 // O(all constraints).
 type timingState struct {
-	p        *Problem
+	inst     *Instance
 	assign   []int
 	sigma    []float64
 	violated int
 }
 
-func (p *Problem) newTimingState(assign []int) *timingState {
-	st := &timingState{}
-	p.initTimingState(st, assign, make([]float64, len(p.Constraints)))
-	return st
-}
-
 // initTimingState readies st over assign using sigma (len = constraints) as
 // the accumulator buffer.
-func (p *Problem) initTimingState(st *timingState, assign []int, sigma []float64) {
-	st.p = p
+func (inst *Instance) initTimingState(st *timingState, assign []int, sigma []float64) {
+	st.inst = inst
 	st.assign = assign
 	st.sigma = sigma
 	st.violated = 0
-	for k := range p.Constraints {
-		c := &p.Constraints[k]
+	for k := range inst.Constraints {
+		c := &inst.Constraints[k]
 		st.sigma[k] = 0
 		for _, rc := range c.Rows {
 			st.sigma[k] += rc.DeltaPS[assign[rc.Row]]
@@ -175,8 +152,8 @@ func (st *timingState) move(row, to int) {
 		return
 	}
 	st.assign[row] = to
-	for _, ref := range st.p.rowCons(row) {
-		c := &st.p.Constraints[ref.k]
+	for _, ref := range st.inst.rowCons(row) {
+		c := &st.inst.Constraints[ref.k]
 		rc := &c.Rows[ref.pos]
 		before := st.sigma[ref.k]
 		after := before - rc.DeltaPS[from] + rc.DeltaPS[to]
@@ -194,7 +171,8 @@ func (st *timingState) move(row, to int) {
 
 func (st *timingState) feasible() bool { return st.violated == 0 }
 
-// SolveHeuristic runs the two-pass greedy allocator (the paper's Figure 5).
+// solveHeuristic runs the two-pass greedy allocator (the paper's Figure 5)
+// on the instance's scratch; HeuristicSolver is its Solver form.
 //
 // PassTwo interpretation (the published pseudocode reuses indices
 // ambiguously): rows are sorted by increasing timing criticality; starting
@@ -204,40 +182,29 @@ func (st *timingState) feasible() bool { return st.violated == 0 }
 // the remaining rows may only move as a single block (so no new cluster can
 // appear). The walk continues level by level until no-body-bias is reached.
 // Complexity is O(P*N) row moves, each with an incremental timing check, so
-// the runtime is linear in the rows, as the paper claims.
-func (p *Problem) SolveHeuristic() (*Solution, error) {
-	var s heurScratch
-	sol, err := p.solveHeuristicScratch(&s)
-	if err != nil {
-		return nil, err
-	}
-	return sol.Clone(), nil
-}
-
-// solveHeuristicScratch is the single implementation of the two-pass
-// heuristic, running entirely on s's reusable buffers; Problem.SolveHeuristic
-// and Instance solves both route here, so they cannot diverge. The returned
-// Solution is s.sol, invalidated by the next solve on the same scratch.
-func (p *Problem) solveHeuristicScratch(s *heurScratch) (*Solution, error) {
-	s.assign = growInts(s.assign, p.N)
-	s.levelSeen = growBools(s.levelSeen, p.P)
+// the runtime is linear in the rows, as the paper claims. The returned
+// Solution is the scratch slot inst.heur.sol, invalidated by the next solve.
+func (inst *Instance) solveHeuristic() (*Solution, error) {
+	s := &inst.heur
+	s.assign = growInts(s.assign, inst.N)
+	s.levelSeen = growBools(s.levelSeen, inst.P)
 	assign := s.assign
-	jopt, err := p.passOneInto(assign)
+	jopt, err := inst.passOneInto(assign)
 	if err != nil {
 		return nil, err
 	}
 	if jopt == 0 {
 		// Nothing to compensate; a single NBB cluster.
-		if err := p.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
+		if err := inst.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
 			return nil, err
 		}
 		return &s.sol, nil
 	}
 
 	// Rank rows by increasing criticality (least critical dropped first).
-	s.ct = growFloats(s.ct, p.N)
-	ct := p.rowCriticalityInto(s.ct)
-	s.order = growInts(s.order, p.N)
+	s.ct = growFloats(s.ct, inst.N)
+	ct := inst.rowCriticality(s.ct)
+	s.order = growInts(s.order, inst.N)
 	order := s.order
 	for i := range order {
 		order[i] = i
@@ -245,21 +212,21 @@ func (p *Problem) solveHeuristicScratch(s *heurScratch) (*Solution, error) {
 	s.sorter.order, s.sorter.key = order, ct
 	sort.Stable(&s.sorter)
 
-	s.sigma = growFloats(s.sigma, len(p.Constraints))
+	s.sigma = growFloats(s.sigma, len(inst.Constraints))
 	var st timingState
-	p.initTimingState(&st, assign, s.sigma)
+	inst.initTimingState(&st, assign, s.sigma)
 	if !st.feasible() {
 		return nil, errors.New("core: PassOne solution fails incremental check")
 	}
 
-	p.walkDown(&st, order, jopt)
+	inst.walkDown(&st, order, jopt)
 
 	if !st.feasible() {
 		return nil, errors.New("core: heuristic produced an infeasible assignment")
 	}
-	p.reconcilePairs(&st, assign, s)
-	p.refineDown(&st, assign, s)
-	if err := p.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
+	inst.reconcilePairs(&st, assign, s)
+	inst.refineDown(&st, assign, s)
+	if err := inst.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
 		return nil, err
 	}
 	return &s.sol, nil
@@ -269,11 +236,11 @@ func (p *Problem) solveHeuristicScratch(s *heurScratch) (*Solution, error) {
 // critical first) one level at a time; the first failing drop per level is
 // reverted and locks the remaining rows as a cluster. It truncates order in
 // place (the unlocked suffix shrinks as clusters lock).
-func (p *Problem) walkDown(st *timingState, order []int, jopt int) {
+func (inst *Instance) walkDown(st *timingState, order []int, jopt int) {
 	unlocked := order
 	lockEvents := 0
 	for level := jopt; level >= 1 && len(unlocked) > 0; level-- {
-		if lockEvents >= p.MaxClusters-1 {
+		if lockEvents >= inst.MaxClusters-1 {
 			// Only whole-block moves are allowed now: any split
 			// would create a cluster beyond C.
 			for _, r := range unlocked {
@@ -309,12 +276,12 @@ func (p *Problem) walkDown(st *timingState, order []int, jopt int) {
 // appear), and tends to collapse isolated biased rows, which also trims the
 // layout's well-separation boundaries. Two sweeps suffice in practice; the
 // loop stops at the first sweep with no improvement.
-func (p *Problem) refineDown(st *timingState, assign []int, s *heurScratch) {
-	s.levelSeen = growBools(s.levelSeen, p.P)
+func (inst *Instance) refineDown(st *timingState, assign []int, s *heurScratch) {
+	s.levelSeen = growBools(s.levelSeen, inst.P)
 	for sweep := 0; sweep < 4; sweep++ {
-		levels := p.levelsInUse(assign, s)
+		levels := inst.levelsInUse(assign, s)
 		improved := false
-		for r := 0; r < p.N; r++ {
+		for r := 0; r < inst.N; r++ {
 			for _, j := range levels {
 				if j >= assign[r] {
 					break
@@ -336,8 +303,8 @@ func (p *Problem) refineDown(st *timingState, assign []int, s *heurScratch) {
 
 // levelsInUse collects the distinct levels of assign, ascending, into s's
 // reusable buffers.
-func (p *Problem) levelsInUse(assign []int, s *heurScratch) []int {
-	s.levelSeen = growBools(s.levelSeen, p.P)
+func (inst *Instance) levelsInUse(assign []int, s *heurScratch) []int {
+	s.levelSeen = growBools(s.levelSeen, inst.P)
 	seen := s.levelSeen
 	for j := range seen {
 		seen[j] = false
@@ -346,7 +313,7 @@ func (p *Problem) levelsInUse(assign []int, s *heurScratch) []int {
 		seen[j] = true
 	}
 	s.levels = s.levels[:0]
-	for j := 0; j < p.P; j++ {
+	for j := 0; j < inst.P; j++ {
 		if seen[j] {
 			s.levels = append(s.levels, j)
 		}
@@ -359,14 +326,14 @@ func (p *Problem) levelsInUse(assign []int, s *heurScratch) []int {
 // extra cluster above NBB, its rows are dropped to NBB if timing allows and
 // otherwise promoted to the next higher level in use — always feasible,
 // since more bias only adds slack.
-func (p *Problem) reconcilePairs(st *timingState, assign []int, s *heurScratch) {
+func (inst *Instance) reconcilePairs(st *timingState, assign []int, s *heurScratch) {
 	for {
-		levels := p.levelsInUse(assign, s)
+		levels := inst.levelsInUse(assign, s)
 		pairs := len(levels)
 		if pairs > 0 && levels[0] == 0 {
 			pairs--
 		}
-		if pairs <= p.MaxBiasPairs {
+		if pairs <= inst.MaxBiasPairs {
 			return
 		}
 		lowest := levels[0]

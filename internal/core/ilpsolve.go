@@ -36,24 +36,24 @@ type ILPOptions struct {
 // optimality, including the subtle case where parking the uninvolved rows on
 // a used bias level frees the NBB cluster slot. Variables are x_ij (row i at
 // level j) and the cluster indicators y_j.
-func (p *Problem) BuildILP() (*ilp.Model, []int) {
-	inv := make([]int, 0, p.N)
-	invIdx := make(map[int]int, p.N)
-	for i := 0; i < p.N; i++ {
-		if p.Involved[i] {
+func (inst *Instance) BuildILP() (*ilp.Model, []int) {
+	inv := make([]int, 0, inst.N)
+	invIdx := make(map[int]int, inst.N)
+	for i := 0; i < inst.N; i++ {
+		if inst.Involved[i] {
 			invIdx[i] = len(inv)
 			inv = append(inv, i)
 		}
 	}
 	nInv := len(inv)
 	nRows := nInv
-	hasAgg := nInv < p.N
+	hasAgg := nInv < inst.N
 	if hasAgg {
 		nRows++ // the aggregated uninvolved pseudo-row
 	}
-	xIdx := func(i, j int) int { return i*p.P + j }
-	yBase := nRows * p.P
-	nVars := yBase + p.P
+	xIdx := func(i, j int) int { return i*inst.P + j }
+	yBase := nRows * inst.P
+	nVars := yBase + inst.P
 
 	m := &ilp.Model{}
 	m.C = make([]float64, nVars)
@@ -62,17 +62,17 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 		m.U[v] = 1
 	}
 	for i, row := range inv {
-		for j := 0; j < p.P; j++ {
-			m.C[xIdx(i, j)] = p.RowLeakNW[row][j]
+		for j := 0; j < inst.P; j++ {
+			m.C[xIdx(i, j)] = inst.RowLeakNW[row][j]
 		}
 	}
 	if hasAgg {
-		for i := 0; i < p.N; i++ {
-			if p.Involved[i] {
+		for i := 0; i < inst.N; i++ {
+			if inst.Involved[i] {
 				continue
 			}
-			for j := 0; j < p.P; j++ {
-				m.C[xIdx(nInv, j)] += p.RowLeakNW[i][j]
+			for j := 0; j < inst.P; j++ {
+				m.C[xIdx(nInv, j)] += inst.RowLeakNW[i][j]
 			}
 		}
 	}
@@ -85,12 +85,12 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 
 	// Equation 2 (with the sign convention fixed): total reduction on
 	// each violating path must reach its requirement.
-	for k := range p.Constraints {
-		c := &p.Constraints[k]
+	for k := range inst.Constraints {
+		c := &inst.Constraints[k]
 		a := make([]float64, nVars)
 		for _, rc := range c.Rows {
 			i := invIdx[rc.Row]
-			for j := 0; j < p.P; j++ {
+			for j := 0; j < inst.P; j++ {
 				a[xIdx(i, j)] = rc.DeltaPS[j]
 			}
 		}
@@ -101,7 +101,7 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 	// one cluster.
 	for i := 0; i < nRows; i++ {
 		a := make([]float64, nVars)
-		for j := 0; j < p.P; j++ {
+		for j := 0; j < inst.P; j++ {
 			a[xIdx(i, j)] = 1
 		}
 		addRow(a, lp.EQ, 1)
@@ -109,7 +109,7 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 
 	// Equation 4: level usage linking (F = nRows is "a very large number"
 	// at the instance scale) and the cluster-count cap.
-	for j := 0; j < p.P; j++ {
+	for j := 0; j < inst.P; j++ {
 		a := make([]float64, nVars)
 		for i := 0; i < nRows; i++ {
 			a[xIdx(i, j)] = 1
@@ -118,18 +118,18 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 		addRow(a, lp.LE, 0)
 	}
 	capRow := make([]float64, nVars)
-	for j := 0; j < p.P; j++ {
+	for j := 0; j < inst.P; j++ {
 		capRow[yBase+j] = 1
 	}
-	addRow(capRow, lp.LE, float64(p.MaxClusters))
+	addRow(capRow, lp.LE, float64(inst.MaxClusters))
 
 	// Routing cap (section 3.3): each non-NBB level needs a bias pair on
 	// top metal, and at most MaxBiasPairs fit without growing the die.
 	pairRow := make([]float64, nVars)
-	for j := 1; j < p.P; j++ {
+	for j := 1; j < inst.P; j++ {
 		pairRow[yBase+j] = 1
 	}
-	addRow(pairRow, lp.LE, float64(p.MaxBiasPairs))
+	addRow(pairRow, lp.LE, float64(inst.MaxBiasPairs))
 	return m, inv
 }
 
@@ -137,35 +137,35 @@ func (p *Problem) BuildILP() (*ilp.Model, []int) {
 // (uninvolved rows collapse onto the pseudo-row at the highest level any of
 // them uses, a feasible if slightly pessimistic incumbent), or reports false
 // when the assignment is not representable within the caps.
-func (p *Problem) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, float64, bool) {
+func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, float64, bool) {
 	nInv := len(inv)
 	nRows := nInv
-	hasAgg := nInv < p.N
+	hasAgg := nInv < inst.N
 	if hasAgg {
 		nRows++
 	}
-	yBase := nRows * p.P
+	yBase := nRows * inst.P
 	x := make([]float64, len(m.C))
 	obj := 0.0
 	levels := map[int]struct{}{}
 	for i, row := range inv {
 		j := s.Assign[row]
-		x[i*p.P+j] = 1
-		obj += p.RowLeakNW[row][j]
+		x[i*inst.P+j] = 1
+		obj += inst.RowLeakNW[row][j]
 		levels[j] = struct{}{}
 	}
 	if hasAgg {
 		aggLevel := 0
-		for i := 0; i < p.N; i++ {
-			if !p.Involved[i] && s.Assign[i] > aggLevel {
+		for i := 0; i < inst.N; i++ {
+			if !inst.Involved[i] && s.Assign[i] > aggLevel {
 				aggLevel = s.Assign[i]
 			}
 		}
-		x[nInv*p.P+aggLevel] = 1
-		obj += m.C[nInv*p.P+aggLevel]
+		x[nInv*inst.P+aggLevel] = 1
+		obj += m.C[nInv*inst.P+aggLevel]
 		levels[aggLevel] = struct{}{}
 	}
-	if len(levels) > p.MaxClusters {
+	if len(levels) > inst.MaxClusters {
 		return nil, 0, false
 	}
 	pairs := 0
@@ -174,7 +174,7 @@ func (p *Problem) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, f
 			pairs++
 		}
 	}
-	if pairs > p.MaxBiasPairs {
+	if pairs > inst.MaxBiasPairs {
 		return nil, 0, false
 	}
 	for j := range levels {
@@ -204,15 +204,15 @@ func (e *NoIncumbentError) Error() string {
 // is returned with Proven=false — it is feasible, just unimproved — and
 // otherwise the error is a *NoIncumbentError; either way the ilp.Result
 // still reports the explored nodes and bound.
-func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
-	m, inv := p.BuildILP()
+func (inst *Instance) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
+	m, inv := inst.BuildILP()
 	var iopts ilp.Options
 	iopts.NodeLimit = opts.NodeLimit
 	iopts.Workers = opts.Workers
 	iopts.Branching = opts.Branching
 	warmOK := false
 	if opts.WarmStart != nil {
-		if x, obj, ok := p.warmVector(m, inv, opts.WarmStart); ok {
+		if x, obj, ok := inst.warmVector(m, inv, opts.WarmStart); ok {
 			iopts.HasWarm = true
 			iopts.WarmX = x
 			iopts.WarmObj = obj
@@ -225,7 +225,7 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 	}
 	switch res.Status {
 	case ilp.InfeasibleProven:
-		return nil, &res, fmt.Errorf("core: ILP infeasible at beta=%.1f%%", p.Beta*100)
+		return nil, &res, fmt.Errorf("core: ILP infeasible at beta=%.1f%%", inst.Beta*100)
 	case ilp.NoSolution, ilp.RelaxUnbounded:
 		// A warm start that fit the caps is a feasible incumbent even when
 		// branch and bound never improved on it; one that did not fit (or
@@ -235,18 +235,18 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 			sol.Proven = false
 			return sol, &res, nil
 		}
-		return nil, &res, &NoIncumbentError{Status: res.Status, Beta: p.Beta}
+		return nil, &res, &NoIncumbentError{Status: res.Status, Beta: inst.Beta}
 	}
 
 	levelOf := func(i int) int {
-		for j := 0; j < p.P; j++ {
-			if res.X[i*p.P+j] > 0.5 {
+		for j := 0; j < inst.P; j++ {
+			if res.X[i*inst.P+j] > 0.5 {
 				return j
 			}
 		}
 		return -1
 	}
-	assign := make([]int, p.N)
+	assign := make([]int, inst.N)
 	for i, row := range inv {
 		level := levelOf(i)
 		if level < 0 {
@@ -254,21 +254,21 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 		}
 		assign[row] = level
 	}
-	if len(inv) < p.N {
+	if len(inv) < inst.N {
 		aggLevel := levelOf(len(inv))
 		if aggLevel < 0 {
 			return nil, &res, fmt.Errorf("core: ILP pseudo-row has no level selected")
 		}
-		for i := 0; i < p.N; i++ {
-			if !p.Involved[i] {
+		for i := 0; i < inst.N; i++ {
+			if !inst.Involved[i] {
 				assign[i] = aggLevel
 			}
 		}
 	}
-	if !p.CheckTiming(assign) {
+	if !inst.CheckTiming(assign) {
 		return nil, &res, fmt.Errorf("core: ILP assignment fails timing check")
 	}
-	sol, err := p.solutionFor(assign, "ilp", res.Status == ilp.OptimalProven)
+	sol, err := inst.solutionFor(assign, "ilp", res.Status == ilp.OptimalProven)
 	if err != nil {
 		return nil, &res, err
 	}

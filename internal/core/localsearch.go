@@ -33,11 +33,6 @@ const (
 // Name implements Solver.
 func (*LocalSolver) Name() string { return "local" }
 
-// Solve implements Solver.
-func (s *LocalSolver) Solve(inst *Instance) (*Solution, error) {
-	return s.solveProblem(inst.Prob)
-}
-
 // restartSeed mixes the base seed and restart index through the splitmix64
 // finalizer, decorrelating the per-restart streams.
 func restartSeed(seed int64, restart int) int64 {
@@ -50,20 +45,21 @@ func restartSeed(seed int64, restart int) int64 {
 	return int64(z)
 }
 
-func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
-	assign := make([]int, p.N)
-	jopt, err := p.passOneInto(assign)
+// Solve implements Solver.
+func (s *LocalSolver) Solve(inst *Instance) (*Solution, error) {
+	assign := make([]int, inst.N)
+	jopt, err := inst.passOneInto(assign)
 	if err != nil {
 		return nil, err
 	}
 	if jopt == 0 {
-		return p.solutionFor(assign, "local", false)
+		return inst.solutionFor(assign, "local", false)
 	}
 
-	ct := p.RowCriticality()
-	key := make([]float64, p.N)
-	order := make([]int, p.N)
-	sigma := make([]float64, len(p.Constraints))
+	ct := inst.rowCriticality(make([]float64, inst.N))
+	key := make([]float64, inst.N)
+	order := make([]int, inst.N)
+	sigma := make([]float64, len(inst.Constraints))
 	var scratch heurScratch
 	var best *Solution
 	for r := 0; r < localRestarts; r++ {
@@ -85,18 +81,18 @@ func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
 			assign[i] = jopt
 		}
 		var st timingState
-		p.initTimingState(&st, assign, sigma)
+		inst.initTimingState(&st, assign, sigma)
 		if !st.feasible() {
 			return nil, errors.New("core: PassOne solution fails incremental check")
 		}
-		p.walkDown(&st, order, jopt)
-		p.reconcilePairs(&st, assign, &scratch)
-		s.repair(p, &st, assign, rng)
-		p.refineDown(&st, assign, &scratch)
+		inst.walkDown(&st, order, jopt)
+		inst.reconcilePairs(&st, assign, &scratch)
+		s.repair(inst, &st, assign, rng)
+		inst.refineDown(&st, assign, &scratch)
 		if !st.feasible() {
 			continue // defensive; the passes above preserve feasibility
 		}
-		sol, err := p.solutionFor(assign, "local", false)
+		sol, err := inst.solutionFor(assign, "local", false)
 		if err != nil {
 			return nil, err
 		}
@@ -116,20 +112,20 @@ func (s *LocalSolver) solveProblem(p *Problem) (*Solution, error) {
 // level — accepting the pair only when it is feasible and strictly cheaper.
 // Rows only ever move between levels already in use, so the cluster and
 // bias-pair caps can never be exceeded (levels may empty; none appear).
-func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *rand.Rand) {
-	if p.N == 0 || p.P < 2 {
+func (s *LocalSolver) repair(inst *Instance, st *timingState, assign []int, rng *rand.Rand) {
+	if inst.N == 0 || inst.P < 2 {
 		return
 	}
-	used := make([]int, p.P)
+	used := make([]int, inst.P)
 	for _, j := range assign {
 		used[j]++
 	}
-	viol := make([]int, 0, len(p.Constraints))
-	tries := 2 * p.N
+	viol := make([]int, 0, len(inst.Constraints))
+	tries := 2 * inst.N
 	for sw := 0; sw < localSweeps; sw++ {
 		improved := false
 		for t := 0; t < tries; t++ {
-			r1 := rng.Intn(p.N)
+			r1 := rng.Intn(inst.N)
 			from := assign[r1]
 			if from == 0 {
 				continue
@@ -155,7 +151,7 @@ func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *ran
 					pick--
 				}
 			}
-			gain := p.RowLeakNW[r1][from] - p.RowLeakNW[r1][to]
+			gain := inst.RowLeakNW[r1][from] - inst.RowLeakNW[r1][to]
 			st.move(r1, to)
 			if st.feasible() {
 				used[from]--
@@ -166,14 +162,14 @@ func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *ran
 			// Repair: promote the row that buys the most slack on a
 			// violated constraint up to the vacated level.
 			viol = viol[:0]
-			for k := range p.Constraints {
-				if st.sigma[k] < p.Constraints[k].ReqPS-feasTolPS {
+			for k := range inst.Constraints {
+				if st.sigma[k] < inst.Constraints[k].ReqPS-feasTolPS {
 					viol = append(viol, k)
 				}
 			}
 			r2 := -1
 			if len(viol) > 0 {
-				c := &p.Constraints[viol[rng.Intn(len(viol))]]
+				c := &inst.Constraints[viol[rng.Intn(len(viol))]]
 				bestDelta := 0.0
 				for i := range c.Rows {
 					rc := &c.Rows[i]
@@ -188,7 +184,7 @@ func (s *LocalSolver) repair(p *Problem, st *timingState, assign []int, rng *ran
 			}
 			if r2 >= 0 {
 				r2from := assign[r2]
-				cost := p.RowLeakNW[r2][from] - p.RowLeakNW[r2][r2from]
+				cost := inst.RowLeakNW[r2][from] - inst.RowLeakNW[r2][r2from]
 				st.move(r2, from)
 				if st.feasible() && cost < gain {
 					// r1: from -> to; r2: r2from -> from.

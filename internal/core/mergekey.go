@@ -7,11 +7,12 @@ import (
 	"strconv"
 )
 
-// Level-key tags. BuildProblem merges two constraints when their "%.6f"
-// coefficient signatures print equal; Allocator.At keys each coefficient
-// instead by the integer that signature prints, which partitions values
-// exactly as the text does without the multi-precision decimal conversion
-// strconv takes for a fixed 'f' precision.
+// Level-key tags. The reference construction (see Allocator) merges two
+// constraints when their "%.6f" coefficient signatures print equal;
+// Allocator.At keys each coefficient instead by the integer that signature
+// prints, which partitions values exactly as the text does without the
+// multi-precision decimal conversion strconv takes for a fixed 'f'
+// precision.
 const (
 	keyMicros  = 'q' // 8-byte little-endian round-half-even(x * 10^6)
 	keyNegZero = 'z' // a negative x that prints "-0.000000"

@@ -14,18 +14,18 @@ package core
 // row sets (coefficient-wise comparison is only sound when neither has a
 // row the other lacks on the >= side; equal row sets are the common case
 // produced by the array structures).
-func (p *Problem) PruneDominated() int {
+func (inst *Instance) PruneDominated() int {
 	type bucketKey string
 	buckets := map[bucketKey][]int{}
-	for k := range p.Constraints {
-		key := make([]byte, 0, len(p.Constraints[k].Rows)*3)
-		for _, rc := range p.Constraints[k].Rows {
+	for k := range inst.Constraints {
+		key := make([]byte, 0, len(inst.Constraints[k].Rows)*3)
+		for _, rc := range inst.Constraints[k].Rows {
 			key = append(key, byte(rc.Row), byte(rc.Row>>8), ',')
 		}
 		buckets[bucketKey(key)] = append(buckets[bucketKey(key)], k)
 	}
 
-	drop := make([]bool, len(p.Constraints))
+	drop := make([]bool, len(inst.Constraints))
 	dropped := 0
 	for _, ks := range buckets {
 		if len(ks) < 2 {
@@ -39,7 +39,7 @@ func (p *Problem) PruneDominated() int {
 				if a == b || drop[ks[b]] || drop[ks[a]] {
 					continue
 				}
-				if dominates(&p.Constraints[ks[b]], &p.Constraints[ks[a]]) {
+				if dominates(&inst.Constraints[ks[b]], &inst.Constraints[ks[a]]) {
 					drop[ks[a]] = true
 					dropped++
 				}
@@ -49,14 +49,14 @@ func (p *Problem) PruneDominated() int {
 	if dropped == 0 {
 		return 0
 	}
-	kept := p.Constraints[:0]
-	for k := range p.Constraints {
+	kept := inst.Constraints[:0]
+	for k := range inst.Constraints {
 		if !drop[k] {
-			kept = append(kept, p.Constraints[k])
+			kept = append(kept, inst.Constraints[k])
 		}
 	}
-	p.Constraints = kept
-	p.reindexRows()
+	inst.Constraints = kept
+	inst.reindexRows()
 	return dropped
 }
 
@@ -81,10 +81,10 @@ func dominates(hard, easy *PathConstraint) bool {
 }
 
 // reindexRows rebuilds the row-to-constraint index after pruning.
-func (p *Problem) reindexRows() {
-	for i := range p.Involved {
-		p.Involved[i] = false
+func (inst *Instance) reindexRows() {
+	for i := range inst.Involved {
+		inst.Involved[i] = false
 	}
-	p.rowConsStart, p.rowConsRefs = buildRowCons(p.N, p.Constraints, p.Involved,
-		p.rowConsStart, p.rowConsRefs)
+	inst.rowConsStart, inst.rowConsRefs = buildRowCons(inst.N, inst.Constraints, inst.Involved,
+		inst.rowConsStart, inst.rowConsRefs)
 }

@@ -41,7 +41,7 @@ func TestPruneDominatedPreservesFeasibility(t *testing.T) {
 
 		// The heuristic still produces a solution feasible under the
 		// FULL set.
-		sol, err := p.SolveHeuristic()
+		sol, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,7 @@ func NewNamedSolver(name string) (Solver, error) {
 func SolverNames() []string { return []string{"heuristic", "ilp", "local"} }
 
 // HeuristicSolver is the paper's two-pass greedy allocator (Figure 5) as a
-// Solver: identical, bit for bit, to Problem.SolveHeuristic — both run the
-// same scratch implementation — but allocation-free on a warmed Instance.
+// Solver, allocation-free on a warmed Instance.
 type HeuristicSolver struct{}
 
 // Name implements Solver.
@@ -48,7 +47,7 @@ func (HeuristicSolver) Name() string { return "heuristic" }
 
 // Solve implements Solver.
 func (HeuristicSolver) Solve(inst *Instance) (*Solution, error) {
-	return inst.prob.solveHeuristicScratch(&inst.heur)
+	return inst.solveHeuristic()
 }
 
 // ILPSolver is the paper's exact allocator (equations 1-5) as a Solver. It
@@ -75,7 +74,7 @@ func (s *ILPSolver) Solve(inst *Instance) (*Solution, error) {
 	}
 	opts := s.Opts
 	opts.WarmStart = warm
-	sol, res, err := inst.prob.SolveILP(opts)
+	sol, res, err := inst.SolveILP(opts)
 	inst.ILPResult = res
 	return sol, err
 }

@@ -42,8 +42,8 @@ type Prefix struct {
 	// each worker keeps its own sta.Timing scratch buffer for Run.
 	Analyzer *sta.Analyzer
 	// Allocator is the reusable clustering engine over (Placement,
-	// Timing): every (beta, C) experiment point materializes its problem
-	// through it instead of a fresh core.BuildProblem. Like the Analyzer
+	// Timing): every (beta, C) experiment point materializes its
+	// core.Instance through it. Like the Analyzer
 	// it is immutable and shared; each worker keeps its own core.Instance
 	// scratch.
 	Allocator *core.Allocator

@@ -417,7 +417,7 @@ func (q *Table1Request) validate() *apiError {
 }
 
 // solutionJSON converts an applied solution, deriving the cluster voltages
-// from the bias grid (ascending, mirroring core.Problem.VbsOf).
+// from the bias grid (ascending, mirroring core.Instance.VbsOf).
 func solutionJSON(sol *core.Solution, grid tech.BiasGrid) *SolutionJSON {
 	if sol == nil {
 		return nil

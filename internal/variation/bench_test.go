@@ -203,17 +203,16 @@ func BenchmarkYieldPerDie(b *testing.B) {
 		})
 		b.Run(name+"/full", func(b *testing.B) {
 			y := newYieldBench(b, name)
-			rt := NewRetimer(y.an)
 			var inst *core.Instance
 			die := y.m.Sample(y.pl, y.proc, DieSeed(7, 0))
-			if _, err := referenceTuneOn(rt, y.al, &inst, y.nom, die, y.proc, opts); err != nil {
+			if _, err := referenceTuneOn(y.pl, y.al, &inst, y.nom, die, y.proc, opts); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				die := y.m.Sample(y.pl, y.proc, DieSeed(7, i))
-				if _, err := referenceTuneOn(rt, y.al, &inst, y.nom, die, y.proc, opts); err != nil {
+				if _, err := referenceTuneOn(y.pl, y.al, &inst, y.nom, die, y.proc, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -365,14 +364,14 @@ func BenchmarkDieRetimeRetimer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt := NewRetimer(an)
-	if _, err := rt.Time(die); err != nil { // warm the buffers
+	tm, err := an.Run(die.DelayScale, nil) // warm the buffers
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Time(die); err != nil {
+		if _, err := an.Run(die.DelayScale, tm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/place"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
-// referenceTuneOn is the pre-fast-path per-die tuning loop, kept verbatim
-// as the end-to-end differential reference: every die-side re-time is a
-// full Run (paths extracted and thrown away), and every leakage is the
-// scalar per-gate Die.LeakageNW pass. The production loop — light re-times
-// through RunLight, leakage through the LeakModel tables — must reproduce
-// its TuneResults bit for bit.
-func referenceTuneOn(rt *Retimer, al *core.Allocator, instp **core.Instance,
+// referenceTuneOn is the pre-fast-path per-die tuning loop, kept as the
+// end-to-end differential reference: every die-side re-time is a one-shot
+// full sta.Analyze (Die.Timing, Die.TimingWithBias: graph rebuilt, paths
+// extracted and thrown away), and every leakage is the scalar per-gate
+// Die.LeakageNW pass. The production loop — light re-times through
+// RunLight, leakage through the LeakModel tables — must reproduce its
+// TuneResults bit for bit.
+func referenceTuneOn(pl *place.Placement, al *core.Allocator, instp **core.Instance,
 	nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
 	opts.setDefaults()
-	pl := rt.Placement()
-	dieTm, err := rt.Time(die)
+	dieTm, err := die.Timing(pl)
 	if err != nil {
 		return nil, err
 	}
@@ -59,12 +60,13 @@ func referenceTuneOn(rt *Retimer, al *core.Allocator, instp **core.Instance,
 		if err != nil {
 			res.Reason = err.Error()
 			if res.Solution == nil {
+				res.Met = dieDcrit <= limit
 				res.DcritAfterPS = dieDcrit
 				res.LeakAfterNW = res.LeakBeforeNW
 			}
 			return res, nil
 		}
-		tuned, err := rt.TimeWithBias(die, proc, sol.Assign)
+		tuned, err := die.TimingWithBias(pl, proc, sol.Assign)
 		if err != nil {
 			return nil, err
 		}
@@ -121,11 +123,10 @@ func TestYieldStreamMatchesFullPathReference(t *testing.T) {
 	const seed = 77
 	opts := TuneOptions{GuardbandPct: 0.005}
 
-	// Sequential reference over one dirty Retimer/Instance, exactly the
+	// Sequential reference over one dirty Instance, exactly the
 	// pre-refactor worker shape.
 	pl := an.Placement()
 	m := Default()
-	rt := NewRetimer(an)
 	var inst *core.Instance
 	limit := nom.DcritPS * (1 + 0.001)
 	wantResults := make([]*TuneResult, dies)
@@ -135,7 +136,7 @@ func TestYieldStreamMatchesFullPathReference(t *testing.T) {
 		o.setDefaults()
 		for i := 0; i < dies; i++ {
 			die := m.Sample(pl, proc, DieSeed(seed, i))
-			r, err := referenceTuneOn(rt, al, &inst, nom, die, proc, o)
+			r, err := referenceTuneOn(pl, al, &inst, nom, die, proc, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,6 @@ func TestRecoverLeakageWithMatchesScalarReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRetimer(an)
-	ref := NewRetimer(an)
 	lm := NewLeakModel(pl, proc)
 	m := Default()
 	opts := RBBOptions{}
@@ -196,7 +196,7 @@ func TestRecoverLeakageWithMatchesScalarReference(t *testing.T) {
 		// Scalar reference: full re-times, per-gate leakage loops.
 		o := opts
 		o.setDefaults()
-		wantTm, err := ref.Time(die)
+		wantTm, err := die.Timing(pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +209,12 @@ func TestRecoverLeakageWithMatchesScalarReference(t *testing.T) {
 		limit := nom.DcritPS * (1 - o.MarginPct)
 		if want.DcritBeforePS < limit {
 			best, bestDcrit := 0.0, want.DcritBeforePS
+			scale := make([]float64, len(die.DVthV))
 			for vbs := -o.StepV; vbs >= -o.MaxV-1e-9; vbs -= o.StepV {
-				tm, err := ref.TimeUniformBias(die, proc, vbs)
+				for g := range scale {
+					scale[g] = proc.DelayFactorBias(vbs, die.DVthV[g])
+				}
+				tm, err := sta.Analyze(pl, sta.Options{DelayScale: scale})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,8 +5,9 @@ import (
 	"repro/internal/tech"
 )
 
-// LeakModel is the batched form of Die.LeakageNW. The scalar path pays an
-// exp-heavy tech.Process.LeakageFactorBias per gate per evaluation, and the
+// LeakModel evaluates a sampled die's total leakage under row-level bias
+// assignments. The scalar per-gate sum pays an exp-heavy
+// tech.Process.LeakageFactorBias per gate per evaluation, and the
 // tuning loop evaluates a die's leakage up to once per escalation on top of
 // the unbiased baseline. The factorization is the separable form
 // LeakageFactorBias computes: the subthreshold exponential splits into a
@@ -91,7 +92,7 @@ func (lm *LeakModel) SetDie(die *Die) {
 
 // LeakageNW returns the SetDie die's total leakage in nanowatts under a
 // row-level assignment (nil = no body bias), bit-identical to the scalar
-// Die.LeakageNW.
+// per-gate sum of Cell.LeakNW × LeakageFactorBias(vbs, dvth).
 func (lm *LeakModel) LeakageNW(assign []int) float64 {
 	if assign == nil {
 		return lm.LeakageUniformNW(0)

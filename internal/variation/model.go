@@ -11,12 +11,9 @@
 package variation
 
 import (
-	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/place"
-	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -55,54 +52,6 @@ type Die struct {
 // Die buffer.
 func (m Model) Sample(pl *place.Placement, proc *tech.Process, seed int64) *Die {
 	return NewSampler(pl, proc, m).SampleInto(nil, seed)
-}
-
-// Timing runs STA at the die's corner. It rebuilds the timing graph every
-// call; loops re-timing many dies of one placement should use a Retimer.
-func (d *Die) Timing(pl *place.Placement) (*sta.Timing, error) {
-	return sta.Analyze(pl, sta.Options{DelayScale: d.DelayScale})
-}
-
-// TimingWithBias runs STA with both the die's variation and a row-level
-// body-bias assignment applied (one-shot; see Retimer.TimeWithBias for the
-// batched form).
-func (d *Die) TimingWithBias(pl *place.Placement, proc *tech.Process, assign []int) (*sta.Timing, error) {
-	if len(assign) != pl.NumRows {
-		return nil, errors.New("variation: assignment length mismatch")
-	}
-	grid := pl.Lib.Grid
-	scale := make([]float64, len(d.DelayScale))
-	for g := range scale {
-		vbs := grid.Voltage(assign[pl.RowOf[g]])
-		scale[g] = proc.DelayFactorBias(vbs, d.DVthV[g])
-	}
-	return sta.Analyze(pl, sta.Options{DelayScale: scale})
-}
-
-// LeakageNW returns the die's total leakage under an assignment (nil for no
-// body bias), accounting for the per-gate variation, in nanowatts.
-func (d *Die) LeakageNW(pl *place.Placement, proc *tech.Process, assign []int) float64 {
-	grid := pl.Lib.Grid
-	total := 0.0
-	for g := range pl.Design.Gates {
-		vbs := 0.0
-		if assign != nil {
-			vbs = grid.Voltage(assign[pl.RowOf[g]])
-		}
-		total += pl.Design.Gates[g].Cell.LeakNW * proc.LeakageFactorBias(vbs, d.DVthV[g])
-	}
-	return total
-}
-
-// Aged returns a copy of the die after NBTI-like aging: a t^0.16 threshold
-// drift scaled by the activity factor, with 20% per-gate spread. It is the
-// one-shot form of Sampler.AgedInto; controller loops that re-age one die
-// repeatedly should reuse a buffer through a Sampler.
-func (d *Die) Aged(proc *tech.Process, years, activity float64) *Die {
-	if years <= 0 {
-		return d
-	}
-	return agedInto(nil, d, rand.New(rand.NewSource(agingSeed(d.Seed))), proc, years, activity)
 }
 
 // AgingDVthV is the NBTI threshold drift in volts after the given years at

@@ -16,10 +16,14 @@ import (
 // buffers and must not be used from more than one goroutine at a time —
 // create one per worker (flow.MapWith does exactly that).
 //
-// Every Time* method returns the Retimer's single internal buffer: the
-// result is only valid until the next Time* call on the same Retimer, so
-// callers must copy out any scalars (DcritPS, sensed betas) they need
-// across calls.
+// Every Time*Light method returns the Retimer's single internal buffer: the
+// result is only valid until the next call on the same Retimer, so callers
+// must copy out any scalars (DcritPS, sensed betas) they need across calls.
+//
+// All three re-times run the Analyzer's Dcrit-only fast path: the result
+// carries bit-identical GateDelayPS/ArrPS/TailPS/DcritPS but no extracted
+// Paths. Population loops only read a die's critical delay; a consumer
+// that needs the path set runs sta.Analyzer.Run on the same delay scale.
 type Retimer struct {
 	an    *sta.Analyzer
 	buf   *sta.Timing
@@ -39,85 +43,62 @@ func (rt *Retimer) Analyzer() *sta.Analyzer { return rt.an }
 // Placement returns the placement being re-timed.
 func (rt *Retimer) Placement() *place.Placement { return rt.an.Placement() }
 
-// Time re-times the die at its sampled variation corner.
-func (rt *Retimer) Time(die *Die) (*sta.Timing, error) {
-	return rt.an.Run(die.DelayScale, rt.buf)
-}
-
-// TimeLight is Time through the Analyzer's Dcrit-only fast path: the result
-// carries bit-identical GateDelayPS/ArrPS/TailPS/DcritPS but no extracted
-// Paths. Population loops that only read the die's critical delay (yield
-// tuning, RBB scans) use it; path-walking consumers need Time.
+// TimeLight re-times the die at its sampled variation corner.
 func (rt *Retimer) TimeLight(die *Die) (*sta.Timing, error) {
 	return rt.an.RunLight(die.DelayScale, rt.buf)
 }
 
-// TimeWithBias re-times the die with a row-level body-bias assignment
+// TimeWithBiasLight re-times the die with a row-level body-bias assignment
 // applied on top of its variation.
-func (rt *Retimer) TimeWithBias(die *Die, proc *tech.Process, assign []int) (*sta.Timing, error) {
-	scale, err := rt.biasScale(die, proc, assign)
-	if err != nil {
-		return nil, err
-	}
-	return rt.an.Run(scale, rt.buf)
-}
-
-// TimeWithBiasLight is TimeWithBias through the Dcrit-only fast path.
 func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int) (*sta.Timing, error) {
-	scale, err := rt.biasScale(die, proc, assign)
+	scale, err := rt.biasScale(die, proc, assign, 0)
 	if err != nil {
 		return nil, err
 	}
 	return rt.an.RunLight(scale, rt.buf)
 }
 
-// TimeUniformBias re-times the die with one body-bias voltage applied to
-// every gate (the block-level granularity RBB recovery scans).
-func (rt *Retimer) TimeUniformBias(die *Die, proc *tech.Process, vbs float64) (*sta.Timing, error) {
-	return rt.an.Run(rt.uniformScale(die, proc, vbs), rt.buf)
-}
-
-// TimeUniformBiasLight is TimeUniformBias through the Dcrit-only fast path.
+// TimeUniformBiasLight re-times the die with one body-bias voltage applied
+// to every gate (the block-level granularity RBB recovery scans).
 func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float64) (*sta.Timing, error) {
-	return rt.an.RunLight(rt.uniformScale(die, proc, vbs), rt.buf)
+	scale, err := rt.biasScale(die, proc, nil, vbs)
+	if err != nil {
+		return nil, err
+	}
+	return rt.an.RunLight(scale, rt.buf)
 }
 
-// biasScale fills the scale scratch with the die's variation combined with
-// a row-level bias assignment.
-func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]float64, error) {
+// biasScale fills the scale scratch with the die's variation combined with a
+// body bias that is uniform within each row: grid level assign[r] on row r,
+// or vbs on every row when assign is nil. The body-effect shift depends only
+// on the row's bias, so it is computed once per row; each gate then adds its
+// own variation exactly as tech.Process.DelayFactorBias does.
+func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int, vbs float64) ([]float64, error) {
 	pl := rt.an.Placement()
-	if len(assign) != pl.NumRows {
+	if assign != nil && len(assign) != pl.NumRows {
 		return nil, errors.New("variation: assignment length mismatch")
 	}
-	// The body-effect shift depends only on the row's bias level, so it is
-	// computed once per row; each gate then adds its own variation exactly
-	// as tech.Process.DelayFactorBias does.
-	grid := pl.Lib.Grid
-	if cap(rt.shift) < len(assign) {
-		rt.shift = make([]float64, len(assign))
+	if cap(rt.shift) < pl.NumRows {
+		rt.shift = make([]float64, pl.NumRows)
 	}
-	shift := rt.shift[:len(assign)]
-	for r, level := range assign {
-		shift[r] = proc.VthShift(grid.Voltage(level))
+	shift := rt.shift[:pl.NumRows]
+	if assign == nil {
+		uniform := proc.VthShift(vbs)
+		for r := range shift {
+			shift[r] = uniform
+		}
+	} else {
+		grid := pl.Lib.Grid
+		for r, level := range assign {
+			shift[r] = proc.VthShift(grid.Voltage(level))
+		}
 	}
-	scale := rt.scaleBuf(len(die.DelayScale))
+	scale := rt.scaleBuf(len(die.DVthV))
 	for g := range scale {
 		scale[g] = shift[pl.RowOf[g]] + die.DVthV[g]
 	}
 	proc.DelayFactorsDVth(scale, scale)
 	return scale, nil
-}
-
-// uniformScale fills the scale scratch with the die's variation combined
-// with one bias voltage on every gate.
-func (rt *Retimer) uniformScale(die *Die, proc *tech.Process, vbs float64) []float64 {
-	shift := proc.VthShift(vbs)
-	scale := rt.scaleBuf(len(die.DVthV))
-	for g := range scale {
-		scale[g] = shift + die.DVthV[g]
-	}
-	proc.DelayFactorsDVth(scale, scale)
-	return scale
 }
 
 func (rt *Retimer) scaleBuf(n int) []float64 {

@@ -25,7 +25,7 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 			for r := range assign {
 				assign[r] = rng.Intn(grid.NumLevels()+2) - 1
 			}
-			scale, err := rt.biasScale(die, proc, assign)
+			scale, err := rt.biasScale(die, proc, assign, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,9 +37,13 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 			}
 		}
 		for _, vbs := range []float64{-0.2, 0, 0.05, 0.3, 0.5, 0.8} {
-			for g, got := range rt.uniformScale(die, proc, vbs) {
+			scale, err := rt.biasScale(die, proc, nil, vbs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, got := range scale {
 				if want := proc.DelayFactorBias(vbs, die.DVthV[g]); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("uniformScale(%v) gate %d: got %v, want %v", vbs, g, got, want)
+					t.Fatalf("uniform biasScale(%v) gate %d: got %v, want %v", vbs, g, got, want)
 				}
 			}
 		}

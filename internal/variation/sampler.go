@@ -114,8 +114,8 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 
 // AgedInto ages d into out's reused buffers (nil allocates a fresh Die; out
 // == d ages in place), re-seeding the Sampler's generator from the die seed
-// exactly as Die.Aged does, so the aged population is bit-identical at zero
-// allocations.
+// alone, so a die ages identically whichever Sampler or buffer runs it, at
+// zero allocations.
 func (s *Sampler) AgedInto(out, d *Die, years, activity float64) *Die {
 	if years <= 0 {
 		return d.copyInto(out)
@@ -142,8 +142,7 @@ func (d *Die) copyInto(out *Die) *Die {
 // agingSeed derives the deterministic aging-spread stream of a die.
 func agingSeed(dieSeed int64) int64 { return dieSeed ^ 0x5eed }
 
-// agedInto applies the NBTI drift with per-gate spread drawn from rng; the
-// shared body of Die.Aged and Sampler.AgedInto.
+// agedInto applies the NBTI drift with per-gate spread drawn from rng.
 func agedInto(out, d *Die, rng *rand.Rand, proc *tech.Process, years, activity float64) *Die {
 	if out == nil {
 		out = &Die{}

@@ -166,8 +166,8 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 // The die re-timings run through the Tuner's shared Analyzer's Dcrit-only
 // fast path into reused buffers (only the critical delay of a die corner is
 // ever read — the sensors walk the *nominal* path set), each allocation
-// attempt re-materializes the clustering problem through the shared
-// Allocator instead of a fresh BuildProblem, and the per-die leakages are
+// attempt re-materializes the clustering instance into the Tuner's reused
+// core.Instance through the shared Allocator, and the per-die leakages are
 // one exp pass plus multiply-add sweeps through the Tuner's LeakModel —
 // with the default heuristic solver the whole escalation loop allocates
 // almost nothing beyond the solutions it reports (the ILP and local-search
@@ -252,9 +252,11 @@ func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, 
 			// internally consistent: when an earlier escalation already
 			// applied a solution, Solution/DcritAfterPS/LeakAfterNW
 			// still describe that applied state; only a die that never
-			// got bias reports its before-tuning figures.
+			// got bias reports its before-tuning figures, and it meets
+			// timing exactly when it did before tuning.
 			res.Reason = solveErr.Error()
 			if res.Solution == nil {
+				res.Met = dieDcrit <= limit
 				res.DcritAfterPS = dieDcrit
 				res.LeakAfterNW = res.LeakBeforeNW
 			}

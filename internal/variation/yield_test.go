@@ -187,7 +187,7 @@ func TestTuneResultConsistency(t *testing.T) {
 			t.Fatalf("die %d: LeakAfterNW %v does not match the reported solution's %v",
 				i, r.LeakAfterNW, got)
 		}
-		tuned, err := tn.Retimer().TimeWithBias(die, proc, r.Solution.Assign)
+		tuned, err := die.TimingWithBias(pl, proc, r.Solution.Assign)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,15 +100,12 @@ type Result struct {
 	Layout *layout.Report
 
 	// Problem, Placement and Timing expose the underlying objects for
-	// further experiments.
-	Problem   *core.Problem
+	// further experiments. Problem is private to this Result (never
+	// re-materialized), so its fields stay valid indefinitely; a Solve on
+	// it reuses its scratch, while SolveILP and CheckTiming only read it.
+	Problem   *core.Instance
 	Placement *place.Placement
 	Timing    *sta.Timing
-
-	// inst is the materialized allocation instance behind Problem; it is
-	// private to this Result (never re-materialized), so Problem and the
-	// cloned solutions stay valid indefinitely.
-	inst *core.Instance
 }
 
 // Benchmarks returns the names of the built-in Table 1 designs.
@@ -202,11 +199,10 @@ func stageProblem(pfx *flow.Prefix, cfg Config) (*Result, error) {
 		Design:      pfx.Design.Stats(),
 		Rows:        pfx.Placement.NumRows,
 		DcritPS:     pfx.Timing.DcritPS,
-		Constraints: inst.Prob.NumConstraints(),
-		Problem:     inst.Prob,
+		Constraints: inst.NumConstraints(),
+		Problem:     inst,
 		Placement:   pfx.Placement,
 		Timing:      pfx.Timing,
-		inst:        inst,
 	}, nil
 }
 
@@ -256,7 +252,7 @@ func resolveSolver(cfg Config) (core.Solver, string, error) {
 // configured solver (two-pass heuristic by default), and (when requested)
 // the exact ILP.
 func stageAllocate(res *Result, cfg Config) error {
-	single, err := res.inst.SingleBB()
+	single, err := res.Problem.SingleBB()
 	if err != nil {
 		return fmt.Errorf("repro: %s: %w", res.Design.Name, err)
 	}
@@ -268,13 +264,13 @@ func stageAllocate(res *Result, cfg Config) error {
 	}
 	res.SolverName = name
 	start := time.Now()
-	sol, err := res.inst.Solve(solver)
+	sol, err := res.Problem.Solve(solver)
 	if err != nil {
 		return err
 	}
 	res.Heuristic = sol.Clone()
 	res.HeuristicTime = time.Since(start)
-	res.ILPResult = res.inst.ILPResult
+	res.ILPResult = res.Problem.ILPResult
 
 	if cfg.RunILP {
 		opts := cfg.ilpOptions()
