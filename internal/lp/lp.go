@@ -24,6 +24,14 @@
 // the decision depends only on the problem and the basis, so SolveFrom is
 // as deterministic as Solve. Solve stays the reference: the differential
 // tests hold SolveFrom to it.
+//
+// The refactor depends only on A, the relations and the basis, so a
+// Workspace memoizes the last one it did: sibling nodes and strong-branching
+// fans, which warm-start from one parent basis, copy the factored tableau
+// and replay its row operations on their own right-hand side, with the
+// bits a fresh refactor gives. Pivots eliminate with one dense row kernel,
+// y -= f*x over the whole tableau width (an AVX2 assembly loop on amd64,
+// rounding exactly like the scalar statement).
 package lp
 
 import (
@@ -202,7 +210,7 @@ type simplex struct {
 	d       []float64 // reduced costs
 	cost    []float64 // phase cost vector
 	act     []int     // columns with ub > 0, ascending (see rebuildActive)
-	nz      []int     // per-pivot scratch: active nonzeros of the pivot row
+	nz      []int     // refactor scratch: nonzeros of the pivot row
 	objVal  float64
 	artBase int
 	iters   int
@@ -442,9 +450,10 @@ func (s *simplex) setPhase2Cost(p *Problem) {
 // rebuildActive recollects the columns with room to move (ub > 0). A frozen
 // column — a variable fixed by its bounds, or an artificial zeroed after
 // phase 1 — can never be priced into the basis again, so nothing ever reads
-// its tableau entries; dropping such columns from the pivot updates leaves
-// them stale but shrinks every elimination to the live width. Called at each
-// phase start, after any freezing, so the list is exact for the whole phase.
+// its tableau entries or reduced cost: pricing, the dual ratio test and the
+// pivot row's normalization skip it, and the eliminations may leave it
+// stale. Called at each phase start, after any freezing, so the list is
+// exact for the whole phase.
 func (s *simplex) rebuildActive() {
 	s.act = s.act[:0]
 	for j := 0; j < s.nCols; j++ {
@@ -624,39 +633,31 @@ func (s *simplex) pivot(leave, q int, newVal float64, leaveToUpper bool) {
 	s.basis[leave] = q
 	s.xB[leave] = newVal
 
-	// Gaussian elimination on the tableau and the reduced-cost row, over
-	// the active columns only (frozen columns are never read again).
-	piv := s.T[leave][q]
+	// Gaussian elimination on the tableau and the reduced-cost row. The
+	// pivot row is normalized over its active nonzeros; every other row
+	// takes one dense axpy over the whole width. Only the active nonzero
+	// columns of the pivot row need the update. Elsewhere it subtracts a
+	// zero, which at most turns a -0 into +0 (a zero's sign never reaches
+	// a result), or writes a frozen column, which is never read again.
 	row := s.T[leave]
-	inv := 1 / piv
-	nz := s.nz[:0] // active nonzeros of the normalized pivot row
+	inv := 1 / row[q]
 	for _, j := range s.act {
-		if row[j] == 0 {
-			continue
+		if row[j] != 0 {
+			row[j] *= inv
 		}
-		row[j] *= inv
-		nz = append(nz, j)
 	}
-	s.nz = nz
 	for i := 0; i < s.m; i++ {
 		if i == leave {
 			continue
 		}
-		f := s.T[i][q]
-		if f == 0 {
-			continue
-		}
 		ri := s.T[i]
-		for _, j := range nz {
-			ri[j] -= f * row[j]
+		if f := ri[q]; f != 0 {
+			axpy(ri, row, f)
+			ri[q] = 0 // exact zero against round-off
 		}
-		ri[q] = 0 // exact zero against round-off
 	}
-	f := s.d[q]
-	if f != 0 {
-		for _, j := range nz {
-			s.d[j] -= f * row[j]
-		}
+	if f := s.d[q]; f != 0 {
+		axpy(s.d, row, f)
 		s.d[q] = 0
 	}
 }

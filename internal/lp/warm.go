@@ -45,13 +45,45 @@ func (s *simplex) saveBasis() *Basis {
 
 // Workspace holds the tableau and scratch of SolveFrom, so a sequence of
 // warm solves — one goroutine's share of a branch-and-bound search —
-// reuses one allocation instead of building an m x n tableau per LP. A
-// Workspace must not be used by two goroutines at once; its zero value is
-// ready to use.
+// reuses one allocation instead of building an m x n tableau per LP. It
+// also remembers the last basis it factored: siblings and strong-branching
+// fans warm-start from one parent basis, and a repeat skips the refactor.
+// A Workspace must not be used by two goroutines at once; its zero value
+// is ready to use.
 type Workspace struct {
 	s    simplex
 	buf  []float64 // tableau backing store
 	used []bool    // refactor scratch: the row already holds a basic column
+	fac  factored
+}
+
+// factored memoizes one refactor. The factored tableau depends only on A,
+// Rel and the basis, never on the bounds or B, so a later warm start from
+// the same basis against the same A copies t and basis instead of
+// refactoring. Every warm start, hit or miss, then applies ops — the
+// refactor's row operations on the basic values — to its own right-hand
+// side.
+type factored struct {
+	b     *Basis      // the basis factored (nil: no entry)
+	a     [][]float64 // the A it was factored against, compared by identity
+	rel   []Rel       // the Rel it was factored against, likewise
+	t     []float64   // the factored m x nCols tableau
+	basis []int       // the column basic in each row
+	ops   []rhsOp
+}
+
+// rhsOp is one refactor step on the basic values: xB[i] -= f*xB[r], or
+// xB[i] *= f when r < 0.
+type rhsOp struct {
+	i, r int32
+	f    float64
+}
+
+// matches reports whether the entry factored b against p's A and Rel.
+func (f *factored) matches(p *Problem, b *Basis, nCols int) bool {
+	m := len(p.A)
+	return f.b == b && len(f.a) == m && &f.a[0] == &p.A[0] &&
+		len(f.rel) == m && &f.rel[0] == &p.Rel[0] && len(f.t) == m*nCols
 }
 
 // SolveFrom is Workspace.SolveFrom on a fresh workspace.
@@ -90,10 +122,14 @@ func grow[E any](b []E, n int) []E {
 
 // reset sizes the workspace's simplex for an m-row problem with n
 // structural columns and nCols-n slacks, all nonbasic at their lower bound.
+// The tableau is sized but not cleared: the caller fills every entry.
 func (w *Workspace) reset(m, n, nCols int) {
 	s := &w.s
 	s.m, s.n, s.nCols, s.artBase = m, n, nCols, nCols
-	w.buf = grow(w.buf, m*nCols)
+	if cap(w.buf) < m*nCols {
+		w.buf = make([]float64, m*nCols)
+	}
+	w.buf = w.buf[:m*nCols]
 	if cap(s.T) < m {
 		s.T = make([][]float64, m)
 	}
@@ -109,7 +145,6 @@ func (w *Workspace) reset(m, n, nCols int) {
 	s.cost = grow(s.cost, nCols)
 	s.act, s.nz = s.act[:0], s.nz[:0]
 	s.objVal, s.iters, s.bland, s.stall = 0, 0, false, 0
-	w.used = grow(w.used, m)
 }
 
 // warm is SolveFrom's warm path on a validated problem. ok is false when
@@ -154,65 +189,14 @@ func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
 		}
 	}
 
-	// [A | slacks]; the right-hand side absorbs the lower bounds and the
-	// columns at their upper bound, leaving the basic values once the
-	// basis is factored in. A slack column is a unit column, so a basic
-	// slack already holds its own row: the row is only negated on a >=
-	// row, making the slack's entry +1.
-	slack := n
-	for i, a := range p.A {
-		t := s.T[i]
-		sign := 1.0
-		if rel := p.Rel[i]; rel != EQ {
-			if rel == GE {
-				sign = -1
-			}
-			if s.stat[slack] == isBasic {
-				s.basis[i] = slack
-				w.used[i] = true
-				t[slack] = 1
-			} else {
-				t[slack] = sign
-				sign = 1
-			}
-			slack++
-		}
-		rhs := p.B[i]
-		for j, aij := range a {
-			if aij == 0 {
-				continue
-			}
-			t[j] = sign * aij
-			v := p.lower(j)
-			if s.stat[j] == atUpper {
-				v += s.ub[j]
-			}
-			rhs -= aij * v
-		}
-		s.xB[i] = sign * rhs
+	if w.fac.matches(p, b, nCols) {
+		copy(w.buf, w.fac.t)
+		copy(s.basis, w.fac.basis)
+	} else if !w.factor(p, b) {
+		return Result{}, false // singular
 	}
-
-	// Refactor the basic structurals: each takes the free row with its
-	// largest entry (Gauss-Jordan with partial pivoting), in the order
-	// the basis lists them.
-	for _, c := range b.cols {
-		q := int(c)
-		if q >= n {
-			continue
-		}
-		r, big := -1, tolRefactor
-		for i := 0; i < m; i++ {
-			if a := math.Abs(s.T[i][q]); !w.used[i] && a > big {
-				r, big = i, a
-			}
-		}
-		if r < 0 {
-			return Result{}, false // singular for these bounds
-		}
-		w.used[r] = true
-		s.basis[r] = q
-		s.refactorPivot(r, q)
-	}
+	w.rhs(p)
+	s.replay(w.fac.ops)
 
 	// Phase-2 costs; the basis must be dual feasible for the dual simplex.
 	copy(s.cost[:n], p.C)
@@ -243,9 +227,108 @@ func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
 	return s.optimum(p), true
 }
 
+// factor builds [A | slacks], refactors b into it and memoizes the result
+// in w.fac. It reports false when b is singular for p.
+func (w *Workspace) factor(p *Problem, b *Basis) bool {
+	s := &w.s
+	n, m := s.n, s.m
+	f := &w.fac
+	f.b = nil
+	clear(w.buf)
+	w.used = grow(w.used, m)
+
+	// A slack column is a unit column, so a basic slack already holds its
+	// own row: the row is only negated on a >= row, making the slack's
+	// entry +1.
+	slack := n
+	for i, a := range p.A {
+		t := s.T[i]
+		sign := 1.0
+		if rel := p.Rel[i]; rel != EQ {
+			if rel == GE {
+				sign = -1
+			}
+			if s.stat[slack] == isBasic {
+				s.basis[i] = slack
+				w.used[i] = true
+				t[slack] = 1
+			} else {
+				t[slack] = sign
+				sign = 1
+			}
+			slack++
+		}
+		for j, aij := range a {
+			if aij != 0 {
+				t[j] = sign * aij
+			}
+		}
+	}
+
+	// Refactor the basic structurals: each takes the free row with its
+	// largest entry (Gauss-Jordan with partial pivoting), in the order
+	// the basis lists them.
+	ops := f.ops[:0]
+	for _, c := range b.cols {
+		q := int(c)
+		if q >= n {
+			continue
+		}
+		r, big := -1, tolRefactor
+		for i := 0; i < m; i++ {
+			if a := math.Abs(s.T[i][q]); !w.used[i] && a > big {
+				r, big = i, a
+			}
+		}
+		if r < 0 {
+			f.ops = ops
+			return false
+		}
+		w.used[r] = true
+		s.basis[r] = q
+		ops = s.refactorPivot(r, q, ops)
+	}
+
+	f.b, f.a, f.rel, f.ops = b, p.A, p.Rel, ops
+	f.t = append(f.t[:0], w.buf...)
+	f.basis = append(f.basis[:0], s.basis...)
+	return true
+}
+
+// rhs sets the basic values as they stand before the refactor: the
+// right-hand side of [A | slacks] with the lower bounds and the columns at
+// their upper bound absorbed, negated on a >= row whose slack is basic.
+// Replaying the refactor's row operations then yields the basic values.
+func (w *Workspace) rhs(p *Problem) {
+	s := &w.s
+	slack := s.n
+	for i, a := range p.A {
+		sign := 1.0
+		if rel := p.Rel[i]; rel != EQ {
+			if rel == GE && s.stat[slack] == isBasic {
+				sign = -1
+			}
+			slack++
+		}
+		rhs := p.B[i]
+		for j, aij := range a {
+			if aij == 0 {
+				continue
+			}
+			v := p.lower(j)
+			if s.stat[j] == atUpper {
+				v += s.ub[j]
+			}
+			rhs -= aij * v
+		}
+		s.xB[i] = sign * rhs
+	}
+}
+
 // refactorPivot eliminates column q from every row but r over the full
-// tableau width, carrying the basic values along.
-func (s *simplex) refactorPivot(r, q int) {
+// tableau width, and appends the same row operations on the basic values
+// to ops for replay.
+func (s *simplex) refactorPivot(r, q int, ops []rhsOp) []rhsOp {
 	row := s.T[r]
 	inv := 1 / row[q]
 	nz := s.nz[:0]
@@ -257,7 +340,7 @@ func (s *simplex) refactorPivot(r, q int) {
 	}
 	s.nz = nz
 	row[q] = 1
-	s.xB[r] *= inv
+	ops = append(ops, rhsOp{i: int32(r), r: -1, f: inv})
 	for i := 0; i < s.m; i++ {
 		f := s.T[i][q]
 		if i == r || f == 0 {
@@ -268,7 +351,21 @@ func (s *simplex) refactorPivot(r, q int) {
 			ri[j] -= f * row[j]
 		}
 		ri[q] = 0
-		s.xB[i] -= f * s.xB[r]
+		ops = append(ops, rhsOp{i: int32(i), r: int32(r), f: f})
+	}
+	return ops
+}
+
+// replay applies a refactor's row operations to the basic values, in
+// order, so they come out with the bits the elimination itself would give.
+func (s *simplex) replay(ops []rhsOp) {
+	xB := s.xB
+	for _, op := range ops {
+		if op.r < 0 {
+			xB[op.i] *= op.f
+		} else {
+			xB[op.i] -= op.f * xB[op.r]
+		}
 	}
 }
 

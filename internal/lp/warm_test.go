@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -92,8 +94,9 @@ func tighten(rng *rand.Rand, p *Problem, j int, x float64) {
 
 // warmChain solves p cold, then walks up to four generations of bound
 // tightenings, each child warm-started from its parent's basis and held
-// to a cold solve of the same child.
-func warmChain(t *testing.T, rng *rand.Rand, p *Problem) {
+// to a cold solve of the same child. also, when set, checks each child
+// further.
+func warmChain(t *testing.T, rng *rand.Rand, p *Problem, also func(child *Problem, basis *Basis, got Result)) {
 	t.Helper()
 	cur := withBounds(p)
 	parent, err := Solve(cur)
@@ -106,7 +109,11 @@ func warmChain(t *testing.T, rng *rand.Rand, p *Problem) {
 			j := rng.Intn(len(child.C))
 			tighten(rng, child, j, parent.X[j])
 		}
-		parent = checkWarmMatchesCold(t, child, parent.Basis)
+		basis := parent.Basis
+		parent = checkWarmMatchesCold(t, child, basis)
+		if also != nil {
+			also(child, basis, parent)
+		}
 		cur = child
 	}
 }
@@ -114,11 +121,17 @@ func warmChain(t *testing.T, rng *rand.Rand, p *Problem) {
 func TestSolveFromMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 400; trial++ {
-		warmChain(t, rng, randomInequalityLP(rng))
-		warmChain(t, rng, randomEqualityLP(rng))
+		warmChain(t, rng, randomInequalityLP(rng), nil)
+		warmChain(t, rng, randomEqualityLP(rng), nil)
 	}
 }
 
+// FuzzSolveFrom holds warm starts to cold solves on bound-tightened
+// children, and each child's answer to itself. A child is solved on a
+// fresh workspace, twice back to back on one shared workspace (the second
+// from the memoized refactor), once more there after an unrelated solve
+// has replaced the memo, and on the reference path; all five answers must
+// be bit-identical.
 func FuzzSolveFrom(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, seed%2 == 0)
@@ -129,7 +142,41 @@ func FuzzSolveFrom(f *testing.F) {
 		if eq {
 			p = randomEqualityLP(rng)
 		}
-		warmChain(t, rng, p)
+		other := randomBranchLP(rng)
+		otherRoot, err := Solve(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w Workspace
+		warmChain(t, rng, p, func(child *Problem, basis *Basis, fresh Result) {
+			same := func(what string, got Result) {
+				t.Helper()
+				if diff := sameResult(got, fresh); diff != "" {
+					t.Fatalf("%s: %s", what, diff)
+				}
+			}
+			for _, what := range []string{"first solve", "repeat solve"} {
+				got, err := w.SolveFrom(child, basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(what, got)
+			}
+			j := rng.Intn(len(other.C))
+			if _, err := w.SolveFrom(branch(other, j, 0.5, rng.Intn(2) == 0), otherRoot.Basis); err != nil {
+				t.Fatal(err)
+			}
+			got, err := w.SolveFrom(child, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("solve after an unrelated one", got)
+			ref, err := refSolveFrom(child, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("reference", ref)
+		})
 	})
 }
 
@@ -310,4 +357,256 @@ func TestSolveFromSharedBasisConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// randomBranchLP draws a branch-and-bound-sized relaxation: mostly binary
+// columns, a few wider ones, and rows of every relation about half dense,
+// all feasible at a random interior point.
+func randomBranchLP(rng *rand.Rand) *Problem {
+	n := 12 + rng.Intn(24)
+	m := 6 + rng.Intn(18)
+	p := &Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, m),
+		Rel: make([]Rel, m),
+		B:   make([]float64, m),
+		L:   make([]float64, n),
+		U:   make([]float64, n),
+	}
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		p.C[j] = rng.NormFloat64()
+		p.U[j] = 1
+		if rng.Intn(6) == 0 {
+			p.L[j], p.U[j] = float64(rng.Intn(2)), float64(2+rng.Intn(3))
+		}
+		x0[j] = p.L[j] + rng.Float64()*(p.U[j]-p.L[j])
+	}
+	for i := 0; i < m; i++ {
+		p.A[i] = make([]float64, n)
+		v := 0.0
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				p.A[i][j] = rng.NormFloat64()
+				v += p.A[i][j] * x0[j]
+			}
+		}
+		switch rng.Intn(5) {
+		case 0:
+			p.Rel[i], p.B[i] = EQ, v
+		case 1, 2:
+			p.Rel[i], p.B[i] = LE, v+rng.Float64()
+		default:
+			p.Rel[i], p.B[i] = GE, v-rng.Float64()
+		}
+	}
+	return p
+}
+
+// sameResult reports how got differs from want bit for bit — status,
+// iteration count, every X and Obj bit, and the basis — or "" when it
+// does not.
+func sameResult(got, want Result) string {
+	if got.Status != want.Status || got.Iters != want.Iters {
+		return fmt.Sprintf("%v after %d iterations, want %v after %d", got.Status, got.Iters, want.Status, want.Iters)
+	}
+	if math.Float64bits(got.Obj) != math.Float64bits(want.Obj) {
+		return fmt.Sprintf("obj %v (%#x), want %v (%#x)", got.Obj, math.Float64bits(got.Obj), want.Obj, math.Float64bits(want.Obj))
+	}
+	if len(got.X) != len(want.X) {
+		return fmt.Sprintf("%d values, want %d", len(got.X), len(want.X))
+	}
+	for j := range got.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			return fmt.Sprintf("x[%d] %v (%#x), want %v (%#x)", j, got.X[j], math.Float64bits(got.X[j]), want.X[j], math.Float64bits(want.X[j]))
+		}
+	}
+	if (got.Basis == nil) != (want.Basis == nil) {
+		return fmt.Sprintf("basis %v, want %v", got.Basis, want.Basis)
+	}
+	if got.Basis != nil && (!slices.Equal(got.Basis.cols, want.Basis.cols) || !slices.Equal(got.Basis.upper, want.Basis.upper)) {
+		return fmt.Sprintf("basis %+v, want %+v", *got.Basis, *want.Basis)
+	}
+	return ""
+}
+
+// refRunner runs warm solves on one Workspace, holds each to refSolveFrom
+// bit for bit, and counts the solves the workspace's memo answered.
+type refRunner struct {
+	t            *testing.T
+	w            Workspace
+	hits, misses int
+}
+
+func (d *refRunner) solve(p *Problem, b *Basis) Result {
+	d.t.Helper()
+	hit := b != nil && d.w.fac.b == b
+	got, err := d.w.SolveFrom(p, b)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	switch {
+	case hit:
+		d.hits++
+	case b != nil && d.w.fac.b == b:
+		d.misses++
+	}
+	want, err := refSolveFrom(p, b)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if diff := sameResult(got, want); diff != "" {
+		d.t.Fatalf("memo hit %v: %s", hit, diff)
+	}
+	return got
+}
+
+// branch returns the down (up=false) or up child of p on column j around
+// the value x, with its own bounds.
+func branch(p *Problem, j int, x float64, up bool) *Problem {
+	c := withBounds(p)
+	if up {
+		c.L[j] = math.Min(c.U[j], math.Floor(x)+1)
+	} else {
+		c.U[j] = math.Max(c.L[j], math.Ceil(x)-1)
+	}
+	return c
+}
+
+// TestWarmMatchesReference drives branch-and-bound-shaped sequences of warm
+// solves through one Workspace — siblings back to back, strong-branching
+// fans of 16 children, interleaved parents, and chains four generations
+// deep — and holds every answer to the reference path bit for bit: the
+// memoized refactor and the dense pivot kernel must be invisible. Cold
+// solves are held to the reference pivot too. It runs once per axpy path
+// the host has.
+func TestWarmMatchesReference(t *testing.T) {
+	saved := axpyAVX2
+	defer func() { axpyAVX2 = saved }()
+	paths := []string{"scalar"}
+	if saved {
+		paths = append(paths, "avx2")
+	}
+	for _, path := range paths {
+		axpyAVX2 = path == "avx2"
+		t.Run(path, testWarmMatchesReference)
+	}
+}
+
+func testWarmMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d := &refRunner{t: t}
+	for trial := 0; trial < 60; trial++ {
+		p := randomBranchLP(rng)
+		root, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refSolveCold(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(root, want); diff != "" {
+			t.Fatalf("trial %d: cold solve: %s", trial, diff)
+		}
+		if root.Status != Optimal {
+			continue
+		}
+		n := len(p.C)
+
+		// Siblings back to back, then a strong-branching fan: both
+		// children of eight columns from the root basis.
+		j := rng.Intn(n)
+		down := d.solve(branch(p, j, root.X[j], false), root.Basis)
+		d.solve(branch(p, j, root.X[j], true), root.Basis)
+		for k := 0; k < 8; k++ {
+			j := rng.Intn(n)
+			d.solve(branch(p, j, root.X[j], false), root.Basis)
+			d.solve(branch(p, j, root.X[j], true), root.Basis)
+		}
+
+		// Interleaved parents: the root's children alternate with a
+		// grandchild's, so the memo keeps switching bases.
+		if down.Status == Optimal {
+			mid := branch(p, j, root.X[j], false)
+			for k := 0; k < 4; k++ {
+				j := rng.Intn(n)
+				d.solve(branch(p, j, root.X[j], k%2 == 0), root.Basis)
+				d.solve(branch(mid, j, down.X[j], k%2 == 1), down.Basis)
+			}
+		}
+
+		// A chain four generations deep, both children at each level,
+		// diving into the first feasible one.
+		cur, parent := withBounds(p), root
+		for gen := 0; gen < 4; gen++ {
+			j := rng.Intn(n)
+			var next *Problem
+			var nextRes Result
+			for _, up := range []bool{false, true} {
+				child := branch(cur, j, parent.X[j], up)
+				if r := d.solve(child, parent.Basis); r.Status == Optimal && next == nil {
+					next, nextRes = child, r
+				}
+			}
+			if next == nil {
+				break
+			}
+			cur, parent = next, nextRes
+		}
+	}
+	if d.hits == 0 || d.misses == 0 {
+		t.Fatalf("%d memo hits, %d misses: the sequences must exercise both", d.hits, d.misses)
+	}
+	t.Logf("%d memo hits, %d misses", d.hits, d.misses)
+}
+
+// TestWorkspaceMemoKeysOnProblem reuses one Basis against a problem of the
+// same shape whose A or Rel is another slice: the memo must not replay the
+// refactor it did for the first problem, so the answer is the one a fresh
+// workspace gives.
+func TestWorkspaceMemoKeysOnProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	checked := 0
+	for trial := 0; trial < 100; trial++ {
+		p := randomBranchLP(rng)
+		root := solveOK(t, p)
+		if root.Status != Optimal {
+			continue
+		}
+		var w Workspace
+		if _, err := w.SolveFrom(branch(p, 0, root.X[0], false), root.Basis); err != nil {
+			t.Fatal(err)
+		}
+		if w.fac.b != root.Basis {
+			continue // the basis did not factor: nothing memoized
+		}
+		other := withBounds(p)
+		if trial%2 == 0 {
+			other.A = make([][]float64, len(p.A))
+			for i, row := range p.A {
+				other.A[i] = slices.Clone(row)
+				other.A[i][rng.Intn(len(row))] += 0.5
+			}
+		} else {
+			other.Rel = slices.Clone(p.Rel)
+			i := rng.Intn(len(other.Rel))
+			other.Rel[i] = (other.Rel[i] + 1) % 3
+		}
+		got, err := w.SolveFrom(other, root.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveFrom(other, root.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatalf("trial %d: reused workspace: %s", trial, diff)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no trial memoized a refactor")
+	}
 }

@@ -72,6 +72,9 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 			if len(args) == 0 {
 				return nil, fmt.Errorf("bench line %d: %s with no arguments", lineNo, fn)
 			}
+			if err := checkBenchArity(fn, len(args)); err != nil {
+				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
+			}
 			raws = append(raws, rawGate{out: out, fn: fn, args: args, line: lineNo})
 		}
 	}
@@ -153,6 +156,24 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 	}
 	b.SizeDrives()
 	return b.Build()
+}
+
+// checkBenchArity rejects an input count a Builder cannot map: NOT, BUF
+// and DFF take exactly one input, and NAND and NOR at least two (the
+// library has no one-input NAND or NOR cell). Other functions take any
+// positive count; unknown ones are rejected when the gate is built.
+func checkBenchArity(fn string, n int) error {
+	switch fn {
+	case "NOT", "INV", "BUF", "BUFF", "DFF":
+		if n != 1 {
+			return fmt.Errorf("%s takes 1 input, got %d", fn, n)
+		}
+	case "NAND", "NOR":
+		if n < 2 {
+			return fmt.Errorf("%s takes at least 2 inputs, got %d", fn, n)
+		}
+	}
+	return nil
 }
 
 func buildBenchGate(b *Builder, fn string, ins []Signal) (Signal, error) {

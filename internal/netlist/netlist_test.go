@@ -401,3 +401,46 @@ func TestParseBenchErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBenchRejectsArity: a gate arity the library cannot build is a
+// line-numbered error, never a panic, and no input is silently dropped.
+func TestParseBenchRejectsArity(t *testing.T) {
+	for _, gate := range []string{"NAND(a)", "NOR(a)", "NOT(a, b)", "BUF(a, b)", "DFF(a, b)"} {
+		src := "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = " + gate + "\n"
+		_, err := ParseBench(strings.NewReader(src), "arity", lib())
+		if err == nil || !strings.Contains(err.Error(), "bench line 4:") {
+			t.Errorf("%s: err %v, want a bench line 4 error", gate, err)
+		}
+	}
+}
+
+// FuzzParseBench: uploaded netlists reach ParseBench unfiltered, so no
+// input may panic it, and a design it accepts must validate and survive a
+// write/parse round trip.
+func FuzzParseBench(f *testing.F) {
+	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = NAND(a)\n")
+	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n")
+	f.Add("INPUT(d)\nOUTPUT(q)\nq = DFF(n)\nn = NOT(q)\n")
+	f.Add("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = XNOR(a, b, c)\nw = OR(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(a)\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<14 {
+			return
+		}
+		d, err := ParseBench(strings.NewReader(src), "fuzz", lib())
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted design does not validate: %v", err)
+		}
+		var buf strings.Builder
+		if err := WriteBench(&buf, d); err != nil {
+			return // constants have no .bench form
+		}
+		if _, err := ParseBench(strings.NewReader(buf.String()), "fuzz", lib()); err != nil {
+			t.Fatalf("written design does not reparse: %v\n%s", err, buf.String())
+		}
+	})
+}

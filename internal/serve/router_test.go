@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -551,5 +552,21 @@ func TestRouterNoHealthyReplicas(t *testing.T) {
 	}
 	if !apiErr.IsRetryable() {
 		t.Error("router shed not retryable")
+	}
+}
+
+// TestBadArityUploadIs400: a one-input NAND is a client error at both
+// tiers. The parser used to panic on it, which dropped the connection at
+// fbbd and at the router's design-key parse alike.
+func TestBadArityUploadIs400(t *testing.T) {
+	_, urls := newCluster(t, 1, Options{}, nil)
+	_, viaRouter := newTestRouter(t, urls, RouterOptions{})
+	direct := NewClient(urls[0])
+	body := string(encodeJSON(t, TuneRequest{DesignRef: DesignRef{Netlist: "INPUT(a)\nOUTPUT(y)\ny = NAND(a)\n"}, Beta: 0.05}))
+	for tier, c := range map[string]*Client{"fbbd": direct, "router": viaRouter} {
+		status, resp := postRaw(t, c, "/v1/tune", body)
+		if status != http.StatusBadRequest || !strings.Contains(string(resp), "bench line 3") {
+			t.Errorf("%s: status %d (%s), want 400 naming bench line 3", tier, status, resp)
+		}
 	}
 }
