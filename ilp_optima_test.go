@@ -115,52 +115,72 @@ func TestILPOptimaGolden(t *testing.T) {
 	}
 }
 
-// TestExactLeakageMonotone checks two metamorphic laws of the exact
+// TestExactLeakageMonotone checks three metamorphic laws of the exact
 // allocator on the Table 1 family. Allowing more clusters (C, with as many
 // routed bias pairs) only enlarges the feasible set, so the optimal extra
-// leakage never rises with C; a larger slowdown beta only adds and
-// tightens path constraints, so it never falls with beta. Both laws hold
-// only for proven optima, so an unproven cell fails the test.
+// leakage never rises with C; routing more bias pairs at a fixed C does the
+// same, so at C=3 it never rises from 1 to 3 pairs either; a larger
+// slowdown beta only adds and tightens path constraints, so it never falls
+// with beta. The laws hold only for proven optima, so an unproven cell
+// fails the test.
 func TestExactLeakageMonotone(t *testing.T) {
 	betas := []float64{0.02, 0.05, 0.10}
 	const cFrom, cTo = 2, 5
+	const pairsC = 3 // the cluster cap of the bias-pair law
 	eng := NewRunner(1).Engine()
+	// optimum is the proven optimal extra leakage of one cell.
+	optimum := func(name string, beta float64, c, pairs int) float64 {
+		t.Helper()
+		key := fmt.Sprintf("%s/pairs%d", optimaCell{name, beta, c}.key(), pairs)
+		res, err := RunOn(eng, Config{
+			Benchmark:    name,
+			Beta:         beta,
+			MaxClusters:  c,
+			MaxBiasPairs: pairs,
+			SkipLayout:   true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		sol, ir, err := res.Problem.SolveILP(core.ILPOptions{
+			NodeLimit: ilpNodeBudget,
+			WarmStart: res.Heuristic,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if !sol.Proven {
+			t.Fatalf("%s: not proven optimal (%v after %d nodes)", key, ir.Status, ir.Nodes)
+		}
+		return sol.ExtraLeakNW
+	}
+	// above reports a > b beyond a relative tolerance of 1e-9.
+	above := func(a, b float64) bool { return a > b+1e-9*math.Max(math.Abs(a), math.Abs(b)) }
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
-		// extra[b][c-cFrom] is the optimum at betas[b] and cluster cap c.
+		// extra[b][c-cFrom] is the optimum at betas[b] and cluster cap c;
+		// byPairs[b][k-1] is the optimum at betas[b], C=pairsC and k pairs.
 		extra := make([][]float64, len(betas))
+		byPairs := make([][]float64, len(betas))
 		for b, beta := range betas {
 			for c := cFrom; c <= cTo; c++ {
-				key := optimaCell{name, beta, c}.key()
-				res, err := RunOn(eng, Config{
-					Benchmark:    name,
-					Beta:         beta,
-					MaxClusters:  c,
-					MaxBiasPairs: c,
-					SkipLayout:   true,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				sol, ir, err := res.Problem.SolveILP(core.ILPOptions{
-					NodeLimit: ilpNodeBudget,
-					WarmStart: res.Heuristic,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				if !sol.Proven {
-					t.Fatalf("%s: not proven optimal (%v after %d nodes)", key, ir.Status, ir.Nodes)
-				}
-				extra[b] = append(extra[b], sol.ExtraLeakNW)
+				extra[b] = append(extra[b], optimum(name, beta, c, c))
 			}
+			for k := 1; k < pairsC; k++ {
+				byPairs[b] = append(byPairs[b], optimum(name, beta, pairsC, k))
+			}
+			byPairs[b] = append(byPairs[b], extra[b][pairsC-cFrom])
 		}
-		// above reports a > b beyond a relative tolerance of 1e-9.
-		above := func(a, b float64) bool { return a > b+1e-9*math.Max(math.Abs(a), math.Abs(b)) }
 		for b := range betas {
 			for i := 1; i < len(extra[b]); i++ {
 				if above(extra[b][i], extra[b][i-1]) {
 					t.Errorf("%s beta=%g%%: extra leakage rose from C=%d to C=%d: %.9g -> %.9g nW",
 						name, betas[b]*100, cFrom+i-1, cFrom+i, extra[b][i-1], extra[b][i])
+				}
+			}
+			for i := 1; i < len(byPairs[b]); i++ {
+				if above(byPairs[b][i], byPairs[b][i-1]) {
+					t.Errorf("%s beta=%g%% C=%d: extra leakage rose from %d to %d bias pairs: %.9g -> %.9g nW",
+						name, betas[b]*100, pairsC, i, i+1, byPairs[b][i-1], byPairs[b][i])
 				}
 			}
 		}

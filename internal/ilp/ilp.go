@@ -5,8 +5,10 @@
 // a deterministically parallel tree search: worker goroutines speculatively
 // solve node relaxations ahead of a sequential commit order, so the result
 // — incumbent, objective, status, node count — is byte-identical at any
-// worker count. The root relaxation is solved cold; every other node
-// warm-starts from its parent's optimal basis (lp.SolveFrom), which keeps
+// worker count. Solve validates and prepares the model once (lp.Prepare);
+// every node then solves that one shared, immutable form under its own
+// bounds (lp.Workspace.SolveFrom). The root relaxation is solved cold;
+// every other node warm-starts from its parent's optimal basis, which keeps
 // each relaxation a pure function of the node. Like the paper's runs, where
 // the ILP "did not converge in a specified amount of time" on the two
 // largest designs, the solver takes a node budget and reports the best
@@ -108,7 +110,8 @@ const intTol = 1e-6
 
 // Solve runs a deterministic parallel branch and bound.
 func Solve(m *Model, opts Options) (Result, error) {
-	if err := m.Problem.Validate(); err != nil {
+	pp, err := lp.Prepare(&m.Problem)
+	if err != nil {
 		return Result{}, err
 	}
 	n := len(m.C)
@@ -151,7 +154,7 @@ func Solve(m *Model, opts Options) (Result, error) {
 		sm.L[j] = lowerOf(&m.Problem, j)
 		sm.U[j] = upperOf(&m.Problem, j)
 	}
-	sr := newSearch(sm, br, opts.Workers)
+	sr := newSearch(sm, pp, br, opts.Workers)
 	if err := sr.run(&res, nodeLimit); err != nil {
 		return Result{}, err
 	}

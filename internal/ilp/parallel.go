@@ -87,7 +87,8 @@ func (h *nodeHeap) Pop() any {
 }
 
 type search struct {
-	m       *Model // bounds materialized
+	m       *Model       // bounds materialized
+	pp      *lp.Prepared // m's prepared form, shared by every node solve
 	isInt   []bool
 	br      brancher
 	workers int
@@ -114,11 +115,11 @@ type search struct {
 	nextSeq int64
 }
 
-func newSearch(m *Model, br brancher, workers int) *search {
+func newSearch(m *Model, pp *lp.Prepared, br brancher, workers int) *search {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &search{m: m, isInt: m.Integer, br: br, workers: workers, ws: []*nodeWS{new(nodeWS)}}
+	s := &search{m: m, pp: pp, isInt: m.Integer, br: br, workers: workers, ws: []*nodeWS{new(nodeWS)}}
 	s.workCond = sync.NewCond(&s.mu)
 	s.waitCond = sync.NewCond(&s.mu)
 	s.publishCutoff(math.Inf(1))
@@ -140,7 +141,6 @@ type nodeWS struct {
 // root). A pure function of the node, callable from any goroutine with
 // its own scratch.
 func (s *search) solveNode(nd *pnode, ws *nodeWS) (lp.Result, error) {
-	sub := s.m.Problem
 	L := append(ws.L[:0], s.m.L...)
 	U := append(ws.U[:0], s.m.U...)
 	ws.L, ws.U = L, U
@@ -153,8 +153,7 @@ func (s *search) solveNode(nd *pnode, ws *nodeWS) (lp.Result, error) {
 			L[f.j] = f.v
 		}
 	}
-	sub.L, sub.U = L, U
-	return ws.lp.SolveFrom(&sub, nd.basis)
+	return ws.lp.SolveFrom(s.pp, L, U, nd.basis)
 }
 
 // boundsAt returns the effective bounds of column j at a node.

@@ -32,10 +32,18 @@
 // bits a fresh refactor gives. Pivots eliminate with one dense row kernel,
 // y -= f*x over the whole tableau width (an AVX2 assembly loop on amd64,
 // rounding exactly like the scalar statement).
+//
+// A branch-and-bound search solves one problem under many bounds, so it
+// prepares the problem once. Prepare runs the full Validate a single time
+// and records A's nonzeros by row (the refactor fills [A | slacks] from
+// them, and the right-hand side of every node sums over them, in the dense
+// loops' order and with their bits). The Prepared form is immutable and
+// shared by all of a search's goroutines; each node then passes only its
+// bounds to Workspace.SolveFrom, which checks those bounds — lengths,
+// finiteness, a nonempty interval — and nothing else.
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -127,7 +135,8 @@ func finite(v float64) bool { return v-v == 0 }
 
 // Validate checks dimensional consistency, that C, A and B are finite,
 // that every relation is known, and that every bound interval is a
-// nonempty [finite, finite or +Inf]. Every failure is an *InputError.
+// nonempty [finite, finite or +Inf]: lo <= hi, with no tolerance. Every
+// failure is an *InputError.
 func (p *Problem) Validate() error {
 	n := len(p.C)
 	if len(p.A) != len(p.B) || len(p.A) != len(p.Rel) {
@@ -154,6 +163,12 @@ func (p *Problem) Validate() error {
 			return inputErrorf("row %d has unknown relation %d", i, p.Rel[i])
 		}
 	}
+	return p.checkBounds()
+}
+
+// checkBounds is Validate's check of L and U alone.
+func (p *Problem) checkBounds() error {
+	n := len(p.C)
 	if p.L != nil && len(p.L) != n {
 		return inputErrorf("L length %d, want %d", len(p.L), n)
 	}
@@ -168,11 +183,51 @@ func (p *Problem) Validate() error {
 		if math.IsNaN(hi) {
 			return inputErrorf("variable %d has upper bound %g", j, hi)
 		}
-		if lo > hi+tolFeas {
+		if lo > hi {
 			return inputErrorf("variable %d has empty bound interval [%g, %g]", j, lo, hi)
 		}
 	}
 	return nil
+}
+
+// Prepared is a validated Problem in the form every branch-and-bound node
+// solves against: it references the Problem's C, A, Rel and B, and holds
+// A's nonzeros by row (compressed sparse rows, columns ascending) and the
+// slack count. A Prepared never changes once built, so any number of
+// goroutines may solve against it at once, each with its own Workspace.
+// The C, A, Rel and B it references must not change after Prepare.
+type Prepared struct {
+	p     Problem   // C, A, Rel and B; L and U are each node's own
+	start []int32   // row i's nonzeros are col/val[start[i]:start[i+1]]
+	col   []int32   // their columns
+	val   []float64 // their values
+	nCols int       // structural columns plus one slack per non-EQ row
+}
+
+// Prepare validates p once, as Validate does, and returns its prepared
+// form; L and U are not part of it (each node solve passes its own).
+func Prepare(p *Problem) (*Prepared, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	pp := &Prepared{
+		p:     Problem{C: p.C, A: p.A, Rel: p.Rel, B: p.B},
+		start: make([]int32, 1, len(p.A)+1),
+		nCols: len(p.C),
+	}
+	for i, row := range p.A {
+		for j, a := range row {
+			if a != 0 {
+				pp.col = append(pp.col, int32(j))
+				pp.val = append(pp.val, a)
+			}
+		}
+		pp.start = append(pp.start, int32(len(pp.col)))
+		if p.Rel[i] != EQ {
+			pp.nCols++
+		}
+	}
+	return pp, nil
 }
 
 func (p *Problem) lower(j int) float64 {
@@ -252,10 +307,7 @@ func solveCold(p *Problem) (Result, error) {
 		return Result{Status: Optimal, X: x, Obj: obj}, nil
 	}
 
-	s, err := newSimplex(p)
-	if err != nil {
-		return Result{}, err
-	}
+	s := newSimplex(p)
 
 	// Phase 1: minimize the artificial sum.
 	if s.artBase < s.nCols {
@@ -308,9 +360,9 @@ func (s *simplex) optimum(p *Problem) Result {
 
 func maxIters(m, n int) int { return 200*(m+n) + 20000 }
 
-// newSimplex builds the initial tableau: slack basis where possible,
-// artificial variables for >= and = rows.
-func newSimplex(p *Problem) (*simplex, error) {
+// newSimplex builds the initial tableau of a validated problem: slack basis
+// where possible, artificial variables for >= and = rows.
+func newSimplex(p *Problem) *simplex {
 	n := len(p.C)
 	m := len(p.A)
 
@@ -372,10 +424,7 @@ func newSimplex(p *Problem) (*simplex, error) {
 		artBase: n + nSlack,
 	}
 	for j := 0; j < n; j++ {
-		s.ub[j] = p.upper(j) - p.lower(j)
-		if s.ub[j] < 0 {
-			return nil, errors.New("lp: inconsistent bounds")
-		}
+		s.ub[j] = p.upper(j) - p.lower(j) // >= 0: Validate ordered the bounds
 	}
 	for j := n; j < nCols; j++ {
 		s.ub[j] = math.Inf(1)
@@ -408,7 +457,7 @@ func newSimplex(p *Problem) (*simplex, error) {
 	for i := range s.basis {
 		s.stat[s.basis[i]] = isBasic
 	}
-	return s, nil
+	return s
 }
 
 // value returns the current value of column j in shifted coordinates.

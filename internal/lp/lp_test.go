@@ -216,6 +216,7 @@ func TestValidation(t *testing.T) {
 	}{
 		{"ragged matrix", &Problem{C: []float64{1}, A: [][]float64{{1, 2}}, Rel: []Rel{LE}, B: []float64{1}}},
 		{"empty bound interval", &Problem{C: []float64{1}, L: []float64{3}, U: []float64{1}}},
+		{"bound interval inverted by 1e-9", &Problem{C: []float64{1, 1}, L: []float64{0.5, 0}, U: []float64{0.5 - 1e-9, 10}}},
 		{"NaN rhs", cover(func(p *Problem) { p.B[0] = nan })},
 		{"infinite rhs", cover(func(p *Problem) { p.B[0] = -inf })},
 		{"infinite coefficient", cover(func(p *Problem) { p.A[0][1] = inf })},
@@ -228,14 +229,35 @@ func TestValidation(t *testing.T) {
 		{"NaN upper bound", cover(func(p *Problem) { p.U = []float64{1, nan} })},
 		{"unknown relation", cover(func(p *Problem) { p.Rel[0] = Rel(7) })},
 	} {
-		for _, solve := range []func(*Problem) (Result, error){Solve, func(p *Problem) (Result, error) { return SolveFrom(p, nil) }} {
-			_, err := solve(tc.p)
+		for _, solve := range []struct {
+			name string
+			fn   func(*Problem) (Result, error)
+		}{
+			{"Solve", Solve},
+			{"SolveFrom", func(p *Problem) (Result, error) { return SolveFrom(p, nil) }},
+			{"node solve", nodeSolve},
+		} {
+			_, err := solve.fn(tc.p)
 			var ie *InputError
 			if !errors.As(err, &ie) {
-				t.Errorf("%s: err = %v, want *InputError", tc.name, err)
+				t.Errorf("%s: %s: err = %v, want *InputError", tc.name, solve.name, err)
 			}
 		}
 	}
+}
+
+// nodeSolve solves p the way a branch-and-bound node does: p without its
+// bounds is prepared, then solved under them. A malformed C, A, Rel or B
+// fails in Prepare, a malformed bound in Workspace.SolveFrom.
+func nodeSolve(p *Problem) (Result, error) {
+	q := *p
+	q.L, q.U = nil, nil
+	pp, err := Prepare(&q)
+	if err != nil {
+		return Result{}, err
+	}
+	var w Workspace
+	return w.SolveFrom(pp, p.L, p.U, nil)
 }
 
 // bruteForce finds the optimum by enumerating basic feasible points: all

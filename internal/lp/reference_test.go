@@ -3,11 +3,13 @@ package lp
 import "math"
 
 // This file keeps the warm path as it was before the production one
-// memoized its refactor and moved pivot onto the dense axpy kernel: every
-// warm solve builds [A | slacks] and refactors the basis from scratch, and
-// every pivot eliminates over the active nonzero columns of the pivot row
-// only. refSolveFrom is the oracle the differential tests hold
-// Workspace.SolveFrom to, bit for bit.
+// memoized its refactor, moved pivot onto the dense axpy kernel and read A
+// through a Prepared problem's nonzeros: every warm solve validates the
+// whole problem, scans the dense A to build [A | slacks] and its right-hand
+// side, and refactors the basis from scratch, and every pivot eliminates
+// over the active nonzero columns of the pivot row only. refSolveFrom is
+// the oracle the differential tests hold Workspace.SolveFrom to, bit for
+// bit.
 
 // refSimplex is a simplex whose run, step, pivot, dual and refactorPivot
 // are the reference versions below; everything else (pricing, reduced
@@ -54,11 +56,7 @@ func refSolveCold(p *Problem) (Result, error) {
 		return Result{Status: Optimal, X: x, Obj: obj}, nil
 	}
 
-	cs, err := newSimplex(p)
-	if err != nil {
-		return Result{}, err
-	}
-	s := &refSimplex{*cs}
+	s := &refSimplex{*newSimplex(p)}
 
 	// Phase 1: minimize the artificial sum.
 	if s.artBase < s.nCols {

@@ -57,18 +57,17 @@ type Workspace struct {
 	fac  factored
 }
 
-// factored memoizes one refactor. The factored tableau depends only on A,
-// Rel and the basis, never on the bounds or B, so a later warm start from
-// the same basis against the same A copies t and basis instead of
-// refactoring. Every warm start, hit or miss, then applies ops — the
-// refactor's row operations on the basic values — to its own right-hand
-// side.
+// factored memoizes one refactor. The factored tableau depends only on the
+// prepared problem's A and Rel and on the basis, never on the bounds or B,
+// so a later warm start from the same basis against the same Prepared
+// copies t and basis instead of refactoring. Every warm start, hit or miss,
+// then applies ops — the refactor's row operations on the basic values —
+// to its own right-hand side.
 type factored struct {
-	b     *Basis      // the basis factored (nil: no entry)
-	a     [][]float64 // the A it was factored against, compared by identity
-	rel   []Rel       // the Rel it was factored against, likewise
-	t     []float64   // the factored m x nCols tableau
-	basis []int       // the column basic in each row
+	pp    *Prepared // the problem factored against (nil: no entry)
+	b     *Basis    // the basis factored
+	t     []float64 // the factored m x nCols tableau
+	basis []int     // the column basic in each row
 	ops   []rhsOp
 }
 
@@ -79,35 +78,36 @@ type rhsOp struct {
 	f    float64
 }
 
-// matches reports whether the entry factored b against p's A and Rel.
-func (f *factored) matches(p *Problem, b *Basis, nCols int) bool {
-	m := len(p.A)
-	return f.b == b && len(f.a) == m && &f.a[0] == &p.A[0] &&
-		len(f.rel) == m && &f.rel[0] == &p.Rel[0] && len(f.t) == m*nCols
-}
-
-// SolveFrom is Workspace.SolveFrom on a fresh workspace.
+// SolveFrom prepares p and solves it from b on a fresh workspace.
 func SolveFrom(p *Problem, b *Basis) (Result, error) {
-	var w Workspace
-	return w.SolveFrom(p, b)
-}
-
-// SolveFrom solves p starting from b, the Basis of an optimal Result of a
-// problem with the same C, A, Rel and B and possibly different bounds. It
-// refactors b against p's bounds, runs the dual simplex to primal
-// feasibility and a primal cleanup to optimality. The outcome is Solve's —
-// the same status and the same optimal objective up to tolerance, though
-// possibly at another optimal vertex. When b is nil or unusable for p
-// (singular, not dual feasible, holding an artificial) or the dual simplex
-// hits its pivot cap, SolveFrom returns Solve(p) instead.
-func (w *Workspace) SolveFrom(p *Problem, b *Basis) (Result, error) {
-	if err := p.Validate(); err != nil {
+	pp, err := Prepare(p)
+	if err != nil {
 		return Result{}, err
 	}
-	if r, ok := w.warm(p, b); ok {
+	var w Workspace
+	return w.SolveFrom(pp, p.L, p.U, b)
+}
+
+// SolveFrom solves pp under the bounds L and U (nil: 0 and +Inf, as in a
+// Problem) starting from b, the Basis of an optimal Result of a problem
+// with the same C, A, Rel and B and possibly different bounds. It checks
+// the bounds as Validate does — pp itself was validated by Prepare —
+// refactors b against them, runs the dual simplex to primal feasibility
+// and a primal cleanup to optimality. The outcome is Solve's — the same
+// status and the same optimal objective up to tolerance, though possibly
+// at another optimal vertex. When b is nil or unusable (singular, not dual
+// feasible, holding an artificial) or the dual simplex hits its pivot cap,
+// SolveFrom returns Solve's answer instead.
+func (w *Workspace) SolveFrom(pp *Prepared, L, U []float64, b *Basis) (Result, error) {
+	p := pp.p
+	p.L, p.U = L, U
+	if err := p.checkBounds(); err != nil {
+		return Result{}, err
+	}
+	if r, ok := w.warm(pp, &p, b); ok {
 		return r, nil
 	}
-	return solveCold(p)
+	return solveCold(&p)
 }
 
 // grow returns b resized to n zeroed elements, reusing its storage.
@@ -147,18 +147,12 @@ func (w *Workspace) reset(m, n, nCols int) {
 	s.objVal, s.iters, s.bland, s.stall = 0, 0, false, 0
 }
 
-// warm is SolveFrom's warm path on a validated problem. ok is false when
-// the caller must solve cold instead.
-func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
-	n, m := len(p.C), len(p.A)
+// warm is SolveFrom's warm path: p is pp's problem under the node's
+// checked bounds. ok is false when the caller must solve cold instead.
+func (w *Workspace) warm(pp *Prepared, p *Problem, b *Basis) (r Result, ok bool) {
+	n, m, nCols := len(p.C), len(p.A), pp.nCols
 	if b == nil || m == 0 || len(b.cols) != m || len(b.upper) != (n+63)/64 {
 		return Result{}, false
-	}
-	nCols := n
-	for _, rel := range p.Rel {
-		if rel != EQ {
-			nCols++
-		}
 	}
 	w.reset(m, n, nCols)
 	s := &w.s
@@ -166,9 +160,6 @@ func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
 	// Bounds (shifted so every lower bound is zero) and column statuses.
 	for j := 0; j < n; j++ {
 		s.ub[j] = p.upper(j) - p.lower(j)
-		if s.ub[j] < 0 {
-			return Result{}, false // Solve reports the inconsistent bounds
-		}
 	}
 	for j := n; j < nCols; j++ {
 		s.ub[j] = math.Inf(1)
@@ -189,13 +180,13 @@ func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
 		}
 	}
 
-	if w.fac.matches(p, b, nCols) {
+	if w.fac.pp == pp && w.fac.b == b {
 		copy(w.buf, w.fac.t)
 		copy(s.basis, w.fac.basis)
-	} else if !w.factor(p, b) {
+	} else if !w.factor(pp, b) {
 		return Result{}, false // singular
 	}
-	w.rhs(p)
+	w.rhs(pp, p)
 	s.replay(w.fac.ops)
 
 	// Phase-2 costs; the basis must be dual feasible for the dual simplex.
@@ -227,13 +218,13 @@ func (w *Workspace) warm(p *Problem, b *Basis) (r Result, ok bool) {
 	return s.optimum(p), true
 }
 
-// factor builds [A | slacks], refactors b into it and memoizes the result
-// in w.fac. It reports false when b is singular for p.
-func (w *Workspace) factor(p *Problem, b *Basis) bool {
+// factor builds [A | slacks] from pp's nonzeros, refactors b into it and
+// memoizes the result in w.fac. It reports false when b is singular for pp.
+func (w *Workspace) factor(pp *Prepared, b *Basis) bool {
 	s := &w.s
 	n, m := s.n, s.m
 	f := &w.fac
-	f.b = nil
+	f.pp, f.b = nil, nil
 	clear(w.buf)
 	w.used = grow(w.used, m)
 
@@ -241,10 +232,10 @@ func (w *Workspace) factor(p *Problem, b *Basis) bool {
 	// own row: the row is only negated on a >= row, making the slack's
 	// entry +1.
 	slack := n
-	for i, a := range p.A {
+	for i, rel := range pp.p.Rel {
 		t := s.T[i]
 		sign := 1.0
-		if rel := p.Rel[i]; rel != EQ {
+		if rel != EQ {
 			if rel == GE {
 				sign = -1
 			}
@@ -258,10 +249,8 @@ func (w *Workspace) factor(p *Problem, b *Basis) bool {
 			}
 			slack++
 		}
-		for j, aij := range a {
-			if aij != 0 {
-				t[j] = sign * aij
-			}
+		for k := pp.start[i]; k < pp.start[i+1]; k++ {
+			t[pp.col[k]] = sign * pp.val[k]
 		}
 	}
 
@@ -289,7 +278,7 @@ func (w *Workspace) factor(p *Problem, b *Basis) bool {
 		ops = s.refactorPivot(r, q, ops)
 	}
 
-	f.b, f.a, f.rel, f.ops = b, p.A, p.Rel, ops
+	f.pp, f.b, f.ops = pp, b, ops
 	f.t = append(f.t[:0], w.buf...)
 	f.basis = append(f.basis[:0], s.basis...)
 	return true
@@ -299,27 +288,26 @@ func (w *Workspace) factor(p *Problem, b *Basis) bool {
 // right-hand side of [A | slacks] with the lower bounds and the columns at
 // their upper bound absorbed, negated on a >= row whose slack is basic.
 // Replaying the refactor's row operations then yields the basic values.
-func (w *Workspace) rhs(p *Problem) {
+// It walks pp's nonzeros; p is pp's problem under the node's bounds.
+func (w *Workspace) rhs(pp *Prepared, p *Problem) {
 	s := &w.s
 	slack := s.n
-	for i, a := range p.A {
+	for i, rel := range p.Rel {
 		sign := 1.0
-		if rel := p.Rel[i]; rel != EQ {
+		if rel != EQ {
 			if rel == GE && s.stat[slack] == isBasic {
 				sign = -1
 			}
 			slack++
 		}
 		rhs := p.B[i]
-		for j, aij := range a {
-			if aij == 0 {
-				continue
-			}
-			v := p.lower(j)
+		for k := pp.start[i]; k < pp.start[i+1]; k++ {
+			j := pp.col[k]
+			v := p.lower(int(j))
 			if s.stat[j] == atUpper {
 				v += s.ub[j]
 			}
-			rhs -= aij * v
+			rhs -= pp.val[k] * v
 		}
 		s.xB[i] = sign * rhs
 	}

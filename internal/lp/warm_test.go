@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,16 @@ import (
 	"sync"
 	"testing"
 )
+
+// prepareOK prepares p, failing the test on an error.
+func prepareOK(t *testing.T, p *Problem) *Prepared {
+	t.Helper()
+	pp, err := Prepare(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
 
 // withBounds returns p with its own copies of L and U (materialized).
 func withBounds(p *Problem) *Problem {
@@ -127,11 +138,13 @@ func TestSolveFromMatchesCold(t *testing.T) {
 }
 
 // FuzzSolveFrom holds warm starts to cold solves on bound-tightened
-// children, and each child's answer to itself. A child is solved on a
-// fresh workspace, twice back to back on one shared workspace (the second
-// from the memoized refactor), once more there after an unrelated solve
-// has replaced the memo, and on the reference path; all five answers must
-// be bit-identical.
+// children, and each child's answer to itself. A child is solved by the
+// package-level SolveFrom (which prepares it afresh), then by bounds
+// against the problem prepared once, as branch and bound does: twice back
+// to back on one shared workspace (the second from the memoized refactor)
+// and once more there after an unrelated solve has replaced the memo. It
+// is also solved on the reference path; all five answers must be
+// bit-identical.
 func FuzzSolveFrom(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed, seed%2 == 0)
@@ -147,6 +160,7 @@ func FuzzSolveFrom(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pp, ppOther := prepareOK(t, p), prepareOK(t, other)
 		var w Workspace
 		warmChain(t, rng, p, func(child *Problem, basis *Basis, fresh Result) {
 			same := func(what string, got Result) {
@@ -156,17 +170,18 @@ func FuzzSolveFrom(f *testing.F) {
 				}
 			}
 			for _, what := range []string{"first solve", "repeat solve"} {
-				got, err := w.SolveFrom(child, basis)
+				got, err := w.SolveFrom(pp, child.L, child.U, basis)
 				if err != nil {
 					t.Fatal(err)
 				}
 				same(what, got)
 			}
 			j := rng.Intn(len(other.C))
-			if _, err := w.SolveFrom(branch(other, j, 0.5, rng.Intn(2) == 0), otherRoot.Basis); err != nil {
+			sib := branch(other, j, 0.5, rng.Intn(2) == 0)
+			if _, err := w.SolveFrom(ppOther, sib.L, sib.U, otherRoot.Basis); err != nil {
 				t.Fatal(err)
 			}
-			got, err := w.SolveFrom(child, basis)
+			got, err := w.SolveFrom(pp, child.L, child.U, basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,11 +199,9 @@ func FuzzSolveFrom(f *testing.F) {
 // whether the warm path itself answered.
 func warmOnly(t *testing.T, child *Problem, basis *Basis) (Result, bool) {
 	t.Helper()
-	if err := child.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	pp := prepareOK(t, child)
 	var w Workspace
-	return w.warm(child, basis)
+	return w.warm(pp, child, basis)
 }
 
 func TestSolveFromChildInfeasibleByFix(t *testing.T) {
@@ -296,7 +309,8 @@ func TestSolveFromRejectsMismatchedBasis(t *testing.T) {
 }
 
 // TestWorkspaceReuse solves unrelated problems back to back on one
-// workspace: nothing from an earlier solve may leak into a later one.
+// workspace, each prepared once and solved by its child's bounds: nothing
+// from an earlier solve may leak into a later one.
 func TestWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var w Workspace
@@ -309,7 +323,7 @@ func TestWorkspaceReuse(t *testing.T) {
 		child := withBounds(p)
 		j := rng.Intn(len(child.C))
 		tighten(rng, child, j, parent.X[j])
-		got, err := w.SolveFrom(child, parent.Basis)
+		got, err := w.SolveFrom(prepareOK(t, p), child.L, child.U, parent.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,6 +344,7 @@ func TestSolveFromSharedBasisConcurrent(t *testing.T) {
 		p = withBounds(randomInequalityLP(rng))
 	}
 	parent := solveOK(t, p)
+	pp := prepareOK(t, p)
 	children := make([]*Problem, 32)
 	want := make([]Result, len(children))
 	for k := range children {
@@ -345,7 +360,7 @@ func TestSolveFromSharedBasisConcurrent(t *testing.T) {
 			defer wg.Done()
 			var w Workspace
 			for k, child := range children {
-				got, err := w.SolveFrom(child, parent.Basis)
+				got, err := w.SolveFrom(pp, child.L, child.U, parent.Basis)
 				if err != nil {
 					t.Error(err)
 					return
@@ -355,6 +370,129 @@ func TestSolveFromSharedBasisConcurrent(t *testing.T) {
 				}
 			}
 		}()
+	}
+	wg.Wait()
+}
+
+// TestSolveFromChecksNodeBounds hands one Prepared problem malformed node
+// bounds, on a workspace whose memo holds the very basis it starts from: a
+// NaN upper bound, an infinite lower bound, an inverted interval or a bound
+// array of the wrong length must each fail with an *InputError, never
+// panic or answer.
+func TestSolveFromChecksNodeBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	p := randomBranchLP(rng)
+	root := solveOK(t, p)
+	for root.Status != Optimal {
+		p = randomBranchLP(rng)
+		root = solveOK(t, p)
+	}
+	pp := prepareOK(t, p)
+	n := len(p.C)
+	var w Workspace
+	for _, tc := range []struct {
+		name string
+		edit func(L, U []float64) ([]float64, []float64)
+	}{
+		{"none", func(L, U []float64) ([]float64, []float64) { return L, U }},
+		{"NaN upper bound", func(L, U []float64) ([]float64, []float64) { U[n-1] = math.NaN(); return L, U }},
+		{"-Inf lower bound", func(L, U []float64) ([]float64, []float64) { L[0] = math.Inf(-1); return L, U }},
+		{"+Inf lower bound", func(L, U []float64) ([]float64, []float64) {
+			L[1], U[1] = math.Inf(1), math.Inf(1)
+			return L, U
+		}},
+		{"NaN lower bound", func(L, U []float64) ([]float64, []float64) { L[2] = math.NaN(); return L, U }},
+		{"inverted interval", func(L, U []float64) ([]float64, []float64) {
+			L[3], U[3] = 0.5, math.Nextafter(0.5, 0)
+			return L, U
+		}},
+		{"short L", func(L, U []float64) ([]float64, []float64) { return L[:n-1], U }},
+		{"long U", func(L, U []float64) ([]float64, []float64) { return L, append(U, 1) }},
+	} {
+		child := branch(p, 0, root.X[0], true)
+		L, U := tc.edit(child.L, child.U)
+		_, err := w.SolveFrom(pp, L, U, root.Basis)
+		var ie *InputError
+		switch {
+		case tc.name == "none":
+			if err != nil {
+				t.Fatalf("well-formed bounds: %v", err)
+			}
+			if w.fac.pp != pp || w.fac.b != root.Basis {
+				t.Fatal("the root basis did not factor: the memo is not exercised")
+			}
+		case !errors.As(err, &ie):
+			t.Errorf("%s: err = %v, want *InputError", tc.name, err)
+		}
+	}
+}
+
+// TestPreparedSharedConcurrent shares one Prepared problem among four
+// goroutines, each with its own Workspace, as a parallel branch-and-bound
+// search does. Every goroutine solves the same branch-and-bound-shaped
+// list of children, from a rotated starting point so memo hits and misses
+// differ between them, and every answer must equal the reference path's
+// bit for bit.
+func TestPreparedSharedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	type node struct {
+		child *Problem
+		basis *Basis
+		want  Result
+	}
+	var nodes []node
+	var pps []*Prepared
+	var owner []int // index into pps of each node's Prepared
+	for len(pps) < 3 {
+		p := randomBranchLP(rng)
+		root := solveOK(t, p)
+		if root.Status != Optimal {
+			continue
+		}
+		pps = append(pps, prepareOK(t, p))
+		for k := 0; k < 8; k++ {
+			j := rng.Intn(len(p.C))
+			for _, up := range []bool{false, true} {
+				child := branch(p, j, root.X[j], up)
+				want, err := refSolveFrom(child, root.Basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, node{child, root.Basis, want})
+				owner = append(owner, len(pps)-1)
+				if want.Status == Optimal && k%4 == 0 {
+					j := rng.Intn(len(p.C))
+					grand := branch(child, j, want.X[j], !up)
+					gwant, err := refSolveFrom(grand, want.Basis)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nodes = append(nodes, node{grand, want.Basis, gwant})
+					owner = append(owner, len(pps)-1)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var w Workspace
+			for k := range nodes {
+				i := (k + g*len(nodes)/4) % len(nodes)
+				nd := nodes[i]
+				got, err := w.SolveFrom(pps[owner[i]], nd.child.L, nd.child.U, nd.basis)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if diff := sameResult(got, nd.want); diff != "" {
+					t.Errorf("goroutine %d, node %d: %s", g, i, diff)
+					return
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 }
@@ -430,25 +568,27 @@ func sameResult(got, want Result) string {
 	return ""
 }
 
-// refRunner runs warm solves on one Workspace, holds each to refSolveFrom
-// bit for bit, and counts the solves the workspace's memo answered.
+// refRunner runs warm solves on one Workspace, each against a problem
+// prepared once and the child's bounds, holds each to refSolveFrom bit for
+// bit, and counts the solves the workspace's memo answered.
 type refRunner struct {
 	t            *testing.T
 	w            Workspace
 	hits, misses int
 }
 
-func (d *refRunner) solve(p *Problem, b *Basis) Result {
+// solve solves p, a child of the problem pp was prepared from, from b.
+func (d *refRunner) solve(pp *Prepared, p *Problem, b *Basis) Result {
 	d.t.Helper()
-	hit := b != nil && d.w.fac.b == b
-	got, err := d.w.SolveFrom(p, b)
+	hit := b != nil && d.w.fac.pp == pp && d.w.fac.b == b
+	got, err := d.w.SolveFrom(pp, p.L, p.U, b)
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	switch {
 	case hit:
 		d.hits++
-	case b != nil && d.w.fac.b == b:
+	case b != nil && d.w.fac.pp == pp && d.w.fac.b == b:
 		d.misses++
 	}
 	want, err := refSolveFrom(p, b)
@@ -474,10 +614,11 @@ func branch(p *Problem, j int, x float64, up bool) *Problem {
 }
 
 // TestWarmMatchesReference drives branch-and-bound-shaped sequences of warm
-// solves through one Workspace — siblings back to back, strong-branching
-// fans of 16 children, interleaved parents, and chains four generations
-// deep — and holds every answer to the reference path bit for bit: the
-// memoized refactor and the dense pivot kernel must be invisible. Cold
+// solves through one Workspace against one Prepared problem — siblings back
+// to back, strong-branching fans of 16 children, interleaved parents, and
+// chains four generations deep — and holds every answer to the reference
+// path bit for bit: the sparse fill and right-hand side, the memoized
+// refactor and the dense pivot kernel must be invisible. Cold
 // solves are held to the reference pivot too. It runs once per axpy path
 // the host has.
 func TestWarmMatchesReference(t *testing.T) {
@@ -513,16 +654,17 @@ func testWarmMatchesReference(t *testing.T) {
 			continue
 		}
 		n := len(p.C)
+		pp := prepareOK(t, p)
 
 		// Siblings back to back, then a strong-branching fan: both
 		// children of eight columns from the root basis.
 		j := rng.Intn(n)
-		down := d.solve(branch(p, j, root.X[j], false), root.Basis)
-		d.solve(branch(p, j, root.X[j], true), root.Basis)
+		down := d.solve(pp, branch(p, j, root.X[j], false), root.Basis)
+		d.solve(pp, branch(p, j, root.X[j], true), root.Basis)
 		for k := 0; k < 8; k++ {
 			j := rng.Intn(n)
-			d.solve(branch(p, j, root.X[j], false), root.Basis)
-			d.solve(branch(p, j, root.X[j], true), root.Basis)
+			d.solve(pp, branch(p, j, root.X[j], false), root.Basis)
+			d.solve(pp, branch(p, j, root.X[j], true), root.Basis)
 		}
 
 		// Interleaved parents: the root's children alternate with a
@@ -531,8 +673,8 @@ func testWarmMatchesReference(t *testing.T) {
 			mid := branch(p, j, root.X[j], false)
 			for k := 0; k < 4; k++ {
 				j := rng.Intn(n)
-				d.solve(branch(p, j, root.X[j], k%2 == 0), root.Basis)
-				d.solve(branch(mid, j, down.X[j], k%2 == 1), down.Basis)
+				d.solve(pp, branch(p, j, root.X[j], k%2 == 0), root.Basis)
+				d.solve(pp, branch(mid, j, down.X[j], k%2 == 1), down.Basis)
 			}
 		}
 
@@ -545,7 +687,7 @@ func testWarmMatchesReference(t *testing.T) {
 			var nextRes Result
 			for _, up := range []bool{false, true} {
 				child := branch(cur, j, parent.X[j], up)
-				if r := d.solve(child, parent.Basis); r.Status == Optimal && next == nil {
+				if r := d.solve(pp, child, parent.Basis); r.Status == Optimal && next == nil {
 					next, nextRes = child, r
 				}
 			}
@@ -561,10 +703,10 @@ func testWarmMatchesReference(t *testing.T) {
 	t.Logf("%d memo hits, %d misses", d.hits, d.misses)
 }
 
-// TestWorkspaceMemoKeysOnProblem reuses one Basis against a problem of the
-// same shape whose A or Rel is another slice: the memo must not replay the
-// refactor it did for the first problem, so the answer is the one a fresh
-// workspace gives.
+// TestWorkspaceMemoKeysOnProblem reuses one Basis against another Prepared
+// of the same shape — one whose A or Rel differs, or the same problem
+// prepared again: the memo must miss rather than replay the refactor it
+// did for the first, and the answer is the one a fresh workspace gives.
 func TestWorkspaceMemoKeysOnProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	checked := 0
@@ -574,28 +716,38 @@ func TestWorkspaceMemoKeysOnProblem(t *testing.T) {
 		if root.Status != Optimal {
 			continue
 		}
+		pp := prepareOK(t, p)
+		child := branch(p, 0, root.X[0], false)
 		var w Workspace
-		if _, err := w.SolveFrom(branch(p, 0, root.X[0], false), root.Basis); err != nil {
+		if _, err := w.SolveFrom(pp, child.L, child.U, root.Basis); err != nil {
 			t.Fatal(err)
 		}
-		if w.fac.b != root.Basis {
+		if w.fac.pp != pp || w.fac.b != root.Basis {
 			continue // the basis did not factor: nothing memoized
 		}
 		other := withBounds(p)
-		if trial%2 == 0 {
+		switch trial % 3 {
+		case 0:
 			other.A = make([][]float64, len(p.A))
 			for i, row := range p.A {
 				other.A[i] = slices.Clone(row)
 				other.A[i][rng.Intn(len(row))] += 0.5
 			}
-		} else {
+		case 1:
 			other.Rel = slices.Clone(p.Rel)
 			i := rng.Intn(len(other.Rel))
 			other.Rel[i] = (other.Rel[i] + 1) % 3
 		}
-		got, err := w.SolveFrom(other, root.Basis)
+		ppOther := prepareOK(t, other)
+		got, err := w.SolveFrom(ppOther, other.L, other.U, root.Basis)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// With as many slacks the basis passes warm's shape checks, so the
+		// solve reaches the memo and must refactor (or fail to) for
+		// ppOther; with another slack count it falls back before that.
+		if ppOther.nCols == pp.nCols && w.fac.pp == pp {
+			t.Fatalf("trial %d: the memo answered for another Prepared", trial)
 		}
 		want, err := SolveFrom(other, root.Basis)
 		if err != nil {
