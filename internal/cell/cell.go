@@ -157,6 +157,9 @@ type Library struct {
 
 	cells  []*Cell
 	byName map[string]*Cell
+	// byShape indexes the cells by [kind][inputs][drive] for Pick; the
+	// one-input kinds sit at inputs 1.
+	byShape [numKinds][maxInputs + 1][maxDrive + 1]*Cell
 }
 
 // spec describes one X1 cell; drive variants are derived from it.
@@ -190,6 +193,9 @@ var baseSpecs = []spec{
 
 // drives are the available drive strengths.
 var drives = []int{1, 2, 4}
+
+// maxInputs and maxDrive bound the shapes in baseSpecs and drives.
+const maxInputs, maxDrive = 3, 4
 
 // NewLibrary characterizes and returns the reduced 45nm library for the
 // given process and bias grid.
@@ -253,6 +259,7 @@ func NewLibrary(p *tech.Process, grid tech.BiasGrid) (*Library, error) {
 			}
 			l.cells = append(l.cells, c)
 			l.byName[c.Name] = c
+			l.byShape[s.kind][s.inputs][drive] = c
 		}
 	}
 	sort.Slice(l.cells, func(i, j int) bool { return l.cells[i].Name < l.cells[j].Name })
@@ -302,9 +309,18 @@ func (l *Library) MustCell(name string) *Cell {
 	return c
 }
 
-// Pick returns the cell with the given function, input count and drive.
+// Pick returns the cell with the given function, input count and drive:
+// the cell named cellName(k, inputs, drive), so INV, BUF and DFF ignore
+// inputs. It does not allocate.
 func (l *Library) Pick(k Kind, inputs, drive int) (*Cell, bool) {
-	return l.Cell(cellName(k, inputs, drive))
+	if k == Inv || k == Buf || k == Dff {
+		inputs = 1
+	}
+	if k >= numKinds || uint(inputs) > maxInputs || uint(drive) > maxDrive {
+		return nil, false
+	}
+	c := l.byShape[k][inputs][drive]
+	return c, c != nil
 }
 
 // Cells returns all cells sorted by name.

@@ -201,6 +201,27 @@ func TestPick(t *testing.T) {
 	}
 }
 
+// TestPickMatchesName: the shape table answers exactly like a lookup by
+// the cell's name, in range and out of it, without allocating.
+func TestPickMatchesName(t *testing.T) {
+	l := Default()
+	for k := Kind(0); k <= numKinds; k++ {
+		for inputs := -1; inputs <= 5; inputs++ {
+			for drive := -1; drive <= 8; drive++ {
+				got, gotOK := l.Pick(k, inputs, drive)
+				want, wantOK := l.Cell(cellName(k, inputs, drive))
+				if got != want || gotOK != wantOK {
+					t.Errorf("Pick(%v, %d, %d) = %v, %v; Cell(%q) = %v, %v",
+						k, inputs, drive, got, gotOK, cellName(k, inputs, drive), want, wantOK)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Pick(Nor, 3, 2) }); n != 0 {
+		t.Errorf("Pick allocates %v times per call", n)
+	}
+}
+
 // TestSpiceDelayMatchesAnalyticModel measures the gap between the two
 // delay models the flow mixes: the allocator prices bias with each cell's
 // SPICE-characterized DelayFactor[j], while die-time re-timing uses the

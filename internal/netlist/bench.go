@@ -2,10 +2,13 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/cell"
 )
@@ -18,64 +21,76 @@ import (
 //	y = NAND(a, b)
 //	q = DFF(d)
 //
+// The reader accepts this grammar:
+//   - Leading and trailing white space is ignored, as are empty lines and
+//     lines starting with '#'.
+//   - The INPUT( and OUTPUT( keywords and the function names are
+//     case-insensitive (Unicode upper-casing, so "ınput(" is INPUT too).
+//   - Gates may appear in any order; a DFF may read a net defined later.
+//   - Every net has one driver: a gate output must not name a primary
+//     input or a net another gate line already drives. An INPUT or OUTPUT
+//     may be declared more than once.
+//   - A line may be at most 1 MB long (bufio.ErrTooLong beyond that).
+//
 // Functions with more inputs than the reduced library supports are folded
 // into trees, and XOR/XNOR (absent from the library, as in the paper) are
 // expanded into NAND structures on the fly.
 
-// ParseBench reads a .bench netlist and maps it onto the library.
+// maxBenchLine is the longest .bench line ParseBench reads.
+const maxBenchLine = 1 << 20
+
+// benchGate is one gate line of a .bench text.
+type benchGate struct {
+	out  string
+	fn   string
+	args []string
+	line int
+}
+
+// ParseBench reads a .bench netlist and maps it onto the library. Errors
+// are reported in a fixed order: the first malformed line, then the first
+// gate the library cannot build or resolve, and a net with two drivers
+// last, only when the text is otherwise valid.
 func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
-	type rawGate struct {
-		out  string
-		fn   string
-		args []string
-		line int
-	}
 	var (
 		inputs  []string
 		outputs []string
-		raws    []rawGate
+		raws    []benchGate
 	)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxBenchLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT(") && strings.HasSuffix(line, ")"):
+		case hasKeyword(line, "INPUT(") && strings.HasSuffix(line, ")"):
 			inputs = append(inputs, strings.TrimSpace(line[6:len(line)-1]))
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT(") && strings.HasSuffix(line, ")"):
+		case hasKeyword(line, "OUTPUT(") && strings.HasSuffix(line, ")"):
 			outputs = append(outputs, strings.TrimSpace(line[7:len(line)-1]))
 		default:
-			eq := strings.Index(line, "=")
+			eq := strings.IndexByte(line, '=')
 			if eq < 0 {
 				return nil, fmt.Errorf("bench line %d: expected assignment: %q", lineNo, line)
 			}
 			out := strings.TrimSpace(line[:eq])
 			rhs := strings.TrimSpace(line[eq+1:])
-			open := strings.Index(rhs, "(")
+			open := strings.IndexByte(rhs, '(')
 			if open < 0 || !strings.HasSuffix(rhs, ")") {
 				return nil, fmt.Errorf("bench line %d: expected FUNC(args): %q", lineNo, rhs)
 			}
 			fn := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-			argstr := rhs[open+1 : len(rhs)-1]
-			var args []string
-			for _, a := range strings.Split(argstr, ",") {
-				a = strings.TrimSpace(a)
-				if a != "" {
-					args = append(args, a)
-				}
-			}
+			args := splitArgs(rhs[open+1 : len(rhs)-1])
 			if len(args) == 0 {
 				return nil, fmt.Errorf("bench line %d: %s with no arguments", lineNo, fn)
 			}
 			if err := checkBenchArity(fn, len(args)); err != nil {
 				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
-			raws = append(raws, rawGate{out: out, fn: fn, args: args, line: lineNo})
+			raws = append(raws, benchGate{out: out, fn: fn, args: args, line: lineNo})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -83,9 +98,17 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 	}
 
 	b := NewBuilder(name, lib)
-	sigs := map[string]Signal{}
+	sigs := make(map[string]Signal, len(inputs)+len(raws))
 	for _, in := range inputs {
 		sigs[in] = b.PI(in)
+	}
+	// A gate output that does not grow sigs names a net that is already
+	// driven; which one is worked out only if the text is otherwise valid.
+	redriven := false
+	drive := func(out string, s Signal) {
+		n := len(sigs)
+		sigs[out] = s
+		redriven = redriven || len(sigs) == n
 	}
 	// Resolve gates iteratively: .bench files are not necessarily in
 	// topological order, and DFF inputs may be defined later (sequential
@@ -100,21 +123,22 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 	for _, rg := range raws {
 		if rg.fn == "DFF" {
 			q := b.DFF(Const(false)) // placeholder D, patched below
-			sigs[rg.out] = q
+			drive(rg.out, q)
 			dffs = append(dffs, pendingDFF{gate: q.Idx, arg: rg.args[0], line: rg.line})
 		}
 	}
-	remaining := make([]rawGate, 0, len(raws))
+	remaining := make([]benchGate, 0, len(raws))
 	for _, rg := range raws {
 		if rg.fn != "DFF" {
 			remaining = append(remaining, rg)
 		}
 	}
+	var ins []Signal // scratch: Builder copies a gate's inputs
 	for len(remaining) > 0 {
 		progress := false
-		var next []rawGate
+		var next []benchGate
 		for _, rg := range remaining {
-			ins := make([]Signal, 0, len(rg.args))
+			ins = ins[:0]
 			ready := true
 			for _, a := range rg.args {
 				s, ok := sigs[a]
@@ -132,7 +156,7 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench line %d: %w", rg.line, err)
 			}
-			sigs[rg.out] = s
+			drive(rg.out, s)
 			progress = true
 		}
 		if !progress {
@@ -155,7 +179,65 @@ func ParseBench(r io.Reader, name string, lib *cell.Library) (*Design, error) {
 		b.Output(out, s)
 	}
 	b.SizeDrives()
-	return b.Build()
+	d, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	if redriven {
+		return nil, redrivenNet(inputs, raws)
+	}
+	return d, nil
+}
+
+// hasKeyword reports whether strings.ToUpper(line) starts with kw, an
+// upper-case ASCII keyword, without building the upper-cased copy: it
+// compares rune by rune, mapped as ToUpper maps them (an invalid byte
+// becomes U+FFFD, which matches nothing).
+func hasKeyword(line, kw string) bool {
+	i := 0
+	for _, r := range line {
+		if i == len(kw) {
+			break
+		}
+		if unicode.ToUpper(r) != rune(kw[i]) {
+			return false
+		}
+		i++
+	}
+	return i == len(kw)
+}
+
+// splitArgs splits a comma-separated argument list, trimming each
+// argument and dropping empty ones.
+func splitArgs(s string) []string {
+	args := make([]string, 0, strings.Count(s, ",")+1)
+	for more := true; more; {
+		var a string
+		a, s, more = strings.Cut(s, ",")
+		if a = strings.TrimSpace(a); a != "" {
+			args = append(args, a)
+		}
+	}
+	return args
+}
+
+// redrivenNet returns the error for the first gate line, in file order,
+// whose output net a primary input or an earlier gate line already drives.
+func redrivenNet(inputs []string, gates []benchGate) error {
+	driver := make(map[string]int, len(inputs)+len(gates)) // line, 0 for INPUT
+	for _, in := range inputs {
+		driver[in] = 0
+	}
+	for _, g := range gates {
+		if m, ok := driver[g.out]; ok {
+			if m == 0 {
+				return fmt.Errorf("bench line %d: net %q already driven by INPUT", g.line, g.out)
+			}
+			return fmt.Errorf("bench line %d: net %q already driven by line %d", g.line, g.out, m)
+		}
+		driver[g.out] = g.line
+	}
+	return errors.New("bench: a net has two drivers")
 }
 
 // checkBenchArity rejects an input count a Builder cannot map: NOT, BUF
@@ -206,37 +288,65 @@ func buildBenchGate(b *Builder, fn string, ins []Signal) (Signal, error) {
 	return Signal{}, fmt.Errorf("unsupported bench function %q", fn)
 }
 
-// WriteBench emits the design in .bench format. Gates are named g<N>; PIs
-// and POs keep their names. Constant inputs are emitted as tie nets driven
-// by degenerate gates (NAND of a PI with itself cannot express constants, so
-// constants are rejected: the reduced flow never produces them).
+// WriteBench emits the design in .bench format. PIs and POs keep their
+// names; gate nets are named <prefix><N>, where the prefix is the first of
+// g, g_, g__, ... that no PI or PO name followed by digits starts with. A
+// PO whose name differs from its driver's net gets one BUFF alias line.
+// Three things have no .bench form and are errors: constant signals (NAND
+// of a PI with itself cannot express constants; the reduced flow never
+// produces them), a PO named like a PI it is not driven by, and two POs
+// sharing a name but not a driver.
 func WriteBench(w io.Writer, d *Design) error {
+	gp := gateNetPrefix(d)
+	name := func(s Signal) (string, error) {
+		switch s.Kind {
+		case SigPI:
+			return d.PINames[s.Idx], nil
+		case SigGate:
+			return gp + strconv.Itoa(int(s.Idx)), nil
+		default:
+			return "", fmt.Errorf("bench: constant signals are not representable")
+		}
+	}
+	// PO aliases: .bench outputs reference net names directly; a PO named
+	// differently from its driver net gets a BUFF alias, once per name.
+	pis := make(map[string]bool, len(d.PINames))
+	for _, in := range d.PINames {
+		pis[in] = true
+	}
+	type poLine struct{ out, drv string }
+	var aliases []poLine
+	drvOf := make(map[string]string, len(d.POs))
+	for _, po := range d.POs {
+		drv, err := name(po.Sig)
+		if err != nil {
+			return err
+		}
+		if prev, ok := drvOf[po.Name]; ok {
+			if prev != drv {
+				return fmt.Errorf("bench: outputs named %q have different drivers", po.Name)
+			}
+			continue
+		}
+		drvOf[po.Name] = drv
+		if po.Name == drv {
+			continue
+		}
+		if pis[po.Name] {
+			return fmt.Errorf("bench: output %q is named like an input it is not driven by", po.Name)
+		}
+		aliases = append(aliases, poLine{po.Name, drv})
+	}
+
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s: %d gates, %d inputs, %d outputs\n",
 		d.Name, len(d.Gates), len(d.PINames), len(d.POs))
 	for _, in := range d.PINames {
 		fmt.Fprintf(bw, "INPUT(%s)\n", in)
 	}
-	name := func(s Signal) (string, error) {
-		switch s.Kind {
-		case SigPI:
-			return d.PINames[s.Idx], nil
-		case SigGate:
-			return fmt.Sprintf("g%d", s.Idx), nil
-		default:
-			return "", fmt.Errorf("bench: constant signals are not representable")
-		}
-	}
 	// Emit outputs before gate definitions, as is conventional.
-	type poLine struct{ out, drv string }
-	var poLines []poLine
 	for _, po := range d.POs {
-		drv, err := name(po.Sig)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(bw, "OUTPUT(%s)\n", po.Name)
-		poLines = append(poLines, poLine{po.Name, drv})
 	}
 	for i := range d.Gates {
 		g := &d.Gates[i]
@@ -267,15 +377,39 @@ func WriteBench(w io.Writer, d *Design) error {
 			}
 			args[k] = n
 		}
-		fmt.Fprintf(bw, "g%d = %s(%s)\n", i, fn, strings.Join(args, ", "))
+		fmt.Fprintf(bw, "%s%d = %s(%s)\n", gp, i, fn, strings.Join(args, ", "))
 	}
-	// PO aliases: .bench outputs reference net names directly; emit BUFF
-	// aliases when the PO name differs from its driver net.
-	sort.Slice(poLines, func(i, j int) bool { return poLines[i].out < poLines[j].out })
-	for _, p := range poLines {
-		if p.out != p.drv {
-			fmt.Fprintf(bw, "%s = BUFF(%s)\n", p.out, p.drv)
-		}
+	sort.Slice(aliases, func(i, j int) bool { return aliases[i].out < aliases[j].out })
+	for _, p := range aliases {
+		fmt.Fprintf(bw, "%s = BUFF(%s)\n", p.out, p.drv)
 	}
 	return bw.Flush()
+}
+
+// gateNetPrefix returns the gate net prefix of WriteBench: "g" followed
+// by the fewest underscores such that no PI or PO name is that prefix
+// followed by digits, so no gate net can take a port's name.
+func gateNetPrefix(d *Design) string {
+	taken := map[int]bool{} // underscore counts some port name rules out
+	mark := func(name string) {
+		rest, ok := strings.CutPrefix(name, "g")
+		if !ok {
+			return
+		}
+		digits := strings.TrimLeft(rest, "_")
+		if digits != "" && strings.Trim(digits, "0123456789") == "" {
+			taken[len(rest)-len(digits)] = true
+		}
+	}
+	for _, in := range d.PINames {
+		mark(in)
+	}
+	for _, po := range d.POs {
+		mark(po.Name)
+	}
+	n := 0
+	for taken[n] {
+		n++
+	}
+	return "g" + strings.Repeat("_", n)
 }

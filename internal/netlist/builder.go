@@ -15,7 +15,12 @@ type Builder struct {
 	lib   *cell.Library
 	d     *Design
 	piIdx map[string]int
+	// slab is the unused tail of the block raw carves gate inputs from.
+	slab []Signal
 }
+
+// slabLen is the number of gate inputs one slab block holds.
+const slabLen = 1024
 
 // NewBuilder starts a design with the given name on the library.
 func NewBuilder(name string, lib *cell.Library) *Builder {
@@ -123,8 +128,17 @@ func (b *Builder) raw(k cell.Kind, ins ...Signal) Signal {
 	if !ok {
 		panic(fmt.Sprintf("netlist: no %v cell with %d inputs", k, len(ins)))
 	}
+	// Each gate owns a capacity-capped window of the slab, so no gate's
+	// inputs alias another's, even under append.
+	n := len(ins)
+	if len(b.slab) < n {
+		b.slab = make([]Signal, max(slabLen, n))
+	}
+	gIns := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	copy(gIns, ins)
 	id := GateID(len(b.d.Gates))
-	b.d.Gates = append(b.d.Gates, Gate{Cell: c, Ins: append([]Signal(nil), ins...)})
+	b.d.Gates = append(b.d.Gates, Gate{Cell: c, Ins: gIns})
 	return GateSignal(id)
 }
 

@@ -1,7 +1,12 @@
 package netlist
 
 import (
+	"bufio"
+	"errors"
+	"io"
 	"math/rand"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -414,9 +419,140 @@ func TestParseBenchRejectsArity(t *testing.T) {
 	}
 }
 
+// TestParseBenchRejectsRedrivenNet: a gate output naming a primary input
+// or an already driven net is a line-numbered error. The reference reader
+// accepted both first cases, keeping the last driver and a phantom gate.
+func TestParseBenchRejectsRedrivenNet(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\ny = NOR(a, b)\n",
+			`bench line 5: net "y" already driven by line 4`},
+		{"INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = NOT(b)\ny = NAND(a, b)\n",
+			`bench line 4: net "a" already driven by INPUT`},
+		{"OUTPUT(y)\ny = NOT(a)\nINPUT(b)\nINPUT(a)\ny = DFF(b)\n",
+			`bench line 5: net "y" already driven by line 2`},
+		{"OUTPUT(y)\ny = NOT(b)\nINPUT(b)\nINPUT(y)\n",
+			`bench line 2: net "y" already driven by INPUT`},
+		{"INPUT(a)\nOUTPUT(q)\nq = DFF(n)\nn = NOT(q)\nq = BUFF(a)\n",
+			`bench line 5: net "q" already driven by line 3`},
+	} {
+		_, err := ParseBench(strings.NewReader(tc.src), "redrive", lib())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: err %v, want %s", tc.src, err, tc.want)
+		}
+	}
+	for i, src := range []string{
+		"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\ny = NOR(a, b)\n",
+		"INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = NOT(b)\ny = NAND(a, b)\n",
+	} {
+		if _, err := parseBenchRef(strings.NewReader(src), "redrive", lib()); err != nil {
+			t.Errorf("case %d: the reference reader now rejects it too: %v", i, err)
+		}
+	}
+	// Declaring a port twice drives nothing twice.
+	src := "INPUT(a)\nINPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n"
+	d, err := ParseBench(strings.NewReader(src), "ports", lib())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.PINames) != 1 || len(d.POs) != 2 {
+		t.Errorf("got %d PIs, %d POs; want 1, 2", len(d.PINames), len(d.POs))
+	}
+}
+
+// TestParseBenchLineLimit: a line that fills the 1 MB scanner buffer with
+// its newline is read; one byte more is bufio.ErrTooLong, as it was for
+// the reference reader, whose buffer did not grow.
+func TestParseBenchLineLimit(t *testing.T) {
+	for _, n := range []int{maxBenchLine - 1, maxBenchLine, maxBenchLine + 1} {
+		for _, nl := range []string{"\n", ""} {
+			src := "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n#" + strings.Repeat("x", n-1) + nl
+			d, err := ParseBench(strings.NewReader(src), "long", lib())
+			ref, refErr := parseBenchRef(strings.NewReader(src), "long", lib())
+			if !errors.Is(err, refErr) || !reflect.DeepEqual(d, ref) {
+				t.Errorf("line of %d bytes, newline %q: got %v, reference %v", n, nl, err, refErr)
+			}
+			if wantErr := n >= maxBenchLine; (err != nil) != wantErr ||
+				(wantErr && !errors.Is(err, bufio.ErrTooLong)) {
+				t.Errorf("line of %d bytes, newline %q: err %v", n, nl, err)
+			}
+		}
+	}
+}
+
+// TestWriteBenchPortNames: gate nets never take a port's name, each PO
+// alias is written once, and port names .bench cannot express are errors.
+func TestWriteBenchPortNames(t *testing.T) {
+	for _, src := range []string{
+		"INPUT(a)\nINPUT(b)\nOUTPUT(g1)\nOUTPUT(z)\ng1 = NAND(a, b)\nz = NOT(g1)\n",
+		"INPUT(a)\nINPUT(g0)\nINPUT(g_0)\nOUTPUT(y)\nOUTPUT(y)\ny = NAND(a, g0, g_0)\n",
+	} {
+		d, err := ParseBench(strings.NewReader(src), "names", lib())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := WriteBench(&sb, d); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseBench(strings.NewReader(sb.String()), "names", lib())
+		if err != nil {
+			t.Fatalf("written design does not reparse: %v\n%s", err, sb.String())
+		}
+		if !reflect.DeepEqual(back.PINames, d.PINames) || len(back.POs) != len(d.POs) {
+			t.Errorf("round trip changed the ports:\n%s", sb.String())
+		}
+		s1, _ := NewSimulator(d)
+		s2, _ := NewSimulator(back)
+		for v := 0; v < 1<<len(d.PINames); v++ {
+			for i, in := range d.PINames {
+				s1.SetPIByName(in, v>>i&1 == 1)
+				s2.SetPIByName(in, v>>i&1 == 1)
+			}
+			s1.Eval()
+			s2.Eval()
+			for _, po := range d.POs {
+				v1, _ := s1.PO(po.Name)
+				v2, _ := s2.PO(po.Name)
+				if v1 != v2 {
+					t.Errorf("inputs %b: output %s differs after the round trip:\n%s", v, po.Name, sb.String())
+				}
+			}
+		}
+	}
+
+	b := NewBuilder("clash", lib())
+	a, x := b.PI("a"), b.PI("x")
+	g := b.Not(a)
+	b.Output("a", g)
+	if err := WriteBench(io.Discard, b.MustBuild()); err == nil {
+		t.Error("a PO named like a PI it is not driven by was written")
+	}
+	b = NewBuilder("clash", lib())
+	a, x = b.PI("a"), b.PI("x")
+	b.Output("y", b.Not(a))
+	b.Output("y", b.Not(x))
+	if err := WriteBench(io.Discard, b.MustBuild()); err == nil {
+		t.Error("two POs named y with different drivers were written")
+	}
+}
+
+// TestBuilderGateInputsDoNotAlias: gate inputs share slab blocks, each
+// behind a capacity cap, so appending to one gate's inputs cannot write
+// into another's.
+func TestBuilderGateInputsDoNotAlias(t *testing.T) {
+	d := buildToy(t)
+	for i := range d.Gates {
+		if g := &d.Gates[i]; cap(g.Ins) != len(g.Ins) {
+			t.Errorf("gate %d: cap(Ins) = %d, len = %d", i, cap(g.Ins), len(g.Ins))
+		}
+	}
+}
+
 // FuzzParseBench: uploaded netlists reach ParseBench unfiltered, so no
-// input may panic it, and a design it accepts must validate and survive a
-// write/parse round trip.
+// input may panic it. It must answer like the reference reader, with the
+// same Design or the same error text, except that it rejects a net with
+// two drivers. A design it accepts must validate and survive a write/parse
+// round trip.
 func FuzzParseBench(f *testing.F) {
 	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = NAND(a)\n")
@@ -424,13 +560,29 @@ func FuzzParseBench(f *testing.F) {
 	f.Add("INPUT(d)\nOUTPUT(q)\nq = DFF(n)\nn = NOT(q)\n")
 	f.Add("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nz = XNOR(a, b, c)\nw = OR(a)\n")
 	f.Add("INPUT(a)\nOUTPUT(a)\n")
+	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\ny = NOR(a, b)\n")
+	f.Add("INPUT(a)\nOUTPUT(g1)\nOUTPUT(g1)\ng1 = nand(a, a)\nz = not(g1)\n")
+	f.Add("ınput(a)\noutput(y)\ny = ınv(a)\n")
+	redriven := regexp.MustCompile(`^bench line \d+: net ".*" already driven by (INPUT|line \d+)$`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			return
 		}
 		d, err := ParseBench(strings.NewReader(src), "fuzz", lib())
-		if err != nil {
+		ref, refErr := parseBenchRef(strings.NewReader(src), "fuzz", lib())
+		switch {
+		case refErr != nil:
+			if err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("error %v, reference error %v", err, refErr)
+			}
 			return
+		case err != nil:
+			if !redriven.MatchString(err.Error()) {
+				t.Fatalf("rejected what the reference accepted: %v", err)
+			}
+			return
+		case !reflect.DeepEqual(d, ref):
+			t.Fatal("design differs from the reference reader's")
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("accepted design does not validate: %v", err)

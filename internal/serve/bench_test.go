@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // The serve hot path, measured end to end through HTTP: a cached request
@@ -64,5 +66,19 @@ func BenchmarkServeYieldStream(b *testing.B) {
 		if _, err := c.Yield(context.Background(), req, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDesignKey hashes c5315, the largest cold-upload design; both
+// tiers pay this on every upload.
+func BenchmarkDesignKey(b *testing.B) {
+	d, err := gen.Build("c5315", New(Options{}).opts.Library)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DesignKey(d, 0)
 	}
 }

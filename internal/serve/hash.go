@@ -22,15 +22,13 @@ import (
 // deliberately excluded — placement and timing never read them, so designs
 // differing only in instance naming correctly share one prefix.
 func DesignKey(d *netlist.Design, forceRows int) string {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	putInt := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		h.Write(buf[:n])
-	}
+	// The stream is built in one buffer and hashed in one call.
+	// TestDesignKeyPinned pins its bytes through four literal keys.
+	buf := make([]byte, 0, 64+len(d.Name)+16*len(d.PINames)+24*len(d.Gates)+16*len(d.POs))
+	putInt := func(v int64) { buf = binary.AppendVarint(buf, v) }
 	putStr := func(s string) {
 		putInt(int64(len(s)))
-		h.Write([]byte(s))
+		buf = append(buf, s...)
 	}
 	putSig := func(s netlist.Signal) {
 		putInt(int64(s.Kind))
@@ -57,5 +55,6 @@ func DesignKey(d *netlist.Design, forceRows int) string {
 		putStr(po.Name)
 		putSig(po.Sig)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

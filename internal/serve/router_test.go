@@ -555,18 +555,27 @@ func TestRouterNoHealthyReplicas(t *testing.T) {
 	}
 }
 
-// TestBadArityUploadIs400: a one-input NAND is a client error at both
-// tiers. The parser used to panic on it, which dropped the connection at
-// fbbd and at the router's design-key parse alike.
+// TestBadArityUploadIs400: a one-input NAND and a net driven twice are
+// client errors at both tiers, named by their line. The parser used to
+// panic on the first, which dropped the connection at fbbd and at the
+// router's design-key parse alike, and silently kept the last driver of
+// the second, leaving the NAND a dangling phantom whose leakage and area
+// still counted.
 func TestBadArityUploadIs400(t *testing.T) {
 	_, urls := newCluster(t, 1, Options{}, nil)
 	_, viaRouter := newTestRouter(t, urls, RouterOptions{})
 	direct := NewClient(urls[0])
-	body := string(encodeJSON(t, TuneRequest{DesignRef: DesignRef{Netlist: "INPUT(a)\nOUTPUT(y)\ny = NAND(a)\n"}, Beta: 0.05}))
-	for tier, c := range map[string]*Client{"fbbd": direct, "router": viaRouter} {
-		status, resp := postRaw(t, c, "/v1/tune", body)
-		if status != http.StatusBadRequest || !strings.Contains(string(resp), "bench line 3") {
-			t.Errorf("%s: status %d (%s), want 400 naming bench line 3", tier, status, resp)
+	for _, tc := range []struct{ netlist, want string }{
+		{"INPUT(a)\nOUTPUT(y)\ny = NAND(a)\n", "bench line 3"},
+		{"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\ny = NOR(a, b)\n",
+			`bench line 5: net \"y\" already driven by line 4`},
+	} {
+		body := string(encodeJSON(t, TuneRequest{DesignRef: DesignRef{Netlist: tc.netlist}, Beta: 0.05}))
+		for tier, c := range map[string]*Client{"fbbd": direct, "router": viaRouter} {
+			status, resp := postRaw(t, c, "/v1/tune", body)
+			if status != http.StatusBadRequest || !strings.Contains(string(resp), tc.want) {
+				t.Errorf("%s: status %d (%s), want 400 with %s", tier, status, resp, tc.want)
+			}
 		}
 	}
 }

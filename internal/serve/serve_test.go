@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 )
 
@@ -273,6 +274,45 @@ func TestDesignKeyDistinguishesDesignsAndRows(t *testing.T) {
 	}
 	if DesignKey(d1, 0) == DesignKey(d1, 2) {
 		t.Error("different forceRows share a key")
+	}
+}
+
+// TestDesignKeyPinned pins the key encoding to literal values: a shifted
+// byte stream would re-home every design on the router's ring and orphan
+// every cached prefix, which no relative key test can notice.
+func TestDesignKeyPinned(t *testing.T) {
+	lib := New(Options{}).opts.Library
+	build := func(name string) *netlist.Design {
+		t.Helper()
+		d, err := gen.Build(name, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	c1355, c5315 := build("c1355"), build("c5315")
+	var text strings.Builder
+	if err := netlist.WriteBench(&text, c5315); err != nil {
+		t.Fatal(err)
+	}
+	upload, err := netlist.ParseBench(strings.NewReader(text.String()), "hot0", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what      string
+		d         *netlist.Design
+		forceRows int
+		want      string
+	}{
+		{"c1355", c1355, 0, "664982a73deef57d1f3f34c74958e52f0712d5b2934fb56132c5c980a081d163"},
+		{"c1355 forceRows 2", c1355, 2, "1a65d96bd4f869a00b83660911ba45630b7f03fd879c259ec21ddab8003020da"},
+		{"c5315", c5315, 0, "5a8ecc091908ee92ea0057e498fb41233d0d24991b0016b73fd2ac178cfaf318"},
+		{"c5315 uploaded as hot0", upload, 0, "122599fa7b71fddcbbe3afda8d4bba13a2eceb5e3980299ed7eb7c23e0e22b5e"},
+	} {
+		if got := DesignKey(tc.d, tc.forceRows); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.what, got, tc.want)
+		}
 	}
 }
 
