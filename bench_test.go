@@ -385,17 +385,31 @@ func BenchmarkRBBLeakageRecovery(b *testing.B) {
 
 // --- component micro-benchmarks -----------------------------------------
 
+// BenchmarkComponentPlacement places at automatic rows and, for the long
+// rows refinement walks, at c6288 forced to 3 rows.
 func BenchmarkComponentPlacement(b *testing.B) {
 	lib := cell.Default()
-	d, err := gen.Build("c6288", lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := place.Place(d, lib, place.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name      string
+		bench     string
+		forceRows int
+	}{
+		{"c6288", "c6288", 0},
+		{"c5315", "c5315", 0},
+		{"c6288-rows3", "c6288", 3},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			d, err := gen.Build(tc.bench, lib)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := place.Place(d, lib, place.Options{ForceRows: tc.forceRows}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

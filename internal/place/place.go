@@ -9,6 +9,19 @@
 // row-level clustering exploits. Remaining row space is spread uniformly
 // between cells, providing the spatial slack the body-bias contact cells
 // need (section 3.3 of the paper).
+//
+// Refinement then swaps horizontally adjacent cells whenever that shrinks
+// the wirelength of their nets. A row's x coordinates follow one
+// recurrence, x(k+1) = x(k) + width(k) + gap, so a swap at positions i and
+// i+1 cannot move any cell before i, and the cell now at i starts where
+// the cell that left it did. From i+2 on, the first cell whose recomputed
+// x equals its stored x ends the walk: every later x follows from that
+// same value by the same recurrence over the same cells, so it already
+// holds what re-spreading the whole row would write. A swap of neighbours
+// nearly always stops right after the pair, so a refinement pass is linear
+// in row length, and every coordinate is bit-identical to a whole-row
+// re-spread (TestPlaceMatchesReference and FuzzPlace hold it to that
+// reference).
 package place
 
 import (
@@ -209,11 +222,7 @@ func reverse(s []netlist.GateID) {
 // row uniformly between cells.
 func (p *Placement) spreadRows() {
 	for r, gates := range p.Rows {
-		free := p.DieWidthUM - p.rowUsedUM[r]
-		gap := free / float64(len(gates)+1)
-		if gap < 0 {
-			gap = 0
-		}
+		gap := p.rowGap(r)
 		x := gap
 		for _, g := range gates {
 			p.X[g] = x
@@ -230,32 +239,47 @@ func (p *Placement) refinePass() int {
 	swaps := 0
 	for r := range p.Rows {
 		gates := p.Rows[r]
+		gap := p.rowGap(r)
 		for i := 0; i+1 < len(gates); i++ {
 			a, b := gates[i], gates[i+1]
 			before := p.incidentHPWL(a) + p.incidentHPWL(b)
 			gates[i], gates[i+1] = b, a
-			p.spreadRow(r)
+			p.respreadFrom(gates, i, gap)
 			after := p.incidentHPWL(a) + p.incidentHPWL(b)
 			if after+1e-9 < before {
 				swaps++
 			} else {
 				gates[i], gates[i+1] = a, b
-				p.spreadRow(r)
+				p.respreadFrom(gates, i, gap)
 			}
 		}
 	}
 	return swaps
 }
 
-func (p *Placement) spreadRow(r int) {
-	gates := p.Rows[r]
+// rowGap is the uniform free space spreadRows leaves between the cells of
+// row r and at its ends.
+func (p *Placement) rowGap(r int) float64 {
 	free := p.DieWidthUM - p.rowUsedUM[r]
-	gap := free / float64(len(gates)+1)
+	gap := free / float64(len(p.Rows[r])+1)
 	if gap < 0 {
 		gap = 0
 	}
-	x := gap
-	for _, g := range gates {
+	return gap
+}
+
+// respreadFrom restores the spread X of a fully spread row whose cells at
+// positions i and i+1 have just traded places. Position i starts where the
+// cell that left it did (now position i+1's stored X), and the walk ends at
+// the first cell from i+2 on whose x is unchanged; the package comment
+// explains why that equals re-spreading the whole row.
+func (p *Placement) respreadFrom(gates []netlist.GateID, i int, gap float64) {
+	x := p.X[gates[i+1]]
+	for k := i; k < len(gates); k++ {
+		g := gates[k]
+		if k > i+1 && p.X[g] == x {
+			return
+		}
 		p.X[g] = x
 		x += p.Design.Gates[g].Cell.WidthUM(p.Lib) + gap
 	}
@@ -305,19 +329,17 @@ func (p *Placement) Centers() (xs, ys []float64) {
 func (p *Placement) NetHPWL(g netlist.GateID) float64 {
 	x, y := p.GateCenter(g)
 	minX, maxX, minY, maxY := x, x, y, y
-	grow := func(gx, gy float64) {
-		minX = math.Min(minX, gx)
-		maxX = math.Max(maxX, gx)
-		minY = math.Min(minY, gy)
-		maxY = math.Max(maxY, gy)
-	}
+	// The builtin min and max follow math.Min and math.Max's NaN and
+	// signed-zero rules exactly, and compile inline.
 	for _, f := range p.fanouts[g] {
 		fx, fy := p.GateCenter(f)
-		grow(fx, fy)
+		minX, maxX = min(minX, fx), max(maxX, fx)
+		minY, maxY = min(minY, fy), max(maxY, fy)
 	}
 	if len(p.poOf[g]) > 0 {
 		// POs pinned at the right die edge at the driver's height.
-		grow(p.DieWidthUM, y)
+		minX, maxX = min(minX, p.DieWidthUM), max(maxX, p.DieWidthUM)
+		minY, maxY = min(minY, y), max(maxY, y)
 	}
 	return (maxX - minX) + (maxY - minY)
 }

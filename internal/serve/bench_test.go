@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/netlist"
 )
 
 // The serve hot path, measured end to end through HTTP: a cached request
@@ -69,16 +71,29 @@ func BenchmarkServeYieldStream(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignKey hashes c5315, the largest cold-upload design; both
-// tiers pay this on every upload.
+// BenchmarkDesignKey hashes c5315, the largest cold-upload design: its
+// design key, which each tier computes once per distinct upload, and the
+// upload digest of its .bench text, which each tier takes per request.
 func BenchmarkDesignKey(b *testing.B) {
 	d, err := gen.Build("c5315", New(Options{}).opts.Library)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DesignKey(d, 0)
-	}
+	b.Run("key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DesignKey(d, 0)
+		}
+	})
+	b.Run("upload-digest", func(b *testing.B) {
+		var text strings.Builder
+		if err := netlist.WriteBench(&text, d); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(text.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			uploadDigest("hot0", 0, text.String())
+		}
+	})
 }

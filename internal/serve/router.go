@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -16,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/cell"
-	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 )
@@ -46,9 +46,9 @@ type Router struct {
 	opts   RouterOptions
 	ring   *hashRing
 	client *http.Client
-	// keys memoizes built-in benchmark design keys (benchmark#forceRows →
-	// DesignKey); uploads are client-controlled and re-hashed per request.
-	keys flow.Cache[string]
+	// keys resolves design keys once per distinct design; of an upload
+	// it keeps the digest, key and gate count, never the text or design.
+	keys *designResolver
 	mux  *http.ServeMux
 
 	shed      atomic.Int64 // 503s returned to clients
@@ -182,6 +182,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		client: opts.HTTPClient,
 		mux:    http.NewServeMux(),
 		stopCh: make(chan struct{}),
+		keys: &designResolver{lib: opts.Library, builtin: func(name string) (*netlist.Design, error) {
+			return gen.Build(name, opts.Library)
+		}},
 	}
 	rt.mux.HandleFunc("POST /v1/tune", func(w http.ResponseWriter, r *http.Request) { rt.routeByDesign(w, r, "/v1/tune") })
 	rt.mux.HandleFunc("POST /v1/yield", func(w http.ResponseWriter, r *http.Request) { rt.routeByDesign(w, r, "/v1/yield") })
@@ -289,38 +292,18 @@ func (rt *Router) noteForwardFailure(rep *replica) {
 
 // designKey resolves a request's DesignRef to its cluster routing key
 // without running the flow: built-in benchmarks are generated (netlist
-// only) once and memoized, uploads are parsed per request. The key is the
+// only) and uploads parsed, each once per distinct design. The key is the
 // same DesignKey the replicas use for their prefix caches, so router
 // placement and replica caching agree by construction.
 func (rt *Router) designKey(ref *DesignRef) (string, *apiError) {
 	if e := ref.validate(); e != nil {
 		return "", e
 	}
-	if ref.Netlist != "" {
-		name := ref.Name
-		if name == "" {
-			name = "custom"
-		}
-		d, err := netlist.ParseBench(strings.NewReader(ref.Netlist), name, rt.opts.Library)
-		if err != nil {
-			return "", badRequest("%v", err)
-		}
-		return DesignKey(d, ref.ForceRows), nil
-	}
-	if _, err := gen.ByName(ref.Benchmark); err != nil {
-		return "", badRequest("%v", err)
-	}
-	key, err := rt.keys.Do(fmt.Sprintf("%s#%d", ref.Benchmark, ref.ForceRows), func() (string, error) {
-		d, err := gen.Build(ref.Benchmark, rt.opts.Library)
-		if err != nil {
-			return "", err
-		}
-		return DesignKey(d, ref.ForceRows), nil
-	})
+	info, _, err := rt.keys.resolve(ref, math.MaxInt)
 	if err != nil {
 		return "", badRequest("%v", err)
 	}
-	return key, nil
+	return info.key, nil
 }
 
 // routeByDesign handles /v1/tune and /v1/yield: resolve the design key

@@ -745,6 +745,9 @@ func TestUnknownBenchmarksDoNotGrowDesignCache(t *testing.T) {
 	if n := s.designs.Len(); n != 0 {
 		t.Fatalf("designs cache grew to %d entries on unknown names", n)
 	}
+	if n := s.keys.builtins.Len(); n != 0 {
+		t.Fatalf("design key memo grew to %d entries on unknown names", n)
+	}
 }
 
 func TestTable1UnknownBenchmarkAnnotatedOnRow(t *testing.T) {

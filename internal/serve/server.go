@@ -27,10 +27,8 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -118,9 +116,12 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	cache *PrefixCache
-	// designs memoizes the built-in benchmark designs; uploaded netlists
-	// are parsed per request (client-controlled, so never retained).
+	// designs memoizes the built-in benchmark designs. keys resolves
+	// design keys once per distinct design; of an upload it keeps the
+	// digest, key and gate count, never the text or design, so a prefix
+	// miss parses the upload again.
 	designs flow.Cache[*netlist.Design]
+	keys    *designResolver
 
 	workSem  chan struct{} // executing requests, cap Workers
 	queueSem chan struct{} // waiting requests, cap Queue
@@ -148,6 +149,13 @@ func New(opts Options) *Server {
 		drainCh:  make(chan struct{}),
 		mux:      http.NewServeMux(),
 	}
+	// The name is checked before the designs cache is touched (resolve
+	// does it): flow.Cache retains failed computations forever.
+	s.keys = &designResolver{lib: opts.Library, builtin: func(name string) (*netlist.Design, error) {
+		return s.designs.Do(name, func() (*netlist.Design, error) {
+			return gen.Build(name, opts.Library)
+		})
+	}}
 	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
 	s.mux.HandleFunc("POST /v1/yield", s.handleYield)
 	s.mux.HandleFunc("POST /v1/table1", s.handleTable1)
@@ -256,41 +264,22 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	}
 }
 
-// design resolves a DesignRef to a netlist: a memoized built-in benchmark
-// or a freshly parsed upload.
-func (s *Server) design(ref *DesignRef) (*netlist.Design, error) {
-	if ref.Netlist != "" {
-		name := ref.Name
-		if name == "" {
-			name = "custom"
-		}
-		return netlist.ParseBench(strings.NewReader(ref.Netlist), name, s.opts.Library)
-	}
-	// Validate the name before touching the cache: flow.Cache retains
-	// failed computations forever, so unchecked client-supplied names
-	// would each pin a dead entry and grow server memory without bound.
-	if _, err := gen.ByName(ref.Benchmark); err != nil {
-		return nil, err
-	}
-	return s.designs.Do(ref.Benchmark, func() (*netlist.Design, error) {
-		return gen.Build(ref.Benchmark, s.opts.Library)
-	})
-}
-
 // prefixErr resolves a DesignRef to its cached flow.Prefix, building and
 // inserting it (coalesced) on miss, and enforcing the MaxGates admission
-// cap on every path. Errors are raw — the table1 handler annotates them
-// onto rows exactly as the in-process driver would.
+// cap on every path. A memoized upload is parsed only on a prefix miss.
+// Errors are raw — the table1 handler annotates them onto rows exactly as
+// the in-process driver would.
 func (s *Server) prefixErr(ctx context.Context, ref *DesignRef) (*flow.Prefix, error) {
-	d, err := s.design(ref)
+	info, d, err := s.keys.resolve(ref, s.opts.MaxGates)
 	if err != nil {
 		return nil, err
 	}
-	if n := d.NumGates(); n > s.opts.MaxGates {
-		return nil, fmt.Errorf("design too large: %d gates > limit %d", n, s.opts.MaxGates)
-	}
-	key := DesignKey(d, ref.ForceRows)
-	return s.cache.Get(ctx, key, func() (*flow.Prefix, error) {
+	return s.cache.Get(ctx, info.key, func() (*flow.Prefix, error) {
+		if d == nil {
+			if d, err = s.keys.design(ref); err != nil {
+				return nil, err
+			}
+		}
 		return flow.PrefixFor(d, s.opts.Library, ref.ForceRows)
 	})
 }

@@ -224,8 +224,9 @@ func BenchmarkYieldPerDie(b *testing.B) {
 // iteration runs one fresh YieldStream over a fixed population — what a
 // single /v1/yield request costs — against a persistent prefix-level
 // SolveCache shared across requests, exactly how fbbd holds one per warmed
-// design. ns/die here is the population-aggregate number the BENCH
-// trajectory tracks (BENCH_7.json vs the per-die fast path of BENCH_5.json).
+// design. ns/die here is the population-aggregate cost per die (BENCH_7.json
+// and BENCH_5.json recorded it and the per-die fast path in older schemas;
+// they are historical records, not baselines).
 func BenchmarkYieldPopulation(b *testing.B) {
 	const dies = 64
 	for _, name := range benchCircuits {

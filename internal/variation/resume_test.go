@@ -3,6 +3,8 @@ package variation
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,4 +197,115 @@ func TestYieldStreamResumableValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzYieldResume: for a fuzzed seed, die count (1–48 c1355 dies),
+// checkpoint interval (0–8) and resume point, resuming from a checkpoint
+// the unbroken stream emitted (after a JSON wire crossing) replays every
+// later per-die result, every later checkpoint and the footer stats bit for
+// bit; out-of-range starts and mismatched priors fail with an error.
+func FuzzYieldResume(f *testing.F) {
+	an, al, nom := streamFixture(f)
+	proc := tech.Default45nm()
+	opts := TuneOptions{GuardbandPct: 0.005, Workers: 2}
+	f.Add(int64(7), uint8(22), uint8(5), uint8(2))
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(-3), uint8(47), uint8(8), uint8(200))
+	f.Add(int64(42), uint8(8), uint8(1), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nDies, every, at uint8) {
+		dies := 1 + int(nDies)%48
+		type run struct {
+			results []string // each die's result, rendered when emitted
+			ckpts   map[int]YieldAccum
+			stats   string
+		}
+		stream := func(sopts StreamOptions) *run {
+			r := &run{ckpts: map[int]YieldAccum{}}
+			sopts.CheckpointEvery = int(every) % 9
+			sopts.OnCheckpoint = func(die int, acc YieldAccum) error {
+				r.ckpts[die] = acc
+				return nil
+			}
+			st, err := YieldStreamResumable(context.Background(), an, al, nom, proc, Default(),
+				dies, seed, opts, sopts, func(die int, res *TuneResult) error {
+					if want := sopts.StartDie + len(r.results); die != want {
+						t.Fatalf("emitted die %d, want %d", die, want)
+					}
+					r.results = append(r.results, resultText(res))
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("stream from %d: %v", sopts.StartDie, err)
+			}
+			r.stats = fmt.Sprintf("%+v", *st)
+			return r
+		}
+		full := stream(StreamOptions{})
+		if k := int(every) % 9; k > 0 && len(full.ckpts) != (dies-1)/k {
+			t.Fatalf("%d dies every %d: %d checkpoints, want one per multiple below the end", dies, k, len(full.ckpts))
+		}
+
+		starts := []int{0}
+		for die := range full.ckpts {
+			starts = append(starts, die)
+		}
+		slices.Sort(starts)
+		start := starts[int(at)%len(starts)]
+		sopts := StreamOptions{StartDie: start}
+		if start > 0 {
+			raw, err := json.Marshal(full.ckpts[start])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sopts.Prior = new(YieldAccum)
+			if err := json.Unmarshal(raw, sopts.Prior); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := stream(sopts)
+		if !slices.Equal(res.results, full.results[start:]) {
+			t.Fatalf("resume from %d of %d: per-die results diverged", start, dies)
+		}
+		for die, want := range full.ckpts {
+			got, ok := res.ckpts[die]
+			if die > start && (!ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want)) {
+				t.Fatalf("resume from %d: checkpoint at die %d is %+v, want %+v", start, die, got, want)
+			}
+		}
+		for die := range res.ckpts {
+			if _, ok := full.ckpts[die]; !ok || die <= start {
+				t.Fatalf("resume from %d emitted a stray checkpoint at die %d", start, die)
+			}
+		}
+		if res.stats != full.stats {
+			t.Fatalf("resume from %d: footer %s, want %s", start, res.stats, full.stats)
+		}
+
+		mid := 1 + int(at)%dies
+		for _, bad := range []StreamOptions{
+			{StartDie: -1 - int(at)},
+			{StartDie: dies + 1 + int(at), Prior: &YieldAccum{Dies: dies + 1 + int(at)}},
+			{StartDie: mid},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid - 1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid + 1}},
+			{Prior: &YieldAccum{Dies: mid}},
+		} {
+			if _, err := YieldStreamResumable(context.Background(), an, al, nom, proc, Default(),
+				dies, seed, opts, bad, nil); err == nil {
+				t.Fatalf("StartDie %d with prior %+v accepted for %d dies", bad.StartDie, bad.Prior, dies)
+			}
+		}
+	})
+}
+
+// resultText renders a die's result, solution included, so distinct float
+// bits render distinctly.
+func resultText(r *TuneResult) string {
+	c := *r
+	c.Solution = nil
+	s := fmt.Sprintf("%+v", c)
+	if r.Solution != nil {
+		s += fmt.Sprintf(" %+v", *r.Solution)
+	}
+	return s
 }

@@ -15,7 +15,7 @@ import (
 
 // streamFixture builds the shared Analyzer/Allocator/nominal trio once for
 // the YieldStream tests.
-func streamFixture(t *testing.T) (*sta.Analyzer, *core.Allocator, *sta.Timing) {
+func streamFixture(t testing.TB) (*sta.Analyzer, *core.Allocator, *sta.Timing) {
 	t.Helper()
 	pl := placed(t, "c1355")
 	an, err := sta.NewAnalyzer(pl, sta.Options{})

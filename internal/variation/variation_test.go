@@ -11,7 +11,7 @@ import (
 	"repro/internal/tech"
 )
 
-func placed(t *testing.T, name string) *place.Placement {
+func placed(t testing.TB, name string) *place.Placement {
 	t.Helper()
 	l := cell.Default()
 	d, err := gen.Build(name, l)
