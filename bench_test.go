@@ -184,40 +184,26 @@ func BenchmarkRuntimeILP(b *testing.B) {
 }
 
 // BenchmarkSolveILP times a complete proven-optimal exact solve on the
-// Table 1 circuits the paper's lp_solve handled: pseudo-cost branching and
-// the deterministic parallel tree, from a heuristic warm start. The
-// sub-benchmarks ablate one engine stage each (most-fractional branching, a
-// single worker), so the bench log shows what every stage buys on real
-// instances.
+// Table 1 circuits the paper's lp_solve handled, from a heuristic warm
+// start.
 func BenchmarkSolveILP(b *testing.B) {
 	for _, name := range []string{"c1355", "c3540", "c5315"} {
 		res, err := Run(Config{Benchmark: name, Beta: 0.05, SkipLayout: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, cfg := range []struct {
-			label string
-			opts  core.ILPOptions
-		}{
-			{"full", core.ILPOptions{}},
-			{"mostfrac", core.ILPOptions{Branching: "mostfrac"}},
-			{"serial", core.ILPOptions{Workers: 1}},
-		} {
-			b.Run(name+"/"+cfg.label, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := cfg.opts
-					opts.WarmStart = res.Heuristic
-					sol, ir, err := res.Problem.SolveILP(opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol == nil || !sol.Proven {
-						b.Fatalf("not proven: %v", ir.Status)
-					}
-					b.ReportMetric(float64(ir.Nodes), "nodes")
+		b.Run(name+"/full", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sol, ir, err := res.Problem.SolveILP(core.ILPOptions{WarmStart: res.Heuristic})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if sol == nil || !sol.Proven {
+					b.Fatalf("not proven: %v", ir.Status)
+				}
+				b.ReportMetric(float64(ir.Nodes), "nodes")
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	fbbflow -bench c5315 -beta 0.05 -c 3 [-solver heuristic] [-ilp]
-//	        [-ilp-nodes 0] [-ilp-workers 0] [-parallel 0]
+//	        [-ilp-nodes 0] [-parallel 0]
 //	        [-ascii]
 package main
 
@@ -47,18 +47,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fbbflow", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench      = fs.String("bench", "c5315", "comma-separated benchmark names, or \"all\" ("+strings.Join(repro.Benchmarks(), ", ")+")")
-		beta       = fs.Float64("beta", 0.05, "slowdown coefficient to compensate")
-		c          = fs.Int("c", 3, "maximum clusters (incl. no-body-bias)")
-		solver     = fs.String("solver", "heuristic", "allocation engine ("+strings.Join(core.SolverNames(), ", ")+")")
-		runILP     = fs.Bool("ilp", false, "also run the exact ILP allocator")
-		ilpNodes   = fs.Int("ilp-nodes", 0, "ILP node budget (0 = solver default; deterministic)")
-		ilpWorkers = fs.Int("ilp-workers", 0, "ILP tree-parallelism (0 = one per CPU; never changes the result)")
-		parallel   = fs.Int("parallel", 0, "concurrent benchmark flows (0 = one per CPU, 1 = sequential)")
-		ascii      = fs.Bool("ascii", false, "print the clustered layout (Figure 3 style)")
-		timing     = fs.Bool("timing", false, "print a timing report (slack histogram, worst paths)")
-		defOut     = fs.String("def", "", "write the placement to this DEF file (single benchmark only)")
-		vOut       = fs.String("verilog", "", "write the mapped netlist to this Verilog file (single benchmark only)")
+		bench    = fs.String("bench", "c5315", "comma-separated benchmark names, or \"all\" ("+strings.Join(repro.Benchmarks(), ", ")+")")
+		beta     = fs.Float64("beta", 0.05, "slowdown coefficient to compensate")
+		c        = fs.Int("c", 3, "maximum clusters (incl. no-body-bias)")
+		solver   = fs.String("solver", "heuristic", "allocation engine ("+strings.Join(core.SolverNames(), ", ")+")")
+		runILP   = fs.Bool("ilp", false, "also run the exact ILP allocator")
+		ilpNodes = fs.Int("ilp-nodes", 0, "ILP node budget (0 = solver default; deterministic)")
+		parallel = fs.Int("parallel", 0, "concurrent benchmark flows (0 = one per CPU, 1 = sequential)")
+		ascii    = fs.Bool("ascii", false, "print the clustered layout (Figure 3 style)")
+		timing   = fs.Bool("timing", false, "print a timing report (slack histogram, worst paths)")
+		defOut   = fs.String("def", "", "write the placement to this DEF file (single benchmark only)")
+		vOut     = fs.String("verilog", "", "write the mapped netlist to this Verilog file (single benchmark only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Solver:       *solver,
 				RunILP:       *runILP,
 				ILPNodeLimit: *ilpNodes,
-				ILPWorkers:   *ilpWorkers,
 			})
 		})
 
@@ -156,8 +154,8 @@ func printResult(w io.Writer, res *repro.Result, beta float64, runILP, ascii, ti
 	fmt.Fprint(w, t.String())
 
 	if ir := res.ILPResult; ir != nil {
-		fmt.Fprintf(w, "ilp: %s after %d nodes (%s branching, %d strong LPs)",
-			ir.Status, ir.Nodes, ir.Branching, ir.StrongLPs)
+		fmt.Fprintf(w, "ilp: %s after %d nodes (%d strong LPs)",
+			ir.Status, ir.Nodes, ir.StrongLPs)
 		if g := ir.Gap(); g > 0 {
 			fmt.Fprintf(w, "; gap %.2f%%", g*100)
 		}

@@ -78,11 +78,8 @@ type Table1Options struct {
 	// ILPNodeLimit bounds each exact solve's branch-and-bound nodes
 	// (default 50000); the paper likewise capped lp_solve's runtime. Node
 	// budgets make the ILP columns bit-reproducible at any Runner
-	// parallelism and any ILPWorkers.
+	// parallelism.
 	ILPNodeLimit int
-	// ILPWorkers sets each exact solve's tree parallelism (0 =
-	// GOMAXPROCS); wall clock only, never the result.
-	ILPWorkers int
 	// ILPGateLimit skips the ILP on larger designs, reproducing the
 	// paper's missing entries for Industrial2/3 (default 5000 gates).
 	ILPGateLimit int
@@ -245,7 +242,6 @@ func Table1CellOn(pfx *flow.Prefix, name string, beta float64, opts Table1Option
 		if res.Design.Gates <= opts.ILPGateLimit {
 			sol, ires, err := res.Problem.SolveILP(core.ILPOptions{
 				NodeLimit: opts.ILPNodeLimit,
-				Workers:   opts.ILPWorkers,
 				WarmStart: res.Heuristic,
 			})
 			if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/cell"
@@ -178,48 +177,5 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 	t.Logf("verified %d instances against exhaustive enumeration (%d had no violations)", tried, skipped)
 	if tried == 0 {
 		t.Error("no instance exercised the allocators")
-	}
-}
-
-// TestSolveILPWorkerInvariance pins the determinism contract at the core
-// layer: the same instance solved with 1, 2 and 8 workers must return
-// byte-identical solutions and diagnostics — both when the search runs to
-// proof and when a node budget truncates it mid-tree.
-func TestSolveILPWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	checked := 0
-	for trial := 0; trial < 10; trial++ {
-		p := tinyProblem(t, rng)
-		if p.NumConstraints() == 0 {
-			continue
-		}
-		h, err := p.Solve(nil)
-		if err != nil {
-			continue // uncompensatable instance; the oracle test covers these
-		}
-		for _, limit := range []int{0, 8} {
-			baseSol, baseRes, err := p.SolveILP(ILPOptions{Workers: 1, NodeLimit: limit, WarmStart: h})
-			if err != nil {
-				t.Fatalf("trial %d limit %d: serial solve: %v", trial, limit, err)
-			}
-			for _, w := range []int{2, 8} {
-				sol, res, err := p.SolveILP(ILPOptions{Workers: w, NodeLimit: limit, WarmStart: h})
-				if err != nil {
-					t.Fatalf("trial %d limit %d: %d workers: %v", trial, limit, w, err)
-				}
-				if !reflect.DeepEqual(sol, baseSol) {
-					t.Fatalf("trial %d limit %d: solution differs at %d workers:\n 1: %+v\n%2d: %+v",
-						trial, limit, w, baseSol, w, sol)
-				}
-				if !reflect.DeepEqual(res, baseRes) {
-					t.Fatalf("trial %d limit %d: diagnostics differ at %d workers:\n 1: %+v\n%2d: %+v",
-						trial, limit, w, baseRes, w, res)
-				}
-			}
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Error("no instance exercised the parallel tree")
 	}
 }

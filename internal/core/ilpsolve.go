@@ -8,21 +8,14 @@ import (
 )
 
 // ILPOptions configure the exact solve. Its only budget is a node limit,
-// which makes results reproducible at any worker count.
+// which makes results reproducible.
 type ILPOptions struct {
 	// NodeLimit bounds explored branch-and-bound nodes (0 = solver
 	// default, 1<<20). The paper reports no ILP results for its two
 	// largest designs because lp_solve "did not converge in a specified
 	// amount of time"; this budget plays that role deterministically: the
-	// same model and limit yield a bit-identical result regardless of
-	// Workers.
+	// same model and limit yield a bit-identical result.
 	NodeLimit int
-	// Workers sets the tree-parallelism degree (0 = GOMAXPROCS). Any
-	// value returns the same result under a node budget.
-	Workers int
-	// Branching selects the branching rule: "" or "pseudocost" (strong-
-	// branching-seeded pseudo-costs), or "mostfrac".
-	Branching string
 	// WarmStart primes the incumbent, typically with the heuristic
 	// solution.
 	WarmStart *Solution
@@ -137,7 +130,7 @@ func (inst *Instance) BuildILP() (*ilp.Model, []int) {
 // (uninvolved rows collapse onto the pseudo-row at the highest level any of
 // them uses, a feasible if slightly pessimistic incumbent), or reports false
 // when the assignment is not representable within the caps.
-func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, float64, bool) {
+func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float64, bool) {
 	nInv := len(inv)
 	nRows := nInv
 	hasAgg := nInv < inst.N
@@ -146,12 +139,10 @@ func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float6
 	}
 	yBase := nRows * inst.P
 	x := make([]float64, len(m.C))
-	obj := 0.0
 	levels := map[int]struct{}{}
 	for i, row := range inv {
 		j := s.Assign[row]
 		x[i*inst.P+j] = 1
-		obj += inst.RowLeakNW[row][j]
 		levels[j] = struct{}{}
 	}
 	if hasAgg {
@@ -162,11 +153,10 @@ func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float6
 			}
 		}
 		x[nInv*inst.P+aggLevel] = 1
-		obj += m.C[nInv*inst.P+aggLevel]
 		levels[aggLevel] = struct{}{}
 	}
 	if len(levels) > inst.MaxClusters {
-		return nil, 0, false
+		return nil, false
 	}
 	pairs := 0
 	for j := range levels {
@@ -175,12 +165,12 @@ func (inst *Instance) warmVector(m *ilp.Model, inv []int, s *Solution) ([]float6
 		}
 	}
 	if pairs > inst.MaxBiasPairs {
-		return nil, 0, false
+		return nil, false
 	}
 	for j := range levels {
 		x[yBase+j] = 1
 	}
-	return x, obj, true
+	return x, true
 }
 
 // NoIncumbentError reports an exact solve that ended without any feasible
@@ -208,16 +198,9 @@ func (inst *Instance) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) 
 	m, inv := inst.BuildILP()
 	var iopts ilp.Options
 	iopts.NodeLimit = opts.NodeLimit
-	iopts.Workers = opts.Workers
-	iopts.Branching = opts.Branching
 	warmOK := false
 	if opts.WarmStart != nil {
-		if x, obj, ok := inst.warmVector(m, inv, opts.WarmStart); ok {
-			iopts.HasWarm = true
-			iopts.WarmX = x
-			iopts.WarmObj = obj
-			warmOK = true
-		}
+		iopts.WarmX, warmOK = inst.warmVector(m, inv, opts.WarmStart)
 	}
 	res, err := ilp.Solve(m, iopts)
 	if err != nil {

@@ -1,13 +1,13 @@
 package ilp
 
-// Branching rules. The search asks the rule to pick a column among the
-// fractional integer variables of a node relaxation; rules may consult
-// child relaxations (strong branching) through the search's worker pool.
-// All rule state updates happen at deterministic commit points, so a rule
-// makes identical decisions at any worker count.
+// Pseudo-cost branching with reliability initialization. The search asks
+// the rule to pick a column among the fractional integer variables of a
+// node relaxation; until a column's pseudo-costs are reliable, the rule
+// strong-branches it, solving both child relaxations on the search's
+// workspace. Pseudo-costs change only as the search solves nodes, in its
+// fixed order, so every decision is a function of the model.
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -38,45 +38,6 @@ type pickResult struct {
 	downInfeas, upInfeas bool
 }
 
-type brancher interface {
-	name() string
-	pick(sr *search, nd *pnode, r *lp.Result, cands []int) pickResult
-	// observe records the relaxation degradation of a committed child:
-	// dir is -1 (down) or +1 (up), frac the distance the branch moved
-	// the variable, parentObj/childObj the two relaxation objectives.
-	observe(col int, dir int8, frac, parentObj, childObj float64)
-}
-
-func newBrancher(rule string, n int) (brancher, error) {
-	switch rule {
-	case "", "pseudocost":
-		return newPseudoCost(n), nil
-	case "mostfrac":
-		return mostFractional{}, nil
-	}
-	return nil, fmt.Errorf("ilp: unknown branching rule %q (want pseudocost or mostfrac)", rule)
-}
-
-// mostFractional picks the variable farthest from integrality (the
-// pre-rebuild baseline rule). Ties break to the lowest column.
-type mostFractional struct{}
-
-func (mostFractional) name() string { return "mostfrac" }
-
-func (mostFractional) pick(_ *search, _ *pnode, r *lp.Result, cands []int) pickResult {
-	best, worst := cands[0], 0.0
-	for _, j := range cands {
-		f := math.Abs(r.X[j] - math.Round(r.X[j]))
-		if f > worst {
-			worst = f
-			best = j
-		}
-	}
-	return pickResult{col: best}
-}
-
-func (mostFractional) observe(int, int8, float64, float64, float64) {}
-
 // pseudoCost estimates per-variable objective degradation from observed
 // branchings, seeded by strong branching until a variable is reliable.
 type pseudoCost struct {
@@ -97,8 +58,9 @@ func newPseudoCost(n int) *pseudoCost {
 	}
 }
 
-func (p *pseudoCost) name() string { return "pseudocost" }
-
+// observe records the relaxation degradation of a solved child: dir is -1
+// (down) or +1 (up), frac the distance the branch moved the variable,
+// parentObj/childObj the two relaxation objectives.
 func (p *pseudoCost) observe(col int, dir int8, frac, parentObj, childObj float64) {
 	d := childObj - parentObj
 	if d < 0 {
@@ -140,7 +102,7 @@ func (p *pseudoCost) unitCosts(col int) (pcDown, pcUp float64) {
 	return pcDown, pcUp
 }
 
-func (p *pseudoCost) pick(sr *search, nd *pnode, r *lp.Result, cands []int) pickResult {
+func (p *pseudoCost) pick(sr *search, nd *pnode, r *lp.Result, cands []int) (pickResult, error) {
 	// Reliability initialization: strong-branch the least-known, most
 	// fractional candidates while the LP budget lasts.
 	var strong []int
@@ -165,7 +127,10 @@ func (p *pseudoCost) pick(sr *search, nd *pnode, r *lp.Result, cands []int) pick
 			strong = strong[:room]
 		}
 	}
-	outs := sr.strongBranch(nd, strong, r)
+	outs, err := sr.strongBranch(nd, strong, r)
+	if err != nil {
+		return pickResult{}, err
+	}
 	for i, j := range strong {
 		o := &outs[i]
 		f := r.X[j] - math.Floor(r.X[j])
@@ -190,7 +155,7 @@ func (p *pseudoCost) pick(sr *search, nd *pnode, r *lp.Result, cands []int) pick
 				preUp:      o.optResult(o.up, o.upSolved),
 				downInfeas: dInf,
 				upInfeas:   uInf,
-			}
+			}, nil
 		}
 	}
 
@@ -219,14 +184,13 @@ func (p *pseudoCost) pick(sr *search, nd *pnode, r *lp.Result, cands []int) pick
 			pr.preUp = o.optResult(o.up, o.upSolved)
 		}
 	}
-	return pr
+	return pr, nil
 }
 
 // strongOut is one candidate's pair of child relaxations.
 type strongOut struct {
 	down, up             lp.Result
 	downSolved, upSolved bool
-	downErr, upErr       error
 }
 
 // optResult returns a reusable pointer when the child solved to

@@ -1,20 +1,19 @@
 // Package ilp solves (mixed) integer linear programs by branch and bound
 // over the lp simplex. It provides what the paper used lp_solve for: the
-// exact FBB allocation. The engine runs a pluggable branching rule
-// (pseudo-cost with reliability initialization, or most-fractional) inside
-// a deterministically parallel tree search: worker goroutines speculatively
-// solve node relaxations ahead of a sequential commit order, so the result
-// — incumbent, objective, status, node count — is byte-identical at any
-// worker count. Solve validates and prepares the model once (lp.Prepare);
-// every node then solves that one shared, immutable form under its own
-// bounds (lp.Workspace.SolveFrom). The root relaxation is solved cold;
-// every other node warm-starts from its parent's optimal basis, which keeps
-// each relaxation a pure function of the node. Like the paper's runs, where
-// the ILP "did not converge in a specified amount of time" on the two
-// largest designs, the solver takes a node budget and reports the best
-// incumbent with its proven bound when the budget expires; the budget is
-// counted in committed nodes, never wall clock, so truncation is
-// deterministic too.
+// exact FBB allocation. The search is serial: it branches by pseudo-costs
+// initialized by strong branching, and solves every node relaxation in one
+// fixed order — best bound first — so the result (incumbent, objective,
+// status, node count) is a function of the model and the options alone.
+// Callers that want parallelism solve independent models concurrently.
+// Solve validates and prepares the model once (lp.Prepare); every node then
+// solves that one shared, immutable form under its own bounds
+// (lp.Workspace.SolveFrom). The root relaxation is solved cold; every other
+// node warm-starts from its parent's optimal basis, which keeps each
+// relaxation a pure function of the node. Like the paper's runs, where the
+// ILP "did not converge in a specified amount of time" on the two largest
+// designs, the solver takes a node budget and reports the best incumbent
+// with its proven bound when the budget expires; the budget is counted in
+// solved nodes, never wall clock, so truncation is deterministic too.
 package ilp
 
 import (
@@ -69,23 +68,15 @@ func (s Status) String() string {
 
 // Options tune the search.
 type Options struct {
-	// NodeLimit bounds committed branch-and-bound nodes (0 = 1<<20).
-	// Node budgets are the deterministic truncation mechanism: the same
-	// limit commits the same tree at any Workers count.
+	// NodeLimit bounds solved branch-and-bound nodes (0 = 1<<20). Node
+	// budgets are the deterministic truncation mechanism: the same limit
+	// solves the same tree.
 	NodeLimit int
-	// Workers is the tree-search parallelism (0 = GOMAXPROCS). Workers
-	// speculatively solve node relaxations ahead of the deterministic
-	// commit order; the committed result is identical at any value.
-	Workers int
-	// Branching selects the branching rule: "pseudocost" (default, with
-	// reliability initialization by strong branching) or "mostfrac".
-	Branching string
-	// WarmObj primes the incumbent objective (e.g. from a heuristic);
-	// use with WarmX. Zero values mean no warm start.
-	WarmObj float64
-	WarmX   []float64
-	// HasWarm marks WarmObj/WarmX as valid.
-	HasWarm bool
+	// WarmX, when non-nil, primes the incumbent (e.g. with a heuristic
+	// solution). It must be a feasible point of the model: within the
+	// bounds, integral on the integer columns and meeting every row, each
+	// to within 1e-6 — or Solve returns an error. Solve prices it itself.
+	WarmX []float64
 }
 
 // Result of a solve.
@@ -96,19 +87,16 @@ type Result struct {
 	Obj float64
 	// BoundObj is the proven lower bound on the optimum.
 	BoundObj float64
-	// Nodes counts committed branch-and-bound nodes. Under a NodeLimit
-	// budget it is identical at any Workers count.
+	// Nodes counts solved branch-and-bound nodes.
 	Nodes int
-	// Branching echoes the rule that ran; StrongLPs counts the strong-
-	// branching LP solves spent on reliability initialization (these are
-	// not part of Nodes).
-	Branching string
+	// StrongLPs counts the strong-branching LP solves spent on
+	// reliability initialization (these are not part of Nodes).
 	StrongLPs int
 }
 
 const intTol = 1e-6
 
-// Solve runs a deterministic parallel branch and bound.
+// Solve runs branch and bound.
 func Solve(m *Model, opts Options) (Result, error) {
 	pp, err := lp.Prepare(&m.Problem)
 	if err != nil {
@@ -125,27 +113,6 @@ func Solve(m *Model, opts Options) (Result, error) {
 		return Result{}, errors.New("ilp: Integer length mismatch")
 	}
 
-	if opts.HasWarm && len(opts.WarmX) != n {
-		return Result{}, fmt.Errorf("ilp: WarmX length %d, want %d", len(opts.WarmX), n)
-	}
-
-	nodeLimit := opts.NodeLimit
-	if nodeLimit <= 0 {
-		nodeLimit = 1 << 20
-	}
-
-	res := Result{Obj: math.Inf(1), BoundObj: math.Inf(-1)}
-	if opts.HasWarm {
-		res.Obj = opts.WarmObj
-		res.X = append([]float64(nil), opts.WarmX...)
-	}
-
-	br, err := newBrancher(opts.Branching, n)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Branching = br.name()
-
 	// The search applies branching fixes to explicit bound arrays.
 	sm := &Model{Problem: m.Problem, Integer: isInt}
 	sm.L = make([]float64, n)
@@ -154,11 +121,63 @@ func Solve(m *Model, opts Options) (Result, error) {
 		sm.L[j] = lowerOf(&m.Problem, j)
 		sm.U[j] = upperOf(&m.Problem, j)
 	}
-	sr := newSearch(sm, pp, br, opts.Workers)
+
+	res := Result{Obj: math.Inf(1), BoundObj: math.Inf(-1)}
+	if opts.WarmX != nil {
+		obj, err := sm.warmObjective(opts.WarmX)
+		if err != nil {
+			return Result{}, err
+		}
+		res.Obj = obj
+		res.X = append([]float64(nil), opts.WarmX...)
+	}
+
+	nodeLimit := opts.NodeLimit
+	if nodeLimit <= 0 {
+		nodeLimit = 1 << 20
+	}
+	sr := &search{m: sm, pp: pp, isInt: isInt, pc: newPseudoCost(n)}
 	if err := sr.run(&res, nodeLimit); err != nil {
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// warmObjective checks that x is a feasible point of m, whose bounds are
+// materialized — within them, integral on the integer columns and meeting
+// every row, each to intTol — and returns its objective, summed in column
+// order.
+func (m *Model) warmObjective(x []float64) (float64, error) {
+	if len(x) != len(m.C) {
+		return 0, fmt.Errorf("ilp: WarmX length %d, want %d", len(x), len(m.C))
+	}
+	obj := 0.0
+	for j, v := range x {
+		if !(v >= m.L[j]-intTol && v <= m.U[j]+intTol) {
+			return 0, fmt.Errorf("ilp: WarmX[%d] = %v outside [%v, %v]", j, v, m.L[j], m.U[j])
+		}
+		if m.Integer[j] && math.Abs(v-math.Round(v)) > intTol {
+			return 0, fmt.Errorf("ilp: WarmX[%d] = %v is fractional on an integer column", j, v)
+		}
+		obj += m.C[j] * v
+	}
+	for i, row := range m.A {
+		act := 0.0
+		for j, a := range row {
+			act += a * x[j]
+		}
+		viol := math.Abs(act - m.B[i])
+		switch m.Rel[i] {
+		case lp.LE:
+			viol = act - m.B[i]
+		case lp.GE:
+			viol = m.B[i] - act
+		}
+		if !(viol <= intTol) {
+			return 0, fmt.Errorf("ilp: WarmX violates row %d by %v", i, viol)
+		}
+	}
+	return obj, nil
 }
 
 func lowerOf(p *lp.Problem, j int) float64 {

@@ -104,11 +104,7 @@ func TestWarmStartPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(m, Options{
-		HasWarm: true,
-		WarmObj: -20,
-		WarmX:   []float64{0, 1, 1},
-	})
+	warm, err := Solve(m, Options{WarmX: []float64{0, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +126,44 @@ func TestWarmXLengthChecked(t *testing.T) {
 		B:   []float64{6},
 		U:   []float64{1, 1, 1},
 	}}
-	for _, x := range [][]float64{nil, {0, 1}, {0, 1, 1, 0}} {
-		if _, err := Solve(m, Options{HasWarm: true, WarmObj: -20, WarmX: x}); err == nil {
+	for _, x := range [][]float64{{}, {0, 1}, {0, 1, 1, 0}} {
+		if _, err := Solve(m, Options{WarmX: x}); err == nil {
 			t.Errorf("WarmX of length %d accepted for 3 variables", len(x))
 		}
+	}
+}
+
+// TestWarmStartRejectsInfeasible: a warm start is checked before it
+// becomes the incumbent. On min -x0-x1 s.t. x0+x1 <= 1 over binaries, a
+// point that breaks the row, leaves the bounds or is fractional must fail
+// the solve instead of coming back as the optimum; a feasible one is priced
+// by Solve itself.
+func TestWarmStartRejectsInfeasible(t *testing.T) {
+	m := &Model{Problem: lp.Problem{
+		C:   []float64{-1, -1},
+		A:   [][]float64{{1, 1}},
+		Rel: []lp.Rel{lp.LE},
+		B:   []float64{1},
+		U:   []float64{1, 1},
+	}}
+	for _, x := range [][]float64{
+		{1, 1},          // violates the row
+		{2, -1},         // off the bounds, meets the row
+		{0.5, 0.5},      // fractional, meets the row
+		{math.NaN(), 0}, // no point at all
+	} {
+		if r, err := Solve(m, Options{WarmX: x}); err == nil {
+			t.Errorf("WarmX %v accepted: %v obj %v x %v", x, r.Status, r.Obj, r.X)
+		}
+	}
+	// The all-zero point is feasible; its objective is 0, not whatever a
+	// caller might claim, and the search still finds -1.
+	r, err := Solve(m, Options{WarmX: []float64{0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != OptimalProven || r.Obj != -1 {
+		t.Fatalf("warm from zero: %v obj %v, want optimal -1", r.Status, r.Obj)
 	}
 }
 
@@ -433,30 +463,50 @@ func fuzzModel(data []byte) *Model {
 }
 
 // FuzzILP checks Solve on small random binary programs against exhaustive
-// enumeration, under both branching rules and one or two workers. A
-// proven status must match the oracle's; the node budget is larger than
-// any complete tree over 10 binaries, so every run must terminate.
+// enumeration. A proven status must match the oracle's; the node budget is
+// larger than any complete tree over 10 binaries, so every run must
+// terminate. The leading control byte picks a binary warm start, bit j
+// (mod 8) setting x_j: Solve must reject it exactly when it breaks a row.
+// A warm start from the oracle's optimum must prove the same objective.
 func FuzzILP(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 7, 13, 6, 5, 1, 9})
 	f.Add([]byte{9, 5, 3, 17, 0, 20, 11, 4, 8, 1, 16, 2, 7, 0, 6, 5, 3, 1, 8, 2, 4, 6, 0, 7, 1, 9, 30, 12})
 	f.Add([]byte{4, 2, 20, 0, 10, 5, 8, 8, 8, 8, 0, 3, 0, 0, 0, 0, 2, 5, 1, 7, 3, 5, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rule, workers int
+		var ctrl byte
 		if len(data) > 0 {
-			rule, workers = int(data[0]&1), 1+int(data[0]>>1&1)
+			ctrl = data[0]
 			data = data[1:]
 		}
 		m := fuzzModel(data)
-		r, err := Solve(m, Options{
-			NodeLimit: 1 << 12,
-			Workers:   workers,
-			Branching: []string{"pseudocost", "mostfrac"}[rule],
-		})
+		want, wantX, feasible := exhaustive(m)
+
+		warm := make([]float64, len(m.C))
+		for j := range warm {
+			warm[j] = float64(ctrl >> (j % 8) & 1)
+		}
+		wr, err := Solve(m, Options{NodeLimit: 1 << 12, WarmX: warm})
+		if ok := satisfies(m, warm); (err == nil) != ok {
+			t.Fatalf("warm start %v meets every row: %v; Solve error: %v", warm, ok, err)
+		}
+		if err == nil && (wr.Status != OptimalProven || math.Abs(wr.Obj-want) > 1e-6) {
+			t.Fatalf("warm from %v: %v obj %v, oracle %v", warm, wr.Status, wr.Obj, want)
+		}
+		if feasible {
+			wr, err := Solve(m, Options{NodeLimit: 1 << 12, WarmX: wantX})
+			if err != nil {
+				t.Fatalf("warm from the oracle's optimum %v: %v", wantX, err)
+			}
+			if wr.Status != OptimalProven || math.Abs(wr.Obj-want) > 1e-6 {
+				t.Fatalf("warm from the oracle's optimum: %v obj %v, oracle %v", wr.Status, wr.Obj, want)
+			}
+		}
+
+		r, err := Solve(m, Options{NodeLimit: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, feasible := exhaustive(m)
 		switch r.Status {
 		case InfeasibleProven:
 			if feasible {

@@ -93,8 +93,6 @@ type ILPDiag struct {
 	// GapPct is the relative optimality gap of a budget-truncated solve
 	// (0 when proven).
 	GapPct float64 `json:"gapPct"`
-	// Branching names the rule that ran.
-	Branching string `json:"branching,omitempty"`
 }
 
 // ilpDiag digests a Result's exact-solve diagnostics (nil when none ran).
@@ -109,7 +107,6 @@ func ilpDiag(res *repro.Result) *ILPDiag {
 		Nodes:     ir.Nodes,
 		StrongLPs: ir.StrongLPs,
 		GapPct:    ir.Gap() * 100,
-		Branching: ir.Branching,
 	}
 }
 

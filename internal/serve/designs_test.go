@@ -211,10 +211,10 @@ func TestUploadKeyMemoBounded(t *testing.T) {
 // (the serve CI job runs this under -race) all answer the same bytes and
 // leave one entry per tier.
 func TestUploadKeyMemoConcurrent(t *testing.T) {
-	servers, urls := newCluster(t, 1, Options{}, nil)
+	const n = 8
+	servers, urls := newCluster(t, 1, Options{Workers: n}, nil) // every request admitted at once
 	rt, viaRouter := newTestRouter(t, urls, RouterOptions{})
 	body := string(encodeJSON(t, TuneRequest{DesignRef: DesignRef{Netlist: chainBench(10)}, Beta: 0.05}))
-	const n = 8
 	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i := range bodies {

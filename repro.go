@@ -54,11 +54,8 @@ type Config struct {
 	RunILP bool
 	// ILPNodeLimit bounds explored branch-and-bound nodes (0 = solver
 	// default, 1<<20). Node budgets are deterministic: the same instance
-	// and limit return bit-identical allocations at any ILPWorkers.
+	// and limit return bit-identical allocations.
 	ILPNodeLimit int
-	// ILPWorkers sets the branch-and-bound tree parallelism (0 =
-	// GOMAXPROCS); it changes wall clock only, never the result.
-	ILPWorkers int
 
 	// ForceRows overrides the placer's row count (0 = automatic).
 	ForceRows int
@@ -228,10 +225,7 @@ func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
 
 // ilpOptions collects Config's exact-solve settings (WarmStart unset).
 func (cfg Config) ilpOptions() core.ILPOptions {
-	return core.ILPOptions{
-		NodeLimit: cfg.ILPNodeLimit,
-		Workers:   cfg.ILPWorkers,
-	}
+	return core.ILPOptions{NodeLimit: cfg.ILPNodeLimit}
 }
 
 // resolveSolver maps Config.Solver to a core.Solver value ("" = the

@@ -39,8 +39,7 @@ var table1Traces = map[string]searchTrace{
 }
 
 // TestTable1SearchTrace holds the exact solver's whole branch-and-bound
-// tree on the Table 1 cells to recorded values, at one and two node
-// workers. testdata/ilp_optima.golden pins the optimum each cell reaches;
+// tree on the Table 1 cells to recorded values. testdata/ilp_optima.golden pins the optimum each cell reaches;
 // this test pins the path: a simplex change that keeps every optimum but
 // returns another vertex or another iterate somewhere in the tree moves a
 // node count or the strong-branching work, and fails here.
@@ -59,19 +58,16 @@ func TestTable1SearchTrace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
-				for _, workers := range []int{1, 2} {
-					_, ir, err := res.Problem.SolveILP(core.ILPOptions{
-						NodeLimit: ilpNodeBudget,
-						Workers:   workers,
-						WarmStart: res.Heuristic,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", key, err)
-					}
-					got := searchTrace{ir.Status.String(), ir.Nodes, ir.StrongLPs, math.Float64bits(ir.Obj)}
-					if want := table1Traces[key]; got != want {
-						t.Errorf("%s at %d workers: search %+v, want %+v", key, workers, got, want)
-					}
+				_, ir, err := res.Problem.SolveILP(core.ILPOptions{
+					NodeLimit: ilpNodeBudget,
+					WarmStart: res.Heuristic,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				got := searchTrace{ir.Status.String(), ir.Nodes, ir.StrongLPs, math.Float64bits(ir.Obj)}
+				if want := table1Traces[key]; got != want {
+					t.Errorf("%s: search %+v, want %+v", key, got, want)
 				}
 			}
 		}
