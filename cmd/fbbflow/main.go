@@ -66,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// A misspelt -solver is one error up front, not a failed row per cell.
+	if _, err := core.ParseSolver(*solver, 0); err != nil {
+		return err
+	}
 	benches := strings.Split(*bench, ",")
 	if *bench == "all" {
 		benches = repro.Benchmarks()

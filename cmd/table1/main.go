@@ -63,6 +63,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// A misspelt -solver is one error up front, not a failed row per cell.
+	if _, err := core.ParseSolver(*solver, 0); err != nil {
+		return err
+	}
 	opts := repro.Table1Options{
 		ILPNodeLimit: *ilpNodes,
 		ILPGateLimit: *ilpGates,

@@ -70,15 +70,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	s, err := core.NewNamedSolver(*solver)
+	// An unbounded exact solve per escalation per die would run for ages;
+	// a node budget keeps "ilp" bounded — and, unlike the historical
+	// wall-clock cap, deterministic at any -parallel.
+	s, err := core.ParseSolver(*solver, 50000)
 	if err != nil {
 		return err
-	}
-	// An unbounded exact solve per escalation per die would run for ages;
-	// a node budget keeps it bounded — and, unlike the historical
-	// wall-clock cap, deterministic at any -parallel.
-	if sv, ok := s.(*core.ILPSolver); ok {
-		sv.Opts.NodeLimit = 50000
 	}
 	st, err := variation.YieldStream(context.Background(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
 		proc, model, *dies, *seed,

@@ -220,10 +220,11 @@ func Table1CellOn(pfx *flow.Prefix, name string, beta float64, opts Table1Option
 	row := Table1Row{Benchmark: name, BetaPct: beta * 100}
 	for _, c := range []int{2, 3} {
 		res, err := RunWith(pfx, Config{
-			Beta:        beta,
-			MaxClusters: c,
-			Solver:      opts.Solver,
-			SkipLayout:  true,
+			Beta:         beta,
+			MaxClusters:  c,
+			Solver:       opts.Solver,
+			ILPNodeLimit: opts.ILPNodeLimit,
+			SkipLayout:   true,
 		})
 		if err != nil {
 			row.Err = err.Error()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flow"
 )
 
@@ -108,6 +109,41 @@ func TestTable1SurfacesILPStatus(t *testing.T) {
 	}
 	if r.ILPNodesC2 <= 0 || r.ILPNodesC3 <= 0 {
 		t.Errorf("ILP node counts not surfaced: C2=%d C3=%d", r.ILPNodesC2, r.ILPNodesC3)
+	}
+}
+
+// TestTable1CellILPNodeLimit: Table 1's node budget bounds the primary
+// solver's exact solve as well as the ILP columns, so with Solver "ilp" the
+// heuristic columns are exactly RunWith's under the same budget. One node
+// leaves c1355 at beta=10%, C=3 short of its unbudgeted optimum (557.2 nW
+// extra leakage against 481.2 nW), so a cell that dropped the budget shows.
+func TestTable1CellILPNodeLimit(t *testing.T) {
+	pfx, err := flow.New().Prefix("c1355", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const beta = 0.10
+	// ILPGateLimit 1 skips the ILP columns; only the primary solve runs.
+	row := Table1CellOn(pfx, "c1355", beta, Table1Options{Solver: "ilp", ILPNodeLimit: 1, ILPGateLimit: 1})
+	if row.Err != "" {
+		t.Fatal(row.Err)
+	}
+	run := func(c, nodeLimit int) float64 {
+		t.Helper()
+		res, err := RunWith(pfx, Config{Beta: beta, MaxClusters: c, Solver: "ilp", ILPNodeLimit: nodeLimit, SkipLayout: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Savings(res.Single, res.Heuristic)
+	}
+	if want := run(2, 1); row.HeurSavC2 != want {
+		t.Errorf("C=2: cell saves %v%%, RunWith at one node %v%%", row.HeurSavC2, want)
+	}
+	if want := run(3, 1); row.HeurSavC3 != want {
+		t.Errorf("C=3: cell saves %v%%, RunWith at one node %v%%", row.HeurSavC3, want)
+	}
+	if run(3, 0) == row.HeurSavC3 {
+		t.Error("C=3: one node matches the unbudgeted solve; the fixture cannot tell the budgets apart")
 	}
 }
 

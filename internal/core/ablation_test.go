@@ -78,7 +78,7 @@ func TestLocalNeverWorseThanHeuristic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				loc, err := (&LocalSolver{}).Solve(p)
+				loc, err := p.Solve(LocalSolver{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -589,16 +589,12 @@ func (a *Allocator) SolveAt(opts Options, solver Solver, buf *Instance) (*Soluti
 	return sol, inst, err
 }
 
-// defaultSolver is the pre-boxed heuristic fallback (a fresh interface
-// conversion per Solve call would allocate).
-var defaultSolver Solver = HeuristicSolver{}
-
 // Solve runs solver on the materialized instance (nil = the two-pass
 // heuristic). The returned Solution may live in the Instance's scratch and
 // is invalidated by the next solve or At on it; Clone it to keep it.
 func (inst *Instance) Solve(solver Solver) (*Solution, error) {
 	if solver == nil {
-		solver = defaultSolver
+		return inst.solveHeuristic()
 	}
-	return solver.Solve(inst)
+	return solver.solve(inst)
 }

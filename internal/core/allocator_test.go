@@ -257,7 +257,7 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotILP, err := inst.Solve(&ILPSolver{})
+		gotILP, err := inst.Solve(ILPSolver{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,32 +308,35 @@ func TestAllocatorValidation(t *testing.T) {
 	}
 }
 
-// TestSolverRegistry pins the closed set of built-in solvers.
+// TestSolverRegistry pins the closed set of built-in solvers: ParseSolver
+// knows exactly SolverNames ("" is the heuristic), threads the node budget
+// into "ilp" alone, and every value it returns is a usable map key.
 func TestSolverRegistry(t *testing.T) {
 	names := SolverNames()
 	if want := []string{"heuristic", "ilp", "local"}; !slices.Equal(names, want) {
 		t.Errorf("SolverNames() = %v, want %v", names, want)
 	}
-	for _, name := range names {
-		s, err := NewNamedSolver(name)
+	keys := map[Solver]string{}
+	for name, want := range map[string]Solver{"": HeuristicSolver{}, "heuristic": HeuristicSolver{},
+		"ilp": ILPSolver{NodeLimit: 7}, "local": LocalSolver{}} {
+		s, err := ParseSolver(name, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Name() != name {
-			t.Errorf("solver %q reports Name()=%q", name, s.Name())
+		if s != want {
+			t.Errorf("ParseSolver(%q, 7) = %#v, want %#v", name, s, want)
 		}
+		keys[s] = name // panics on a value that cannot be a map key
 	}
-	// Every call constructs a fresh value, so callers may configure it
-	// without racing other users.
-	a, _ := NewNamedSolver("local")
-	b, _ := NewNamedSolver("local")
-	if a == b {
-		t.Error(`two NewNamedSolver("local") calls returned the same value`)
+	if len(keys) != len(names) {
+		t.Errorf("%d distinct solver keys, want %d: %v", len(keys), len(names), keys)
 	}
-	if _, err := NewNamedSolver("no-such-solver"); err == nil {
-		t.Error("unknown solver accepted")
-	} else if !strings.Contains(err.Error(), "no-such-solver") {
-		t.Errorf("unhelpful unknown-solver error: %v", err)
+	for _, bad := range []string{"no-such-solver", "race", "ILP"} {
+		if _, err := ParseSolver(bad, 0); err == nil {
+			t.Errorf("unknown solver %q accepted", bad)
+		} else if !strings.Contains(err.Error(), bad) {
+			t.Errorf("unhelpful unknown-solver error: %v", err)
+		}
 	}
 }
 
@@ -365,8 +368,7 @@ func TestLocalSolverInvariants(t *testing.T) {
 			continue // beyond the compensation range
 		}
 		singleExtra := single.ExtraLeakNW
-		ls := &LocalSolver{Seed: 42}
-		sol, err := inst.Solve(ls)
+		sol, err := inst.Solve(LocalSolver{})
 		if err != nil {
 			t.Fatalf("trial %d: local solver failed on feasible instance: %v", trial, err)
 		}
@@ -384,18 +386,11 @@ func TestLocalSolverInvariants(t *testing.T) {
 			t.Fatalf("trial %d: local leakage %f above single BB %f",
 				trial, sol.ExtraLeakNW, singleExtra)
 		}
-		again, err := inst.Solve(&LocalSolver{Seed: 42})
+		again, err := inst.Solve(LocalSolver{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSolutionsEqual(t, sol, again, "local determinism")
-		other, err := inst.Solve(&LocalSolver{Seed: 43})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inst.CheckTiming(other.Assign) {
-			t.Fatalf("trial %d: reseeded local solution violates timing", trial)
-		}
 	}
 	if exercised == 0 {
 		t.Error("no instance exercised the local solver")

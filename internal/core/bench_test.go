@@ -114,7 +114,7 @@ func BenchmarkLocalSolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ls := &LocalSolver{Seed: 1}
+	ls := LocalSolver{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := inst.Solve(ls); err != nil {

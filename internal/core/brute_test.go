@@ -143,7 +143,7 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 		// oracle optimum below and the single-BB baseline above; nothing
 		// tighter is guaranteed, but it must never "beat" an exhaustive
 		// enumeration.
-		ls, err := (&LocalSolver{Seed: 7}).Solve(p)
+		ls, err := p.Solve(LocalSolver{})
 		if err != nil {
 			t.Fatalf("trial %d: local solver failed on feasible instance: %v", trial, err)
 		}

@@ -12,13 +12,9 @@ import (
 // perturbed row rankings) each followed by randomized repair sweeps that
 // trade a row's drop against another row's promotion whenever the exchange
 // cuts leakage, keeping the cheapest feasible allocation found. Every
-// restart derives its RNG from Seed and the restart index alone, so results
-// are deterministic and independent of scheduling or parallelism.
-type LocalSolver struct {
-	// Seed is the base seed of the per-restart RNG streams (any fixed
-	// value is fine; zero is valid and distinct from one).
-	Seed int64
-}
+// restart derives its RNG from the restart index alone, so results are
+// deterministic and independent of scheduling or parallelism.
+type LocalSolver struct{}
 
 const (
 	// localRestarts is the number of greedy walks. Restart 0 replays the
@@ -30,13 +26,10 @@ const (
 	localSweeps = 3
 )
 
-// Name implements Solver.
-func (*LocalSolver) Name() string { return "local" }
-
-// restartSeed mixes the base seed and restart index through the splitmix64
-// finalizer, decorrelating the per-restart streams.
-func restartSeed(seed int64, restart int) int64 {
-	z := uint64(seed) + uint64(restart)*0x9e3779b97f4a7c15
+// restartSeed mixes the restart index through the splitmix64 finalizer,
+// decorrelating the per-restart streams.
+func restartSeed(restart int) int64 {
+	z := uint64(restart) * 0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -45,8 +38,7 @@ func restartSeed(seed int64, restart int) int64 {
 	return int64(z)
 }
 
-// Solve implements Solver.
-func (s *LocalSolver) Solve(inst *Instance) (*Solution, error) {
+func (s LocalSolver) solve(inst *Instance) (*Solution, error) {
 	assign := make([]int, inst.N)
 	jopt, err := inst.passOneInto(assign)
 	if err != nil {
@@ -63,7 +55,7 @@ func (s *LocalSolver) Solve(inst *Instance) (*Solution, error) {
 	var scratch heurScratch
 	var best *Solution
 	for r := 0; r < localRestarts; r++ {
-		rng := rand.New(rand.NewSource(restartSeed(s.Seed, r)))
+		rng := rand.New(rand.NewSource(restartSeed(r)))
 		for i := range key {
 			if r == 0 {
 				key[i] = ct[i]
@@ -112,7 +104,7 @@ func (s *LocalSolver) Solve(inst *Instance) (*Solution, error) {
 // level — accepting the pair only when it is feasible and strictly cheaper.
 // Rows only ever move between levels already in use, so the cluster and
 // bias-pair caps can never be exceeded (levels may empty; none appear).
-func (s *LocalSolver) repair(inst *Instance, st *timingState, assign []int, rng *rand.Rand) {
+func (LocalSolver) repair(inst *Instance, st *timingState, assign []int, rng *rand.Rand) {
 	if inst.N == 0 || inst.P < 2 {
 		return
 	}

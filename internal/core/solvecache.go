@@ -1,9 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"sync"
-)
+import "sync"
 
 // SolveCache is a concurrency-safe memo of allocation outcomes over one
 // Allocator, shared across workers, streams and requests. The clustering
@@ -33,9 +30,10 @@ type SolveCache struct {
 const maxSolveCache = 256
 
 // solveKey identifies one allocation instance: the normalized options plus
-// the solver value itself (nil = the built-in default heuristic). Keying
-// on the interface value means two requests share an entry only when they
-// share the solver configuration, not merely its name.
+// the solver value (nil is stored as HeuristicSolver{}). Every Solver is a
+// comparable value that is its own configuration, so two requests share an
+// entry exactly when they share the solver configuration — ILPSolver{} from
+// one request and from the next are one key.
 type solveKey struct {
 	beta            float64
 	clusters, pairs int
@@ -73,16 +71,12 @@ func (c *SolveCache) Len() int {
 // structural materialization failure (fatal, never cached). The returned
 // Instance is buf (possibly grown) — callers thread it exactly as with
 // Allocator.SolveAt — and on a cache hit buf is returned untouched.
-//
-// A solver whose dynamic type is not comparable cannot be a map key; such
-// values bypass the cache and solve directly (correctness is unaffected —
-// the cache is a pure memo).
 func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Solution, inst *Instance, solveErr, err error) {
 	if err := opts.normalize(); err != nil {
 		return nil, buf, nil, err
 	}
-	if solver != nil && !reflect.TypeOf(solver).Comparable() {
-		return c.solveUncached(opts, solver, buf)
+	if solver == nil {
+		solver = HeuristicSolver{}
 	}
 	key := solveKey{beta: opts.Beta, clusters: opts.MaxClusters, pairs: opts.MaxBiasPairs, solver: solver}
 
@@ -126,9 +120,8 @@ func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Sol
 	return e.sol, inst, serr, nil
 }
 
-// solveUncached is the bypass path (uncacheable solver, full cache): one
-// materialize-and-solve on the caller's scratch, failure modes separated as
-// in Solve.
+// solveUncached is the full-cache path: one materialize-and-solve on the
+// caller's scratch, failure modes separated as in Solve.
 func (c *SolveCache) solveUncached(opts Options, solver Solver, buf *Instance) (*Solution, *Instance, error, error) {
 	inst, err := c.al.At(opts, buf)
 	if err != nil {

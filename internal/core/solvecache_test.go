@@ -107,20 +107,12 @@ func TestSolveCacheCoalesces(t *testing.T) {
 	}
 }
 
-// uncomparableSolver has a non-comparable dynamic type (slice field), so it
-// cannot be a map key; the cache must bypass it rather than panic.
-type uncomparableSolver struct {
-	pad []int
-}
-
-func (uncomparableSolver) Name() string { return "uncomparable" }
-func (uncomparableSolver) Solve(inst *Instance) (*Solution, error) {
-	return HeuristicSolver{}.Solve(inst)
-}
-
-// TestSolveCacheBypassesUncacheable: an uncacheable solver solves correctly
-// without inserting, and a bogus target still reports a structural error.
-func TestSolveCacheBypassesUncacheable(t *testing.T) {
+// TestSolveCacheKeysByConfiguration: the key is the solver's
+// configuration, not its identity — nil and HeuristicSolver{} share one
+// entry, every ParseSolver("ilp"/"local") value hits the entry the first one
+// filled, and only a different node budget is a different key. Invalid
+// options are rejected without inserting.
+func TestSolveCacheKeysByConfiguration(t *testing.T) {
 	pl, tm := randomTimed(t, cell.Default(), 11)
 	al, err := NewAllocator(pl, tm)
 	if err != nil {
@@ -128,24 +120,45 @@ func TestSolveCacheBypassesUncacheable(t *testing.T) {
 	}
 	c := NewSolveCache(al)
 	opts := Options{Beta: 0.04, MaxClusters: 3, MaxBiasPairs: 2}
-	want, _, werr := al.SolveAt(opts, nil, nil)
-	if werr != nil {
-		t.Fatal(werr)
+	solve := func(s Solver) *Solution {
+		t.Helper()
+		sol, _, solveErr, err := c.Solve(opts, s, nil)
+		if err != nil || solveErr != nil {
+			t.Fatalf("%#v: %v / %v", s, err, solveErr)
+		}
+		return sol
 	}
-	sol, _, solveErr, err := c.Solve(opts, uncomparableSolver{pad: []int{1}}, nil)
-	if err != nil || solveErr != nil {
-		t.Fatalf("bypass solve failed: %v / %v", err, solveErr)
+	parse := func(name string, nodeLimit int) Solver {
+		t.Helper()
+		s, err := ParseSolver(name, nodeLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	requireSolutionsEqual(t, want, sol, "bypassed vs direct")
-	if c.Len() != 0 {
-		t.Fatalf("uncacheable solver inserted %d entries", c.Len())
+	for _, tc := range []struct {
+		a, b Solver
+		len  int
+	}{
+		{nil, HeuristicSolver{}, 1},
+		{parse("heuristic", 0), parse("", 5), 1},
+		{parse("ilp", 0), parse("ilp", 0), 2},
+		{parse("local", 0), parse("local", 9), 3},
+		{ILPSolver{NodeLimit: 1}, parse("ilp", 1), 4},
+	} {
+		if first, again := solve(tc.a), solve(tc.b); first != again {
+			t.Errorf("%#v then %#v: second solve missed the first's entry", tc.a, tc.b)
+		}
+		if c.Len() != tc.len {
+			t.Fatalf("after %#v: %d entries, want %d", tc.b, c.Len(), tc.len)
+		}
 	}
 	if _, _, _, err := c.Solve(Options{Beta: -1}, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "beta") {
 		t.Fatalf("invalid options not rejected: %v", err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("invalid options inserted %d entries", c.Len())
+	if c.Len() != 4 {
+		t.Fatalf("invalid options inserted: %d entries", c.Len())
 	}
 }
 

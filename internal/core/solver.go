@@ -4,33 +4,31 @@ import "fmt"
 
 // Solver is an allocation engine over a materialized Instance. The paper
 // evaluates two points of the quality-vs-speed space (the linear-time
-// heuristic and the exact ILP); LocalSolver sits between them. The built-ins
-// are constructed by name through NewNamedSolver; callers holding a Solver
-// value (tests, TuneOptions.Solver) may pass any implementation.
+// heuristic and the exact ILP); LocalSolver sits between them. The set is
+// sealed: HeuristicSolver, ILPSolver and LocalSolver are the only
+// implementations, all comparable values, so a Solver is its own
+// configuration and keys SolveCache directly. ParseSolver builds one from a
+// name.
 //
-// Implementations must be safe for concurrent Solve calls on *distinct*
-// Instances (the built-ins are: any mutable per-solve state lives in the
-// Instance). The returned Solution may share the Instance's scratch — it is
-// invalidated by the next solve or At on the same Instance; Clone it to
-// keep it.
+// The built-ins are safe for concurrent solves on *distinct* Instances: any
+// mutable per-solve state lives in the Instance. The returned Solution may
+// share the Instance's scratch — it is invalidated by the next solve or At
+// on the same Instance; Clone it to keep it.
 type Solver interface {
-	// Name identifies the solver in flags and Solution.Method.
-	Name() string
-	// Solve allocates clustered FBB on the materialized instance.
-	Solve(inst *Instance) (*Solution, error)
+	solve(inst *Instance) (*Solution, error)
 }
 
-// NewNamedSolver returns a fresh, default-configured value of the named
-// built-in solver, so callers may adjust its fields without racing other
-// users.
-func NewNamedSolver(name string) (Solver, error) {
+// ParseSolver returns the built-in solver of the given name ("" =
+// "heuristic"). nodeLimit configures "ilp" (0 = its default node budget,
+// 1<<20) and is ignored by the others.
+func ParseSolver(name string, nodeLimit int) (Solver, error) {
 	switch name {
-	case "heuristic":
+	case "", "heuristic":
 		return HeuristicSolver{}, nil
 	case "ilp":
-		return &ILPSolver{}, nil
+		return ILPSolver{NodeLimit: nodeLimit}, nil
 	case "local":
-		return &LocalSolver{}, nil
+		return LocalSolver{}, nil
 	}
 	return nil, fmt.Errorf("core: unknown solver %q (have %v)", name, SolverNames())
 }
@@ -42,11 +40,7 @@ func SolverNames() []string { return []string{"heuristic", "ilp", "local"} }
 // Solver, allocation-free on a warmed Instance.
 type HeuristicSolver struct{}
 
-// Name implements Solver.
-func (HeuristicSolver) Name() string { return "heuristic" }
-
-// Solve implements Solver.
-func (HeuristicSolver) Solve(inst *Instance) (*Solution, error) {
+func (HeuristicSolver) solve(inst *Instance) (*Solution, error) {
 	return inst.solveHeuristic()
 }
 
@@ -56,25 +50,19 @@ func (HeuristicSolver) Solve(inst *Instance) (*Solution, error) {
 // returns a feasible allocation. The branch-and-bound outcome (status,
 // nodes, bound) of the latest solve is published on Instance.ILPResult.
 type ILPSolver struct {
-	// Opts bound the exact solve; WarmStart is overridden with the
-	// heuristic solution of the same instance.
-	Opts ILPOptions
+	// NodeLimit bounds explored branch-and-bound nodes (0 = the default,
+	// 1<<20), as ILPOptions.NodeLimit.
+	NodeLimit int
 }
 
-// Name implements Solver.
-func (*ILPSolver) Name() string { return "ilp" }
-
-// Solve implements Solver.
-func (s *ILPSolver) Solve(inst *Instance) (*Solution, error) {
-	warm, err := (HeuristicSolver{}).Solve(inst)
+func (s ILPSolver) solve(inst *Instance) (*Solution, error) {
+	warm, err := inst.solveHeuristic()
 	if err != nil {
 		// PassOne failed: no uniform bias meets timing, so the ILP is
 		// infeasible too — surface the cheaper diagnosis.
 		return nil, err
 	}
-	opts := s.Opts
-	opts.WarmStart = warm
-	sol, res, err := inst.SolveILP(opts)
+	sol, res, err := inst.SolveILP(ILPOptions{NodeLimit: s.NodeLimit, WarmStart: warm})
 	inst.ILPResult = res
 	return sol, err
 }

@@ -388,6 +388,9 @@ func (q *YieldRequest) validate(maxDies int) *apiError {
 		if q.Resume.Acc.Dies != q.Resume.Ckpt {
 			return badRequest("resume.acc covers %d dies, resume.ckpt is %d", q.Resume.Acc.Dies, q.Resume.Ckpt)
 		}
+		if err := q.Resume.Acc.Validate(); err != nil {
+			return badRequest("resume.acc: %v", err)
+		}
 	}
 	return nil
 }

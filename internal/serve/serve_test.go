@@ -540,6 +540,90 @@ func TestTuneDieMode(t *testing.T) {
 	}
 }
 
+// TestTuneSolveCacheKeysByConfiguration: identical die-mode tunes share
+// the prefix's SolveCache entries whatever their solver. Each request parses
+// its own "ilp" or "local" value, and the cache keys by configuration, so a
+// stream of such tunes cannot fill the cache and leave later yield requests
+// re-solving their recurring targets.
+func TestTuneSolveCacheKeysByConfiguration(t *testing.T) {
+	s, c := newTestServer(t, Options{})
+	ctx := context.Background()
+	ref := DesignRef{Benchmark: "c1355"}
+	tune := func(solver string, seed int64) bool {
+		t.Helper()
+		resp, err := c.Tune(ctx, TuneRequest{DesignRef: ref, Solver: solver, Die: &DieRequest{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Die.Solution != nil
+	}
+	// The first die that needs bias; a die meeting timing unbiased never
+	// reaches the cache.
+	seed := int64(1)
+	for ; !tune("heuristic", seed); seed++ {
+		if seed == 64 {
+			t.Fatal("no c1355 die among seeds 1-64 needed bias")
+		}
+	}
+	pfx, err := s.prefixErr(ctx, &ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []string{"local", "ilp"} {
+		before := pfx.Solves.Len()
+		tune(solver, seed)
+		filled := pfx.Solves.Len()
+		if filled <= before {
+			t.Fatalf("%s: first tune stored nothing (%d entries before and after)", solver, before)
+		}
+		for i := 0; i < 20; i++ {
+			tune(solver, seed)
+		}
+		if got := pfx.Solves.Len(); got != filled {
+			t.Errorf("%s: 20 identical tunes grew the cache from %d to %d entries", solver, filled, got)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		tune([]string{"local", "ilp"}[i%2], seed)
+	}
+	before := pfx.Solves.Len()
+	if _, err := c.Yield(ctx, YieldRequest{DesignRef: ref, Dies: 64, Seed: 3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := pfx.Solves.Len(); got <= before {
+		t.Fatalf("heuristic yield after 300 tunes stored no recurring target (%d entries before and after)", got)
+	}
+}
+
+// TestYieldRejectsImpossibleResume: a resume accumulator no stream can
+// produce is the client's 400, answered before any die line, not a 200
+// stream ending in a yield above 100%.
+func TestYieldRejectsImpossibleResume(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	for _, tc := range []struct{ acc, want string }{
+		{`{"dies":1,"metBefore":-5,"metAfter":1000,"tunedDies":7,"failedCompensations":-3,"sumBetaPct":1,"worstBetaPct":1,` +
+			`"sumLeakBeforeNW":1,"sumLeakAfterNW":1,"sumLeakTunedOnlyNW":1,"sumIters":1,"sumClusters":1}`, "metBefore -5"},
+		{`{"dies":1,"metAfter":2,"failedCompensations":-1}`, "metAfter 2 out of range [0, 1]"},
+		{`{"dies":1}`, "metAfter 0 + failedCompensations 0 != dies 1"},
+		{`{"dies":1,"metAfter":1,"sumLeakAfterNW":-3}`, "sumLeakAfterNW -3"},
+	} {
+		body := `{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":` + tc.acc + `}}`
+		status, resp := postRaw(t, c, "/v1/yield", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("acc %s: status %d, want 400 (body %s)", tc.acc, status, resp)
+		}
+		if !strings.Contains(string(resp), tc.want) || strings.Contains(string(resp), `"die"`) {
+			t.Fatalf("acc %s: body %s, want one error naming %q", tc.acc, resp, tc.want)
+		}
+	}
+	// A possible prior still resumes.
+	status, resp := postRaw(t, c, "/v1/yield",
+		`{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":{"dies":1,"metBefore":1,"metAfter":1,"worstBetaPct":-1,"sumBetaPct":-1,"sumLeakBeforeNW":5,"sumLeakAfterNW":5}}}`)
+	if status != http.StatusOK || !strings.Contains(string(resp), `"die":1`) {
+		t.Fatalf("valid resume: status %d, body %s", status, resp)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	cases := []struct {

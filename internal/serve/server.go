@@ -297,18 +297,6 @@ func (s *Server) prefix(ctx context.Context, ref *DesignRef) (*flow.Prefix, *api
 	return pfx, nil
 }
 
-// resolveSolver maps a request solver name to a core.Solver for the
-// variation paths (nil = built-in heuristic) through repro.NamedSolver —
-// the same resolution the in-process drivers use — turning a typo into the
-// client's 400.
-func resolveSolver(name string) (core.Solver, *apiError) {
-	sv, err := repro.NamedSolver(name, core.ILPOptions{})
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return sv, nil
-}
-
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -327,9 +315,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate the solver name up front: a typo is the client's 400, not
 	// a failed flow.
-	solver, e := resolveSolver(req.Solver)
-	if e != nil {
-		writeError(w, e)
+	solver, err := core.ParseSolver(req.Solver, 0)
+	if err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
 	pfx, e := s.prefix(r.Context(), &req.DesignRef)
@@ -394,9 +382,9 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	solver, e := resolveSolver(req.Solver)
-	if e != nil {
-		writeError(w, e)
+	solver, err := core.ParseSolver(req.Solver, 0)
+	if err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
 	pfx, e := s.prefix(r.Context(), &req.DesignRef)
@@ -485,8 +473,8 @@ func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	if _, e := resolveSolver(req.Solver); e != nil {
-		writeError(w, e)
+	if _, err := core.ParseSolver(req.Solver, 0); err != nil {
+		writeError(w, badRequest("%v", err))
 		return
 	}
 

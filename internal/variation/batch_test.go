@@ -238,41 +238,6 @@ func TestSolveCacheHoldsOnlyRecurringTargets(t *testing.T) {
 	}
 }
 
-// uncomparableSolver has a non-comparable dynamic type (slice field), so
-// it cannot be compared or used as a map key.
-type uncomparableSolver struct {
-	pad []int
-}
-
-func (uncomparableSolver) Name() string { return "uncomparable" }
-func (uncomparableSolver) Solve(inst *core.Instance) (*core.Solution, error) {
-	return core.HeuristicSolver{}.Solve(inst)
-}
-
-// TestYieldStreamUncomparableSolver: a solver value that cannot be compared
-// must tune a population like the heuristic it wraps, not panic once a
-// second die needs an allocation.
-func TestYieldStreamUncomparableSolver(t *testing.T) {
-	an, al, nom := streamFixture(t)
-	proc := tech.Default45nm()
-	opts := TuneOptions{GuardbandPct: 0.005, Workers: 1}
-	want, err := YieldStream(context.Background(), an, al, nom, proc, Default(), 20, 7, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.TunedDies < 2 {
-		t.Fatalf("fixture tuned %d dies, need at least 2", want.TunedDies)
-	}
-	opts.Solver = uncomparableSolver{pad: []int{1}}
-	got, err := YieldStream(context.Background(), an, al, nom, proc, Default(), 20, 7, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Fatalf("uncomparable solver diverged from the heuristic:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestWilsonHalfWidthBruteForce pins the closed-form interval against a
 // bisection of its defining equation: the Wilson bounds are the roots p of
 // (p̂-p)² = z²·p(1-p)/n, and the half-width is half their distance.

@@ -187,6 +187,16 @@ func TestYieldStreamResumableValidation(t *testing.T) {
 		{"missing prior", StreamOptions{StartDie: 3}, "requires a Prior"},
 		{"prior mismatch", StreamOptions{StartDie: 3, Prior: &YieldAccum{Dies: 2}}, "covers 2 dies"},
 		{"prior without start", StreamOptions{Prior: &YieldAccum{Dies: 2}}, "StartDie is 0"},
+		// Priors covering the right dies that no stream can produce.
+		{"uncounted dies", StreamOptions{StartDie: 3, Prior: &YieldAccum{Dies: 3}}, "metAfter 0 + failedCompensations 0 != dies 3"},
+		{"met beyond dies", StreamOptions{StartDie: 1, Prior: &YieldAccum{Dies: 1, MetBefore: -5, MetAfter: 1000, TunedDies: 7, FailedCompensations: -3}},
+			"metBefore -5 out of range [0, 1]"},
+		{"yield over 100%", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 3, FailedCompensations: -1}},
+			"metAfter 3 out of range [0, 2]"},
+		{"tuned beyond dies", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 2, TunedDies: 3}},
+			"tunedDies 3 out of range [0, 2]"},
+		{"negative leakage", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 1, FailedCompensations: 1, SumLeakAfterNW: -1}},
+			"sumLeakAfterNW -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,7 +213,8 @@ func TestYieldStreamResumableValidation(t *testing.T) {
 // checkpoint interval (0–8) and resume point, resuming from a checkpoint
 // the unbroken stream emitted (after a JSON wire crossing) replays every
 // later per-die result, every later checkpoint and the footer stats bit for
-// bit; out-of-range starts and mismatched priors fail with an error.
+// bit; every checkpoint passes YieldAccum.Validate; out-of-range starts
+// and mismatched or impossible priors fail with an error.
 func FuzzYieldResume(f *testing.F) {
 	an, al, nom := streamFixture(f)
 	proc := tech.Default45nm()
@@ -223,6 +234,9 @@ func FuzzYieldResume(f *testing.F) {
 			r := &run{ckpts: map[int]YieldAccum{}}
 			sopts.CheckpointEvery = int(every) % 9
 			sopts.OnCheckpoint = func(die int, acc YieldAccum) error {
+				if err := acc.Validate(); err != nil {
+					t.Fatalf("checkpoint at die %d: %v", die, err)
+				}
 				r.ckpts[die] = acc
 				return nil
 			}
@@ -289,6 +303,12 @@ func FuzzYieldResume(f *testing.F) {
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid - 1}},
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid + 1}},
 			{Prior: &YieldAccum{Dies: mid}},
+			// Dies match, but no stream folds to these states.
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid + 1, FailedCompensations: -1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, MetBefore: mid + 1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: -1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, FailedCompensations: mid, SumLeakTunedOnlyNW: -float64(at) - 1}},
 		} {
 			if _, err := YieldStreamResumable(context.Background(), an, al, nom, proc, Default(),
 				dies, seed, opts, bad, nil); err == nil {

@@ -34,9 +34,9 @@ type TuneOptions struct {
 	// of the worker count.
 	Workers int
 	// Solver picks the allocation engine (nil = the built-in two-pass
-	// heuristic). A shared Solver must be safe for concurrent Solve calls
-	// on distinct Instances — the core built-ins are — since YieldStream
-	// hands the same value to every worker.
+	// heuristic; core.ParseSolver builds one by name). YieldStream hands
+	// the same value to every worker: every core.Solver is safe for
+	// concurrent solves on distinct Instances.
 	Solver core.Solver
 	// BatchWidth sets how many dies YieldStream's population kernels
 	// process per batch (0 = defaultBatchWidth). Any width — including 1 —
@@ -357,6 +357,44 @@ func (a *YieldAccum) fold(r *TuneResult, limit float64) {
 	}
 }
 
+// Validate reports whether fold can reach this state: every count lies in
+// [0, Dies], each die either met timing after tuning or counts as a failed
+// compensation, and the leakage sums are non-negative. A resumed stream
+// folds onto its prior as given, so an impossible one would finalize into
+// impossible statistics (a yield above 100%).
+func (a *YieldAccum) Validate() error {
+	if a.Dies < 0 {
+		return fmt.Errorf("variation: impossible accumulator: dies %d is negative", a.Dies)
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"metBefore", a.MetBefore}, {"metAfter", a.MetAfter},
+		{"tunedDies", a.TunedDies}, {"failedCompensations", a.FailedCompensations},
+	} {
+		if c.n < 0 || c.n > a.Dies {
+			return fmt.Errorf("variation: impossible accumulator: %s %d out of range [0, %d]", c.name, c.n, a.Dies)
+		}
+	}
+	if a.MetAfter+a.FailedCompensations != a.Dies {
+		return fmt.Errorf("variation: impossible accumulator: metAfter %d + failedCompensations %d != dies %d",
+			a.MetAfter, a.FailedCompensations, a.Dies)
+	}
+	for _, s := range []struct {
+		name string
+		v    float64
+	}{
+		{"sumLeakBeforeNW", a.SumLeakBeforeNW}, {"sumLeakAfterNW", a.SumLeakAfterNW},
+		{"sumLeakTunedOnlyNW", a.SumLeakTunedOnlyNW},
+	} {
+		if !(s.v >= 0) {
+			return fmt.Errorf("variation: impossible accumulator: %s %g is not non-negative", s.name, s.v)
+		}
+	}
+	return nil
+}
+
 // stats normalizes the accumulated sums into the study's YieldStats.
 func (a *YieldAccum) stats() *YieldStats {
 	st := &YieldStats{
@@ -516,6 +554,11 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 		}
 	} else if sopts.Prior != nil && sopts.Prior.Dies != 0 {
 		return nil, fmt.Errorf("variation: Prior covers %d dies but StartDie is 0", sopts.Prior.Dies)
+	}
+	if sopts.Prior != nil {
+		if err := sopts.Prior.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opts.SolveCache == nil {
 		opts.SolveCache = core.NewSolveCache(al)

@@ -213,7 +213,7 @@ func TestYieldStudySolverSelection(t *testing.T) {
 		return yieldStudy(t, pl, proc, Default(), dies, 99,
 			TuneOptions{GuardbandPct: 0.005, Workers: workers, Solver: solver})
 	}
-	local := &core.LocalSolver{Seed: 3}
+	local := core.LocalSolver{}
 	seq := run(local, 1)
 	if par := run(local, 4); *par != *seq {
 		t.Errorf("local-solver study diverged across worker counts:\nseq: %+v\npar: %+v", seq, par)

@@ -83,10 +83,10 @@ type Result struct {
 	// ILPNodes the explored nodes.
 	ILPStatus string
 	ILPNodes  int
-	// ILPResult carries the full branch-and-bound diagnostics (nodes,
-	// bound, branching rule, strong-branching LPs) of
-	// the most recent exact solve — RunILP's, or the primary solver's when
-	// it is "ilp". Nil when no exact solve ran.
+	// ILPResult carries the full branch-and-bound diagnostics (status,
+	// nodes, bound, strong-branching LPs) of the most recent exact solve —
+	// RunILP's, or the primary solver's when it is "ilp". Nil when no
+	// exact solve ran.
 	ILPResult *ilp.Result
 
 	// HeuristicTime and ILPTime are wall-clock allocator runtimes.
@@ -203,45 +203,6 @@ func stageProblem(pfx *flow.Prefix, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// NamedSolver resolves a built-in solver name to a core.Solver value
-// ("" and "heuristic" resolve to nil, the built-in default), threading
-// ilpOpts into an "ilp" selection. The zero options mean ilp's default
-// node budget (1<<20). NamedSolver is the single solver resolution
-// path shared by the in-process drivers and the fbbd service, so the two
-// cannot drift.
-func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
-	if name == "" || name == "heuristic" {
-		return nil, nil
-	}
-	s, err := core.NewNamedSolver(name)
-	if err != nil {
-		return nil, err
-	}
-	if sv, ok := s.(*core.ILPSolver); ok {
-		sv.Opts = ilpOpts
-	}
-	return s, nil
-}
-
-// ilpOptions collects Config's exact-solve settings (WarmStart unset).
-func (cfg Config) ilpOptions() core.ILPOptions {
-	return core.ILPOptions{NodeLimit: cfg.ILPNodeLimit}
-}
-
-// resolveSolver maps Config.Solver to a core.Solver value ("" = the
-// default heuristic), threading the ILP settings into an "ilp" selection.
-func resolveSolver(cfg Config) (core.Solver, string, error) {
-	s, err := NamedSolver(cfg.Solver, cfg.ilpOptions())
-	if err != nil {
-		return nil, "", err
-	}
-	name := cfg.Solver
-	if s == nil {
-		name = "heuristic"
-	}
-	return s, name, nil
-}
-
 // stageAllocate runs the allocators: the single-voltage baseline, the
 // configured solver (two-pass heuristic by default), and (when requested)
 // the exact ILP.
@@ -252,11 +213,14 @@ func stageAllocate(res *Result, cfg Config) error {
 	}
 	res.Single = single.Clone()
 
-	solver, name, err := resolveSolver(cfg)
+	solver, err := core.ParseSolver(cfg.Solver, cfg.ILPNodeLimit)
 	if err != nil {
 		return err
 	}
-	res.SolverName = name
+	res.SolverName = cfg.Solver
+	if res.SolverName == "" {
+		res.SolverName = "heuristic"
+	}
 	start := time.Now()
 	sol, err := res.Problem.Solve(solver)
 	if err != nil {
@@ -267,10 +231,8 @@ func stageAllocate(res *Result, cfg Config) error {
 	res.ILPResult = res.Problem.ILPResult
 
 	if cfg.RunILP {
-		opts := cfg.ilpOptions()
-		opts.WarmStart = res.Heuristic
 		start = time.Now()
-		sol, ires, err := res.Problem.SolveILP(opts)
+		sol, ires, err := res.Problem.SolveILP(core.ILPOptions{NodeLimit: cfg.ILPNodeLimit, WarmStart: res.Heuristic})
 		res.ILPTime = time.Since(start)
 		if err != nil {
 			return err
