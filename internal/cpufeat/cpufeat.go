@@ -1,8 +1,8 @@
 // Package cpufeat reports the x86 vector features the exact AVX2 kernels
-// (variation's cosine sweep, tech's Exp/Log sweeps) may use. Both flags are
-// fixed at init from CPUID and XGETBV and are false on every non-amd64
-// build, so a kernel that checks them never executes an instruction the
-// host lacks.
+// may use: variation's cosine sweep, tech's Exp/Log sweeps, lp's pivot row
+// update (axpy) and sta's batched re-timing lanes. Both flags are fixed at
+// init from CPUID and XGETBV and are false on every non-amd64 build, so a
+// kernel that checks them never executes an instruction the host lacks.
 package cpufeat
 
 var avx2, fma = probe()

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 
+	"repro/internal/cpufeat"
 	"repro/internal/place"
 )
 
@@ -32,11 +33,16 @@ type TimingBatch struct {
 	acc []float64
 }
 
+// lanesAVX2 selects the assembly lane passes of RunLightBatch. It is fixed
+// at init from the host's CPU features and is false on every non-amd64
+// build; tests clear it to force the portable loops.
+var lanesAVX2 = cpufeat.AVX2()
+
 // RunLightBatch re-times w dies at once, each with its own per-gate delay
 // scale, into buf (nil allocates a fresh TimingBatch). scale is die-major:
 // die d's scale vector is scale[d*n : (d+1)*n] for n = NumGates — the layout
-// a die-major SoA sampler produces — and is transposed into the batch's
-// lane-contiguous arrays on entry.
+// a die-major SoA sampler produces — and is transposed gate by gate into the
+// batch's lane-contiguous arrays, so every write is contiguous.
 //
 // Per die, the float operations are exactly RunLight's: the forward and
 // backward sweeps visit gates in the same topological order and reduce each
@@ -44,9 +50,13 @@ type TimingBatch struct {
 // gates in index order, so lane d of the batch is bit-identical to
 // RunLight(scale[d*n:(d+1)*n], ...). What the batch buys is structure
 // amortization: the per-gate topo lookups, CSR slice bounds and
-// setup-vs-combinational branches are paid once per gate instead of once
-// per gate per die, and the inner lane loops are branch-light contiguous
-// sweeps.
+// setup-vs-combinational branches are paid once per gate per block of lanes
+// instead of once per gate per die. On AVX2 hosts each block of four lanes
+// runs the three passes in lanes_amd64.s, one ymm register per gate (the
+// forward pass also transposes the block's delays), whose VMAXPD reduction
+// is exactly the scalar `if v > acc { acc = v }` (NaN and signed zeros
+// included); the w%4 leftover lanes, and every lane elsewhere, run the Go
+// loops of goLanes.
 func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*TimingBatch, error) {
 	n := len(a.nomDelayPS)
 	if w <= 0 {
@@ -68,18 +78,36 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 	tb.DcritPS = growFloat(tb.DcritPS, w)
 	tb.acc = growFloat(tb.acc, w)
 
-	// Transpose the die-major scale into lane-contiguous scaled delays:
-	// gd[g*W+d] = nom[g] * scale[d*n+g].
-	gd := tb.GateDelayPS
-	for d := 0; d < w; d++ {
-		row := scale[d*n : (d+1)*n]
-		for g, s := range row {
-			gd[g*w+d] = a.nomDelayPS[g] * s
+	lo := 0
+	if lanesAVX2 {
+		gd, arr, tail, dc := tb.GateDelayPS, tb.ArrPS, tb.TailPS, tb.DcritPS
+		for ; lo+4 <= w; lo += 4 {
+			forwardAVX2(arr[lo:], gd[lo:], scale[lo*n:], a.nomDelayPS, a.topo, a.predStart, a.preds, n, w)
+			backwardAVX2(tail[lo:], gd[lo:], a.topo, a.succStart, a.succs, a.succSetupPS, w)
+			dcritAVX2(dc[lo:], arr[lo:], tail[lo:], n, w)
 		}
 	}
+	if lo < w {
+		a.goLanes(tb, scale, lo)
+	}
+	return tb, nil
+}
 
-	arr := tb.ArrPS
-	acc := tb.acc[:w]
+// goLanes runs RunLightBatch's passes over lanes [lo, W) of tb.
+func (a *Analyzer) goLanes(tb *TimingBatch, scale []float64, lo int) {
+	n, w := len(a.nomDelayPS), tb.W
+	gd, arr, tail := tb.GateDelayPS, tb.ArrPS, tb.TailPS
+	acc := tb.acc[lo:w]
+
+	// Transpose the die-major scale into lane-contiguous scaled delays,
+	// gate by gate so that every write is contiguous:
+	// gd[g*W+d] = nom[g] * scale[d*n+g].
+	for g, nom := range a.nomDelayPS {
+		out := gd[g*w+lo : g*w+w]
+		for d := range out {
+			out[d] = nom * scale[(lo+d)*n+g]
+		}
+	}
 
 	// Forward pass: per-lane arrival maxima in pin order, then one add of
 	// the gate delay — the same float ops per lane as RunLight.
@@ -88,15 +116,15 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 			acc[d] = 0
 		}
 		for _, p := range a.preds[a.predStart[g]:a.predStart[g+1]] {
-			lane := arr[int(p)*w : int(p)*w+w]
+			lane := arr[int(p)*w+lo : int(p)*w+w]
 			for d, v := range lane {
 				if v > acc[d] {
 					acc[d] = v
 				}
 			}
 		}
-		out := arr[int(g)*w : int(g)*w+w]
-		del := gd[int(g)*w : int(g)*w+w]
+		out := arr[int(g)*w+lo : int(g)*w+w]
+		del := gd[int(g)*w+lo : int(g)*w+w]
 		for d := range out {
 			out[d] = acc[d] + del[d]
 		}
@@ -105,7 +133,6 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 	// Backward pass: per-lane tail maxima in fanout order. A flip-flop
 	// consumer contributes its (lane-invariant) setup time, compared in
 	// the same position of each lane's reduction as in RunLight.
-	tail := tb.TailPS
 	for i := len(a.topo) - 1; i >= 0; i-- {
 		g := a.topo[i]
 		for d := range acc {
@@ -121,33 +148,32 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 				continue
 			}
 			f := int(a.succs[k])
-			fd := gd[f*w : f*w+w]
-			ft := tail[f*w : f*w+w]
+			fd := gd[f*w+lo : f*w+w]
+			ft := tail[f*w+lo : f*w+w]
 			for d := range acc {
 				if cand := fd[d] + ft[d]; cand > acc[d] {
 					acc[d] = cand
 				}
 			}
 		}
-		copy(tail[int(g)*w:int(g)*w+w], acc)
+		copy(tail[int(g)*w+lo:int(g)*w+w], acc)
 	}
 
 	// Critical delays, accumulated over gates in index order exactly like
 	// the shared dcrit reduction.
-	dc := tb.DcritPS[:w]
+	dc := tb.DcritPS[lo:w]
 	for d := range dc {
 		dc[d] = 0
 	}
 	for g := 0; g < n; g++ {
-		ga := arr[g*w : g*w+w]
-		gt := tail[g*w : g*w+w]
+		ga := arr[g*w+lo : g*w+w]
+		gt := tail[g*w+lo : g*w+w]
 		for d := range dc {
 			if t := ga[d] + gt[d]; t > dc[d] {
 				dc[d] = t
 			}
 		}
 	}
-	return tb, nil
 }
 
 // NumGates returns the per-lane gate count of the current batch.

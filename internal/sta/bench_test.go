@@ -99,3 +99,41 @@ func BenchmarkAnalyzerRunIndustrial1(b *testing.B) { benchmarkAnalyzerRun(b, "in
 func BenchmarkAnalyzerRunLightC5315(b *testing.B)       { benchmarkAnalyzerRunLight(b, "c5315") }
 func BenchmarkAnalyzerRunLightC6288(b *testing.B)       { benchmarkAnalyzerRunLight(b, "c6288") }
 func BenchmarkAnalyzerRunLightIndustrial1(b *testing.B) { benchmarkAnalyzerRunLight(b, "industrial1") }
+
+// BenchmarkRunLightBatch re-times 16 dies per call, the yield stream's
+// batch width, and reports the cost per die; go forces the portable lane
+// loops.
+func BenchmarkRunLightBatch(b *testing.B) {
+	const w = 16
+	for _, name := range []string{"c5315", "c6288", "industrial1"} {
+		pl := benchPlacement(b, name)
+		scale := benchScale(len(pl.Design.Gates) * w)
+		an, err := NewAnalyzer(pl, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, avx2 := range lanePaths() {
+			path := "go"
+			if avx2 {
+				path = "avx2"
+			}
+			b.Run(name+"/"+path, func(b *testing.B) {
+				withLanes(avx2, func() {
+					tb, err := an.RunLightBatch(scale, w, nil) // warm the buffer
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if tb, err = an.RunLightBatch(scale, w, tb); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/die")
+				})
+			})
+		}
+	}
+}

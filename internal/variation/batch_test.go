@@ -3,6 +3,7 @@ package variation
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -88,12 +89,15 @@ func TestLeakageBlockNWMatchesScalar(t *testing.T) {
 // TestYieldStreamBatchWidthInvariance: the batch width is a pure locality
 // knob — per-die results and aggregate statistics must be byte-identical to
 // the scalar TuneOn loop at every width and worker count, including widths
-// that do not divide the die count (partial tail batches) and widths larger
-// than the population.
+// that do not divide the die count (partial tail batches), widths larger
+// than the population, and widths that leave RunLightBatch's AVX2 kernel
+// whole four-lane blocks, only Go leftover lanes, or both — for the sampled
+// re-timing and for the padded re-timing of the biased lanes.
 func TestYieldStreamBatchWidthInvariance(t *testing.T) {
 	an, al, nom := streamFixture(t)
 	proc := tech.Default45nm()
 	const dies = 37 // not divisible by any tested width > 1
+	defer func(saved int) { batchWidth = saved }(batchWidth)
 	const seed = 19
 	opts := TuneOptions{GuardbandPct: 0.005}
 
@@ -116,10 +120,10 @@ func TestYieldStreamBatchWidthInvariance(t *testing.T) {
 	}
 
 	var baseline *YieldStats
-	for _, width := range []int{1, 3, 16, 64} {
+	for _, width := range []int{1, 3, 4, 5, 16, 17, 64} {
+		batchWidth = width
 		for _, workers := range []int{1, 4} {
 			o := opts
-			o.BatchWidth = width
 			o.Workers = workers
 			got, err := YieldStream(context.Background(), an, al, nom, proc, m, dies, seed, o,
 				func(die int, r *TuneResult) error {
@@ -376,5 +380,80 @@ search:
 	}
 	if st.WorstBetaPct != worst {
 		t.Fatalf("WorstBetaPct %v, want the true maximum %v", st.WorstBetaPct, worst)
+	}
+}
+
+// requireTuneResultBits fails unless got equals want on every TuneResult
+// field: floats by their bits, the Solution deep-equal.
+func requireTuneResultBits(tb testing.TB, die int, want, got *TuneResult) {
+	tb.Helper()
+	bits := math.Float64bits
+	if bits(want.BetaActual) != bits(got.BetaActual) || bits(want.BetaSensed) != bits(got.BetaSensed) ||
+		bits(want.DcritBeforePS) != bits(got.DcritBeforePS) || bits(want.DcritAfterPS) != bits(got.DcritAfterPS) ||
+		bits(want.LeakBeforeNW) != bits(got.LeakBeforeNW) || bits(want.LeakAfterNW) != bits(got.LeakAfterNW) ||
+		want.Met != got.Met || want.Reason != got.Reason || want.Iters != got.Iters ||
+		!reflect.DeepEqual(want.Solution, got.Solution) {
+		tb.Fatalf("die %d diverged from TuneOn:\nwant %+v (solution %+v)\ngot  %+v (solution %+v)",
+			die, want, want.Solution, got, got.Solution)
+	}
+}
+
+// TestYieldStreamEscalationMatchesTuneOn: the batched stream runs every
+// biased die's first allocation and re-time in the batch and enters the
+// escalation loop at its second attempt; TuneOn runs the same loop from the
+// first. On populations tuned to escalate (a wide die-to-die spread, one
+// cluster, a negative guardband, a near-zero slack tolerance) each die's
+// TuneResult must be identical, including the dies that need several
+// attempts, the dies whose first solve is beyond the compensation range and
+// the dies that run out of attempts.
+func TestYieldStreamEscalationMatchesTuneOn(t *testing.T) {
+	an, al, nom := streamFixture(t)
+	proc := tech.Default45nm()
+	pl := an.Placement()
+	m := Model{SigmaD2DmV: 50, SigmaSysmV: 12, SigmaRndmV: 8, CorrLenUM: 150}
+	const dies = 45
+	const seed = 5
+	defer func(saved int) { batchWidth = saved }(batchWidth)
+	base := TuneOptions{GuardbandPct: -0.02, SlackTolPct: 1e-9, MaxClusters: 1}
+	capped := base
+	capped.MaxIters = 2
+	escalated, firstFailed, exhausted := 0, 0, 0
+	for _, opts := range []TuneOptions{base, capped} {
+		tn := NewTuner(NewRetimer(an), al)
+		want := make([]*TuneResult, dies)
+		for i := range want {
+			r, err := TuneOn(tn, nom, m.Sample(pl, proc, DieSeed(seed, i)), proc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = r
+			switch {
+			case r.Iters >= 2 && r.Met:
+				escalated++
+			case r.Iters == 1 && r.Solution == nil && r.Reason != "":
+				firstFailed++
+			case r.Iters == opts.MaxIters && !r.Met && r.Solution != nil:
+				exhausted++
+			}
+		}
+		for _, width := range []int{16, 5} {
+			batchWidth = width
+			for _, workers := range []int{1, 2} {
+				o := opts
+				o.Workers = workers
+				if _, err := YieldStream(context.Background(), an, al, nom, proc, m, dies, seed, o,
+					func(die int, r *TuneResult) error {
+						requireTuneResultBits(t, die, want[die], r)
+						return nil
+					}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	t.Logf("%d dies escalated, %d failed their first solve, %d ran out of attempts", escalated, firstFailed, exhausted)
+	if escalated == 0 || firstFailed == 0 || exhausted == 0 {
+		t.Fatalf("fixture lost its coverage: %d escalated, %d failed first solves, %d out of attempts; want each > 0",
+			escalated, firstFailed, exhausted)
 	}
 }

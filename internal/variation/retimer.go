@@ -51,8 +51,8 @@ func (rt *Retimer) TimeLight(die *Die) (*sta.Timing, error) {
 // TimeWithBiasLight re-times the die with a row-level body-bias assignment
 // applied on top of its variation.
 func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int) (*sta.Timing, error) {
-	scale, err := rt.biasScale(die, proc, assign, 0)
-	if err != nil {
+	scale := rt.scaleBuf(len(die.DVthV))
+	if err := rt.biasScale(scale, die, proc, assign, 0); err != nil {
 		return nil, err
 	}
 	return rt.an.RunLight(scale, rt.buf)
@@ -61,22 +61,23 @@ func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int)
 // TimeUniformBiasLight re-times the die with one body-bias voltage applied
 // to every gate (the block-level granularity RBB recovery scans).
 func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float64) (*sta.Timing, error) {
-	scale, err := rt.biasScale(die, proc, nil, vbs)
-	if err != nil {
+	scale := rt.scaleBuf(len(die.DVthV))
+	if err := rt.biasScale(scale, die, proc, nil, vbs); err != nil {
 		return nil, err
 	}
 	return rt.an.RunLight(scale, rt.buf)
 }
 
-// biasScale fills the scale scratch with the die's variation combined with a
-// body bias that is uniform within each row: grid level assign[r] on row r,
-// or vbs on every row when assign is nil. The body-effect shift depends only
-// on the row's bias, so it is computed once per row; each gate then adds its
-// own variation exactly as tech.Process.DelayFactorBias does.
-func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int, vbs float64) ([]float64, error) {
+// biasScale fills scale (one entry per gate) with the die's variation
+// combined with a body bias that is uniform within each row: grid level
+// assign[r] on row r, or vbs on every row when assign is nil. The
+// body-effect shift depends only on the row's bias, so it is computed once
+// per row; each gate then adds its own variation exactly as
+// tech.Process.DelayFactorBias does. Only the die's DVthV is read.
+func (rt *Retimer) biasScale(scale []float64, die *Die, proc *tech.Process, assign []int, vbs float64) error {
 	pl := rt.an.Placement()
 	if assign != nil && len(assign) != pl.NumRows {
-		return nil, errors.New("variation: assignment length mismatch")
+		return errors.New("variation: assignment length mismatch")
 	}
 	if cap(rt.shift) < pl.NumRows {
 		rt.shift = make([]float64, pl.NumRows)
@@ -93,12 +94,11 @@ func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int, vbs flo
 			shift[r] = proc.VthShift(grid.Voltage(level))
 		}
 	}
-	scale := rt.scaleBuf(len(die.DVthV))
 	for g := range scale {
 		scale[g] = shift[pl.RowOf[g]] + die.DVthV[g]
 	}
 	proc.DelayFactorsDVth(scale, scale)
-	return scale, nil
+	return nil
 }
 
 func (rt *Retimer) scaleBuf(n int) []float64 {

@@ -20,13 +20,13 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, proc := range []*tech.Process{tech.Default45nm(), tech.Default45nm().WithTemperature(370)} {
 		die := Default().Sample(pl, proc, 11)
+		scale := make([]float64, len(die.DVthV))
 		for trial := 0; trial < 8; trial++ {
 			assign := make([]int, pl.NumRows)
 			for r := range assign {
 				assign[r] = rng.Intn(grid.NumLevels()+2) - 1
 			}
-			scale, err := rt.biasScale(die, proc, assign, 0)
-			if err != nil {
+			if err := rt.biasScale(scale, die, proc, assign, 0); err != nil {
 				t.Fatal(err)
 			}
 			for g, got := range scale {
@@ -37,8 +37,7 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 			}
 		}
 		for _, vbs := range []float64{-0.2, 0, 0.05, 0.3, 0.5, 0.8} {
-			scale, err := rt.biasScale(die, proc, nil, vbs)
-			if err != nil {
+			if err := rt.biasScale(scale, die, proc, nil, vbs); err != nil {
 				t.Fatal(err)
 			}
 			for g, got := range scale {

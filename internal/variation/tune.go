@@ -38,12 +38,6 @@ type TuneOptions struct {
 	// the same value to every worker: every core.Solver is safe for
 	// concurrent solves on distinct Instances.
 	Solver core.Solver
-	// BatchWidth sets how many dies YieldStream's population kernels
-	// process per batch (0 = defaultBatchWidth). Any width — including 1 —
-	// yields byte-identical statistics and per-die results: the batch
-	// kernels preserve every die's float operation sequence exactly, so
-	// the width is purely a locality knob.
-	BatchWidth int
 	// TargetCI opts into adaptive termination: when positive, YieldStream
 	// stops after the die whose accumulation brings the 95% Wilson score
 	// interval on the recovered-yield fraction (MetAfter/Dies) to a
@@ -211,78 +205,122 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 		res.LeakAfterNW = res.LeakBeforeNW
 		return res, nil
 	}
-	return tn.tuneTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable, proc, opts)
+	t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable)
+	return tn.escalate(&t, 0, proc, opts)
 }
 
-// tuneTail is the allocate-verify-escalate loop of TuneOn on a die whose
-// head analysis (re-timing, leakage baseline, sensing) is already folded
-// into res — the shared slow path of the scalar TuneOn and the batched
-// YieldStream, which runs the head through the batch kernels and hands only
-// the dies that need bias here. opts must have defaults applied; the float
-// operations are exactly TuneOn's.
-func (tn *Tuner) tuneTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64, memoizable bool, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
-	lm := tn.leakModel(proc)
-	// Only a target that can recur is worth a cache slot: a quantized
-	// reading plus the constant guardband, or the constant floor below. The
-	// monitor leaves negative readings unquantized, so a guardband that
-	// lifts one above zero gives a one-off per-die target.
+// dieTail is one die in the allocate-verify-escalate loop, the slow path of
+// TuneOn and of the batched YieldStream: res already holds the die's head
+// analysis (re-timing, leakage baseline, sensing) and the attempts so far.
+// The loop has two entry points and one body: TuneOn enters escalate at
+// attempt 0, and YieldStream runs every biased lane's attempt 0 through
+// allocate and one batched re-time, then enters escalate at attempt 1 only
+// with the lanes that still miss timing. Either way a die sees exactly the
+// float operations of TuneOn.
+type dieTail struct {
+	res                       *TuneResult
+	die                       *Die
+	nomDcrit, dieDcrit, limit float64
+	// target is the allocation target of the next attempt.
+	target float64
+	// memoizable allows attempt 0 to go through the shared solve cache.
+	memoizable bool
+}
+
+// newDieTail starts the tail of a die that needs bias. Only a target that
+// can recur is worth a cache slot: a quantized reading plus the constant
+// guardband, or the constant floor below. The monitor leaves negative
+// readings unquantized, so a guardband that lifts one above zero gives a
+// one-off per-die target.
+func newDieTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64, memoizable bool) dieTail {
 	memoizable = memoizable && (res.BetaSensed >= 0 || target <= 0)
 	if target <= 0 {
 		target = 0.005 // sensor saw nothing but the die misses timing
 	}
+	return dieTail{res: res, die: die, nomDcrit: nomDcrit, dieDcrit: dieDcrit, limit: limit, target: target, memoizable: memoizable}
+}
 
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		res.Iters = iter + 1
-		// Escalated targets are continuous per-die floats that never
-		// recur: they bypass the cache.
-		var cache *core.SolveCache
-		if memoizable && iter == 0 {
-			cache = opts.SolveCache
-		}
-		sol, solveErr, err := tn.solve(core.Options{
-			Beta:         target,
-			MaxClusters:  opts.MaxClusters,
-			MaxBiasPairs: opts.MaxBiasPairs,
-		}, opts.Solver, cache)
-		if err != nil {
-			return nil, err
-		}
-		if solveErr != nil {
-			// Beyond the FBB compensation range. Keep the report
-			// internally consistent: when an earlier escalation already
-			// applied a solution, Solution/DcritAfterPS/LeakAfterNW
-			// still describe that applied state; only a die that never
-			// got bias reports its before-tuning figures, and it meets
-			// timing exactly when it did before tuning.
-			res.Reason = solveErr.Error()
-			if res.Solution == nil {
-				res.Met = dieDcrit <= limit
-				res.DcritAfterPS = dieDcrit
-				res.LeakAfterNW = res.LeakBeforeNW
-			}
-			return res, nil
-		}
-		tuned, err := tn.rt.TimeWithBiasLight(die, proc, sol.Assign)
-		if err != nil {
-			return nil, err
-		}
-		// sol lives in the Tuner's Instance or the cache; detach the copy
-		// we report.
-		res.Solution = sol.Clone()
-		res.DcritAfterPS = tuned.DcritPS
-		res.LeakAfterNW = lm.LeakageNW(res.Solution.Assign)
-		if tuned.DcritPS <= limit {
-			res.Met = true
-			return res, nil
-		}
-		// The uniform-beta model under-estimated this die's worst
-		// corner; escalate and retry (a real controller bumps the
-		// bias code the same way).
-		short := tuned.DcritPS/nomDcrit - 1
-		target += short + 0.005
+// allocate solves attempt iter's allocation and records it in t.res: the
+// returned Solution is the detached clone res.Solution now holds. A nil
+// Solution with a nil error ends the tail — the target is beyond the FBB
+// compensation range and res is final. opts must have defaults applied.
+func (tn *Tuner) allocate(t *dieTail, iter int, opts TuneOptions) (*core.Solution, error) {
+	res := t.res
+	res.Iters = iter + 1
+	// Escalated targets are continuous per-die floats that never recur:
+	// they bypass the cache.
+	var cache *core.SolveCache
+	if t.memoizable && iter == 0 {
+		cache = opts.SolveCache
 	}
-	res.Reason = fmt.Sprintf("not met after %d escalations", opts.MaxIters)
-	return res, nil
+	sol, solveErr, err := tn.solve(core.Options{
+		Beta:         t.target,
+		MaxClusters:  opts.MaxClusters,
+		MaxBiasPairs: opts.MaxBiasPairs,
+	}, opts.Solver, cache)
+	if err != nil {
+		return nil, err
+	}
+	if solveErr != nil {
+		// Keep the report internally consistent: when an earlier
+		// escalation already applied a solution, Solution/DcritAfterPS/
+		// LeakAfterNW still describe that applied state; only a die that
+		// never got bias reports its before-tuning figures, and it meets
+		// timing exactly when it did before tuning.
+		res.Reason = solveErr.Error()
+		if res.Solution == nil {
+			res.Met = t.dieDcrit <= t.limit
+			res.DcritAfterPS = t.dieDcrit
+			res.LeakAfterNW = res.LeakBeforeNW
+		}
+		return nil, nil
+	}
+	// sol lives in the Tuner's Instance or the cache; detach the copy we
+	// report.
+	res.Solution = sol.Clone()
+	return res.Solution, nil
+}
+
+// verify records the die's critical delay under the attempt's solution and
+// reports whether it meets timing. When it does not, the uniform-beta model
+// under-estimated this die's worst corner, and the next attempt's target is
+// escalated by the shortfall (a real controller bumps the bias code the
+// same way).
+func (t *dieTail) verify(tunedDcrit float64) bool {
+	t.res.DcritAfterPS = tunedDcrit
+	if tunedDcrit <= t.limit {
+		t.res.Met = true
+		return true
+	}
+	short := tunedDcrit/t.nomDcrit - 1
+	t.target += short + 0.005
+	return false
+}
+
+// escalate runs the tail's attempts from iter on: allocate, re-time the die
+// under the solution, take its leakage, verify. The Tuner's LeakModel must
+// hold the die (SetDie). opts must have defaults applied.
+func (tn *Tuner) escalate(t *dieTail, iter int, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
+	lm := tn.leakModel(proc)
+	for ; iter < opts.MaxIters; iter++ {
+		sol, err := tn.allocate(t, iter, opts)
+		if err != nil {
+			return nil, err
+		}
+		if sol == nil {
+			return t.res, nil
+		}
+		tuned, err := tn.rt.TimeWithBiasLight(t.die, proc, sol.Assign)
+		if err != nil {
+			return nil, err
+		}
+		t.res.LeakAfterNW = lm.LeakageNW(sol.Assign)
+		if t.verify(tuned.DcritPS) {
+			return t.res, nil
+		}
+	}
+	t.res.Reason = fmt.Sprintf("not met after %d escalations", opts.MaxIters)
+	return t.res, nil
 }
 
 // YieldAccum is the raw, order-dependent accumulator state of a yield
@@ -447,12 +485,13 @@ func (y *YieldStats) YieldPct() (before, after float64) {
 // TuneResult per die.
 const yieldChunk = 256
 
-// defaultBatchWidth is the die-batch width of YieldStream's population
-// kernels when TuneOptions.BatchWidth is unset. The batch amortizes per-gate
-// structure lookups across its lanes (sampler waves, STA topo walks), so
-// wider is better until the lane-contiguous working set outgrows the cache;
-// the width never changes results, only locality.
-const defaultBatchWidth = 16
+// batchWidth is the die-batch width of YieldStream's population kernels.
+// The batch amortizes per-gate structure lookups across its lanes (sampler
+// waves, STA topo walks), so wider is better until the lane-contiguous
+// working set outgrows the cache; a multiple of four fills the AVX2 lane
+// blocks of sta.Analyzer.RunLightBatch. The width never changes results,
+// only locality: tests vary it to prove that.
+var batchWidth = 16
 
 // wilsonZ is the two-sided 95% normal quantile used by the adaptive
 // termination interval.
@@ -486,13 +525,15 @@ func wilsonHalfWidth(n, successes int) float64 {
 // bounded only if emit does not.
 //
 // Within a window, dies move through the population kernels in batches of
-// TuneOptions.BatchWidth: one SoA sample block per batch, one die-major
-// batched re-timing, and one fused leakage sweep over the lanes that need no
-// bias — only dies that miss timing (or whose sensor demands bias) fall back
-// to the scalar allocate-verify-escalate tail. Every lane preserves the
-// per-die float operation order of the scalar path, so the batch width (and
-// the worker count, and the chunk size) never changes a single byte of the
-// per-die results or the aggregate.
+// batchWidth: one SoA sample block per batch, one die-major batched
+// re-timing, and one fused leakage sweep over the lanes that need no bias.
+// The dies that miss timing (or whose sensor demands bias) get their first
+// allocation in lane order and are re-timed under it together in a second
+// batched re-timing; only those still missing timing fall back to the
+// scalar escalation loop. Every lane preserves the per-die float operation
+// order of the scalar path, so the batch width (and the worker count, and
+// the chunk size) never changes a single byte of the per-die results or the
+// aggregate.
 //
 // Per-die seeds are mixed from the die index alone (DieSeed), and the
 // aggregated statistics are accumulated in die order, so they are
@@ -568,10 +609,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	pl := an.Placement()
 	opts.setDefaults()
 	limit := nom.DcritPS * (1 + opts.SlackTolPct)
-	width := opts.BatchWidth
-	if width <= 0 {
-		width = defaultBatchWidth
-	}
+	width := batchWidth
 	mon, isMonitor := opts.Sensor.(InSituMonitor)
 	memoizable := isMonitor && mon.ResolutionPct > 0
 
@@ -597,6 +635,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 		seeds []int64
 		fast  []int     // no-bias lanes of the current batch
 		leakN []float64 // their unbiased leakages
+		tails []dieTail // biased lanes whose first allocation succeeded
 	}
 	var (
 		tmu     sync.Mutex
@@ -620,25 +659,30 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 
 	// runBatch carries one batch of dies [base, base+cnt) through the
 	// population kernels: sample block, batched re-timing, per-lane
-	// sense-and-branch, scalar tail for biased lanes, one fused leakage
-	// sweep for the rest. Per lane the results are bit-identical to
-	// TuneOn of the same die.
+	// sense-and-branch, first allocation of each biased lane, one batched
+	// re-timing of those under their allocations, the scalar escalation
+	// loop for lanes still missing timing, and one fused leakage sweep for
+	// the lanes that need no bias. Per lane the results are bit-identical
+	// to TuneOn of the same die.
 	runBatch := func(w *yieldWorker, base, cnt int) ([]*TuneResult, error) {
 		w.seeds = w.seeds[:0]
 		for i := 0; i < cnt; i++ {
 			w.seeds = append(w.seeds, DieSeed(seed, base+i))
 		}
-		w.blk = w.smp.SampleBlockInto(w.blk, w.seeds)
-		tb, err := an.RunLightBatch(w.blk.DelayScale, cnt, w.tb)
+		blk := w.smp.SampleBlockInto(w.blk, w.seeds)
+		w.blk = blk
+		tb, err := an.RunLightBatch(blk.DelayScale, cnt, w.tb)
 		if err != nil {
 			return nil, err
 		}
 		w.tb = tb
 		lm := w.tn.leakModel(proc)
+		n := blk.N
 		out := make([]*TuneResult, cnt)
 		w.fast = w.fast[:0]
+		w.tails = w.tails[:0]
 		for d := 0; d < cnt; d++ {
-			die := w.blk.Die(d)
+			die := blk.Die(d)
 			dieDcrit := tb.DcritPS[d]
 			res := &TuneResult{
 				BetaActual:    dieDcrit/nom.DcritPS - 1,
@@ -666,11 +710,45 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 			}
 			lm.SetDie(die)
 			res.LeakBeforeNW = lm.LeakageNW(nil)
-			if _, err := w.tn.tuneTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable, proc, opts); err != nil {
+			t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable)
+			sol, err := w.tn.allocate(&t, 0, opts)
+			if err != nil {
 				return nil, err
 			}
+			if sol == nil {
+				continue // beyond the compensation range: res is final
+			}
+			res.LeakAfterNW = lm.LeakageNW(sol.Assign)
+			// The k-th biased lane's scale goes to row k of the block.
+			// k <= d, so that row's die is already sensed, and from here
+			// on only the DVthV rows are read.
+			k := len(w.tails)
+			if err := w.tn.rt.biasScale(blk.DelayScale[k*n:(k+1)*n], die, proc, sol.Assign, 0); err != nil {
+				return nil, err
+			}
+			w.tails = append(w.tails, t)
 		}
-		w.leakN = lm.LeakageBlockNW(w.blk, w.fast, w.leakN[:0])
+		if m := len(w.tails); m > 0 {
+			// Round the re-timing up to whole four-lane blocks where the
+			// block has the rows; the extra rows keep their sampled
+			// scales and their lanes are never read.
+			pw := min((m+3)&^3, cnt)
+			if tb, err = an.RunLightBatch(blk.DelayScale[:pw*n], pw, tb); err != nil {
+				return nil, err
+			}
+			w.tb = tb
+			for k := range w.tails {
+				t := &w.tails[k]
+				if t.verify(tb.DcritPS[k]) {
+					continue
+				}
+				lm.SetDie(t.die)
+				if _, err := w.tn.escalate(t, 1, proc, opts); err != nil {
+					return nil, err
+				}
+			}
+		}
+		w.leakN = lm.LeakageBlockNW(blk, w.fast, w.leakN[:0])
 		for k, d := range w.fast {
 			out[d].LeakBeforeNW = w.leakN[k]
 			out[d].LeakAfterNW = w.leakN[k]
