@@ -1,8 +1,7 @@
 // Command fbbvet is the repo's multichecker: it runs the custom contract
-// analyzers (lightflow, detrand, scratchbuf, workerstate — see
-// internal/lint) over the given packages and then the stock `go vet` suite,
-// so one command answers "does the tree satisfy every machine-checked
-// invariant".
+// analyzers (detrand, scratchbuf, workerstate — see internal/lint) over the
+// given packages and then the stock `go vet` suite, so one command answers
+// "does the tree satisfy every machine-checked invariant".
 //
 // Usage:
 //

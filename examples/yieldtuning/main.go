@@ -97,8 +97,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // histogram re-times the same per-index die population the study samples
 // (variation.DieSeed), re-using the prefix's analyzer, one sampler and one
-// die buffer across all dies; only DcritPS is read, so the re-times take
-// the Dcrit-only light path.
+// die buffer across all dies; only the critical delay is read, so the
+// re-times are the Retimer's Dcrit-only ones.
 func histogram(w io.Writer, pfx *flow.Prefix, proc *tech.Process, m variation.Model, dies int, seed int64) error {
 	rt := variation.NewRetimer(pfx.Analyzer)
 	smp := variation.NewSampler(pfx.Placement, proc, m)
@@ -106,11 +106,11 @@ func histogram(w io.Writer, pfx *flow.Prefix, proc *tech.Process, m variation.Mo
 	bins := make([]int, 9) // <-6, -6..-4, ..., 8..10, >10 (%)
 	for i := 0; i < dies; i++ {
 		die = smp.SampleInto(die, variation.DieSeed(seed, i))
-		tm, err := rt.TimeLight(die)
+		dc, err := rt.TimeLight(die)
 		if err != nil {
 			return err
 		}
-		beta := (tm.DcritPS/pfx.Timing.DcritPS - 1) * 100
+		beta := (dc/pfx.Timing.DcritPS - 1) * 100
 		bin := int((beta + 6) / 2)
 		if bin < 0 {
 			bin = 0

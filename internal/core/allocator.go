@@ -100,11 +100,6 @@ func NewAllocator(pl *place.Placement, tm *sta.Timing) (*Allocator, error) {
 	if tm.Pl != pl {
 		return nil, errors.New("core: timing was computed for a different placement")
 	}
-	if tm.Light {
-		// A Dcrit-only re-time carries no extracted paths; building on it
-		// would silently produce a constraint-free problem.
-		return nil, errors.New("core: timing is a Dcrit-only light re-time; the allocator needs the full path set")
-	}
 	a := &Allocator{
 		pl:      pl,
 		tm:      tm,

@@ -1,7 +1,7 @@
 // Package scratchbuf enforces the repo's reused-buffer contract on the
 // functions that accept one.
 //
-// The hot kernels (sta.Analyzer.Run/RunLight, core.Allocator.At/SolveAt,
+// The hot kernels (sta.Analyzer.Run/RunLightBatch, core.Allocator.At/SolveAt,
 // variation.Sampler.SampleInto) take a caller-owned scratch buffer and
 // promise zero steady-state allocation by reusing it call to call. The
 // contract only holds if the callee never *retains* the buffer: once a

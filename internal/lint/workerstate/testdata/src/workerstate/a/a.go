@@ -13,11 +13,7 @@ import (
 
 func capturedRetimer(ctx context.Context, rt *variation.Retimer, dies []*variation.Die) {
 	flow.Map(ctx, 0, len(dies), func(ctx context.Context, i int) (float64, error) {
-		tm, err := rt.TimeLight(dies[i]) // want `closure passed to flow\.Map captures rt \(repro/internal/variation\.Retimer\)`
-		if err != nil {
-			return 0, err
-		}
-		return tm.DcritPS, nil
+		return rt.TimeLight(dies[i]) // want `closure passed to flow\.Map captures rt \(repro/internal/variation\.Retimer\)`
 	})
 }
 
@@ -48,11 +44,7 @@ type shared struct {
 
 func capturedThroughStruct(ctx context.Context, s *shared, dies []*variation.Die) {
 	flow.Map(ctx, 0, len(dies), func(ctx context.Context, i int) (float64, error) {
-		tm, err := s.rt.TimeLight(dies[i]) // want `closure passed to flow\.Map reaches rt \(repro/internal/variation\.Retimer\) through captured s`
-		if err != nil {
-			return 0, err
-		}
-		return tm.DcritPS, nil
+		return s.rt.TimeLight(dies[i]) // want `closure passed to flow\.Map reaches rt \(repro/internal/variation\.Retimer\) through captured s`
 	})
 }
 
@@ -83,13 +75,13 @@ func viaFactory(ctx context.Context, an *sta.Analyzer, nom *sta.Timing, dies []*
 	flow.MapWith(ctx, 0, len(dies),
 		func() *variation.Retimer { return variation.NewRetimer(an) },
 		func(ctx context.Context, rt *variation.Retimer, i int) (float64, error) {
-			tm, err := rt.TimeLight(dies[i])
+			dc, err := rt.TimeLight(dies[i])
 			if err != nil {
 				return 0, err
 			}
 			// nom (*sta.Timing) is the read-only nominal corner: the one
 			// worker-scoped type MapWith bodies may capture.
-			return tm.DcritPS - nom.DcritPS, nil
+			return dc - nom.DcritPS, nil
 		})
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -171,6 +173,55 @@ func FuzzDesignKey(f *testing.F) {
 		// Determinism: hashing twice must agree.
 		if k1 != DesignKey(d1, int(rows1)) {
 			t.Fatal("DesignKey not deterministic")
+		}
+	})
+}
+
+// FuzzYieldWireResume is the wire round trip of a yield resume: for a
+// fuzzed seed, die count (1–48 c1355 dies), checkpoint interval (1–8) and
+// pick, it streams a study through an in-process fbbd, posts one of the
+// emitted YieldCheckpoint lines back verbatim as the resume token, and
+// requires the resumed die lines, the later checkpoint lines and the footer
+// to equal the tail of the unbroken stream byte for byte.
+func FuzzYieldWireResume(f *testing.F) {
+	h := New(Options{Workers: 2}).Handler()
+	post := func(t *testing.T, body string) [][]byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/yield", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d for %s: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		return bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+	}
+	f.Add(int64(7), uint8(22), uint8(4), uint8(2))
+	f.Add(int64(1), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(-3), uint8(47), uint8(7), uint8(200))
+	f.Add(int64(42), uint8(9), uint8(1), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nDies, every, pick uint8) {
+		dies := 1 + int(nDies)%48
+		study := fmt.Sprintf(`"benchmark":"c1355","dies":%d,"seed":%d,"checkpoint":%d,"workers":2`, dies, seed, 1+int(every)%8)
+		full := post(t, "{"+study+"}")
+		var ckpts []int // indices of the checkpoint lines in full
+		for i, line := range full {
+			if bytes.HasPrefix(line, []byte(`{"ckpt":`)) {
+				ckpts = append(ckpts, i)
+			}
+		}
+		if len(ckpts) == 0 {
+			return // the study ends before its first checkpoint
+		}
+		at := ckpts[int(pick)%len(ckpts)]
+		token := bytes.TrimSuffix(full[at], []byte("\n"))
+		resumed := post(t, "{"+study+`,"resume":`+string(token)+"}")
+		tail := full[at+1:]
+		if len(resumed) != len(tail) {
+			t.Fatalf("resume from %s: %d lines, want %d", token, len(resumed), len(tail))
+		}
+		for i := range tail {
+			if !bytes.Equal(resumed[i], tail[i]) {
+				t.Fatalf("resume from %s: line %d is\n%s\nwant\n%s", token, i, resumed[i], tail[i])
+			}
 		}
 	})
 }

@@ -606,6 +606,8 @@ func TestYieldRejectsImpossibleResume(t *testing.T) {
 		{`{"dies":1,"metAfter":2,"failedCompensations":-1}`, "metAfter 2 out of range [0, 1]"},
 		{`{"dies":1}`, "metAfter 0 + failedCompensations 0 != dies 1"},
 		{`{"dies":1,"metAfter":1,"sumLeakAfterNW":-3}`, "sumLeakAfterNW -3"},
+		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":-7,"sumClusters":-3}`, "sumIters -7 below tunedDies 1"},
+		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":1,"sumClusters":-3}`, "sumClusters -3"},
 	} {
 		body := `{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":` + tc.acc + `}}`
 		status, resp := postRaw(t, c, "/v1/yield", body)

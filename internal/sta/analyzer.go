@@ -150,14 +150,13 @@ func (a *Analyzer) Run(scale []float64, buf *Timing) (*Timing, error) {
 	tm.Pl = a.pl
 	tm.Opts = a.opts
 	tm.Opts.DelayScale = scale
-	tm.Light = false
 	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
 	tm.ArrPS = growFloat(tm.ArrPS, n)
 	tm.TailPS = growFloat(tm.TailPS, n)
 	tm.bestPred = growInt32(tm.bestPred, n)
 	tm.bestSucc = growInt32(tm.bestSucc, n)
 
-	a.scaleDelays(tm, scale)
+	a.scaleDelays(tm.GateDelayPS, scale)
 
 	// Forward pass: arrival times and best predecessor.
 	for _, g := range a.topo {
@@ -198,90 +197,20 @@ func (a *Analyzer) Run(scale []float64, buf *Timing) (*Timing, error) {
 	return tm, nil
 }
 
-// RunLight is the Dcrit-only fast path of Run: it re-times the placement
-// into buf exactly like Run — GateDelayPS, ArrPS, TailPS and DcritPS are
-// bit-identical — but never reconstructs the per-gate longest-path set, so
-// the result carries no Paths (and Light is set). Monte-Carlo loops that
-// only read the die's critical delay (yield tuning, bias verification, RBB
-// scans) re-time through it; anything that walks paths — the replica
-// sensors' nominal path set, the Allocator's constraint rows — needs a full
-// Run of the nominal corner, which it pays once per placement, not per die.
-//
-// The backward (tail) pass is kept even though no path is extracted:
-// DcritPS is the max of ArrPS[g]+TailPS[g] over all gates, and the float
-// association differs along a path depending on where the forward and
-// backward sums meet, so a forward-only endpoint reduction could drift from
-// Run's DcritPS by an ulp. Matching Run's float operations exactly is the
-// contract the differential and fuzz harnesses pin.
-//
-// The buffer contract matches Run; a buffer may freely alternate between
-// Run and RunLight calls.
-func (a *Analyzer) RunLight(scale []float64, buf *Timing) (*Timing, error) {
-	n := len(a.nomDelayPS)
-	if scale != nil && len(scale) != n {
-		return nil, fmt.Errorf("sta: DelayScale length %d, want %d", len(scale), n)
-	}
-	tm := buf
-	if tm == nil {
-		tm = &Timing{}
-	}
-	tm.Pl = a.pl
-	tm.Opts = a.opts
-	tm.Opts.DelayScale = scale
-	tm.Light = true
-	tm.Paths = tm.Paths[:0]
-	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
-	tm.ArrPS = growFloat(tm.ArrPS, n)
-	tm.TailPS = growFloat(tm.TailPS, n)
-
-	a.scaleDelays(tm, scale)
-
-	// Forward pass, no predecessor tracking: same float ops as Run.
-	for _, g := range a.topo {
-		arr := 0.0
-		for _, p := range a.preds[a.predStart[g]:a.predStart[g+1]] {
-			if v := tm.ArrPS[p]; v > arr {
-				arr = v
-			}
-		}
-		tm.ArrPS[g] = arr + tm.GateDelayPS[g]
-	}
-
-	// Backward pass, no successor tracking.
-	for i := len(a.topo) - 1; i >= 0; i-- {
-		g := a.topo[i]
-		tail := 0.0
-		for k := a.succStart[g]; k < a.succStart[g+1]; k++ {
-			cand := a.succSetupPS[k]
-			if cand < 0 {
-				f := a.succs[k]
-				cand = tm.GateDelayPS[f] + tm.TailPS[f]
-			}
-			if cand > tail {
-				tail = cand
-			}
-		}
-		tm.TailPS[g] = tail
-	}
-
-	tm.DcritPS = dcrit(tm.ArrPS, tm.TailPS)
-	return tm, nil
-}
-
-// scaleDelays fills tm.GateDelayPS with the nominal loaded delays times the
-// optional per-gate scale vector.
-func (a *Analyzer) scaleDelays(tm *Timing, scale []float64) {
+// scaleDelays fills dst with the nominal loaded delays times the optional
+// per-gate scale vector.
+func (a *Analyzer) scaleDelays(dst, scale []float64) {
 	if scale == nil {
-		copy(tm.GateDelayPS, a.nomDelayPS)
+		copy(dst, a.nomDelayPS)
 		return
 	}
 	for g, s := range scale {
-		tm.GateDelayPS[g] = a.nomDelayPS[g] * s
+		dst[g] = a.nomDelayPS[g] * s
 	}
 }
 
-// dcrit is the shared critical-delay reduction of Run and RunLight; one
-// body, so the two paths cannot diverge in float order.
+// dcrit is the shared critical-delay reduction of Run and the one-lane
+// RunLightBatch; one body, so the two cannot diverge in float order.
 func dcrit(arr, tail []float64) float64 {
 	d := 0.0
 	for g := range arr {

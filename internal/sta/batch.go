@@ -4,25 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/cpufeat"
-	"repro/internal/place"
 )
 
 // TimingBatch is the Dcrit-only re-timing of a batch of dies through one
 // Analyzer: W lanes of GateDelayPS/ArrPS/TailPS stored lane-contiguous
-// ([g*W+d] for gate g, die d) and one DcritPS per die. It is the batch form
-// of a Light Timing — no paths are ever extracted — and follows the same
-// buffer contract: RunLightBatch reuses the slices call to call, so a batch
-// must not be shared between concurrent calls, and the previous batch held
-// in the same buffer is invalidated.
+// ([g*W+d] for gate g, die d) and one DcritPS per die. No paths are ever
+// extracted; a consumer that needs them runs Analyzer.Run on the die's delay
+// scale. RunLightBatch reuses the slices call to call, so a batch must not be
+// shared between concurrent calls, and the previous batch held in the same
+// buffer is invalidated.
 type TimingBatch struct {
-	Pl   *place.Placement
-	Opts Options
-
 	// W is the number of die lanes of the current batch.
 	W int
 	// GateDelayPS/ArrPS/TailPS are the per-gate vectors of every lane,
-	// indexed [g*W+d]; bit-identical to what RunLight computes for die d
-	// alone.
+	// indexed [g*W+d]; bit-identical to what Run computes for die d alone.
 	GateDelayPS []float64
 	ArrPS       []float64
 	TailPS      []float64
@@ -44,19 +39,26 @@ var lanesAVX2 = cpufeat.AVX2()
 // a die-major SoA sampler produces — and is transposed gate by gate into the
 // batch's lane-contiguous arrays, so every write is contiguous.
 //
-// Per die, the float operations are exactly RunLight's: the forward and
-// backward sweeps visit gates in the same topological order and reduce each
-// gate's fanin/fanout in the same pin order, and DcritPS accumulates over
-// gates in index order, so lane d of the batch is bit-identical to
-// RunLight(scale[d*n:(d+1)*n], ...). What the batch buys is structure
-// amortization: the per-gate topo lookups, CSR slice bounds and
-// setup-vs-combinational branches are paid once per gate per block of lanes
-// instead of once per gate per die. On AVX2 hosts each block of four lanes
-// runs the three passes in lanes_amd64.s, one ymm register per gate (the
-// forward pass also transposes the block's delays), whose VMAXPD reduction
-// is exactly the scalar `if v > acc { acc = v }` (NaN and signed zeros
-// included); the w%4 leftover lanes, and every lane elsewhere, run the Go
-// loops of goLanes.
+// Per die, the float operations are exactly Run's: the forward and backward
+// sweeps visit gates in the same topological order and reduce each gate's
+// fanin/fanout in the same pin order, and DcritPS accumulates over gates in
+// index order, so lane d of the batch is bit-identical to the GateDelayPS,
+// ArrPS, TailPS and DcritPS of Run(scale[d*n:(d+1)*n], ...). The backward
+// pass is kept although no path is extracted: the float association of
+// ArrPS[g]+TailPS[g] along a path depends on where the two sums meet, so a
+// forward-only endpoint reduction could drift from Run's DcritPS by an ulp.
+//
+// What a batch buys is structure amortization: the per-gate topo lookups,
+// CSR slice bounds and setup-vs-combinational branches are paid once per
+// gate per block of lanes instead of once per gate per die. On AVX2 hosts
+// each block of four lanes runs the three passes in lanes_amd64.s, one ymm
+// register per gate (the forward pass also transposes the block's delays),
+// whose VMAXPD reduction is exactly the scalar `if v > acc { acc = v }` (NaN
+// and signed zeros included); the w%4 leftover lanes, and every lane
+// elsewhere, run the Go loops of goLanes. A single die (w == 1, the
+// per-die re-time of the tuning tail and RBB scans) runs oneLane's scalar
+// loops instead, which at one lane are several times faster than the lane
+// loops.
 func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*TimingBatch, error) {
 	n := len(a.nomDelayPS)
 	if w <= 0 {
@@ -69,8 +71,6 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 	if tb == nil {
 		tb = &TimingBatch{}
 	}
-	tb.Pl = a.pl
-	tb.Opts = a.opts
 	tb.W = w
 	tb.GateDelayPS = growFloat(tb.GateDelayPS, n*w)
 	tb.ArrPS = growFloat(tb.ArrPS, n*w)
@@ -78,6 +78,10 @@ func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*Tim
 	tb.DcritPS = growFloat(tb.DcritPS, w)
 	tb.acc = growFloat(tb.acc, w)
 
+	if w == 1 {
+		a.oneLane(tb, scale)
+		return tb, nil
+	}
 	lo := 0
 	if lanesAVX2 {
 		gd, arr, tail, dc := tb.GateDelayPS, tb.ArrPS, tb.TailPS, tb.DcritPS
@@ -110,7 +114,7 @@ func (a *Analyzer) goLanes(tb *TimingBatch, scale []float64, lo int) {
 	}
 
 	// Forward pass: per-lane arrival maxima in pin order, then one add of
-	// the gate delay — the same float ops per lane as RunLight.
+	// the gate delay — the same float ops per lane as Run.
 	for _, g := range a.topo {
 		for d := range acc {
 			acc[d] = 0
@@ -132,7 +136,7 @@ func (a *Analyzer) goLanes(tb *TimingBatch, scale []float64, lo int) {
 
 	// Backward pass: per-lane tail maxima in fanout order. A flip-flop
 	// consumer contributes its (lane-invariant) setup time, compared in
-	// the same position of each lane's reduction as in RunLight.
+	// the same position of each lane's reduction as in Run.
 	for i := len(a.topo) - 1; i >= 0; i-- {
 		g := a.topo[i]
 		for d := range acc {
@@ -176,38 +180,38 @@ func (a *Analyzer) goLanes(tb *TimingBatch, scale []float64, lo int) {
 	}
 }
 
-// NumGates returns the per-lane gate count of the current batch.
-func (tb *TimingBatch) NumGates() int {
-	if tb.W == 0 {
-		return 0
-	}
-	return len(tb.GateDelayPS) / tb.W
-}
+// oneLane is RunLightBatch at w == 1, where the lane layout is the scalar
+// one: Run's forward and backward passes without the best-predecessor and
+// best-successor bookkeeping, and the shared dcrit reduction.
+func (a *Analyzer) oneLane(tb *TimingBatch, scale []float64) {
+	gd, arr, tail := tb.GateDelayPS, tb.ArrPS, tb.TailPS
+	a.scaleDelays(gd, scale)
 
-// DieInto gathers lane d of the batch into buf as a light Timing (nil
-// allocates a fresh one): GateDelayPS/ArrPS/TailPS/DcritPS are the lane's
-// values — bit-identical to a scalar RunLight of that die — with Light set
-// and no Paths. It is the bridge to scalar consumers (generic sensors, the
-// per-die tuning tail) and follows the usual reused-buffer contract.
-func (tb *TimingBatch) DieInto(d int, buf *Timing) *Timing {
-	tm := buf
-	if tm == nil {
-		tm = &Timing{}
+	for _, g := range a.topo {
+		acc := 0.0
+		for _, p := range a.preds[a.predStart[g]:a.predStart[g+1]] {
+			if v := arr[p]; v > acc {
+				acc = v
+			}
+		}
+		arr[g] = acc + gd[g]
 	}
-	n := tb.NumGates()
-	w := tb.W
-	tm.Pl = tb.Pl
-	tm.Opts = tb.Opts
-	tm.Light = true
-	tm.Paths = tm.Paths[:0]
-	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
-	tm.ArrPS = growFloat(tm.ArrPS, n)
-	tm.TailPS = growFloat(tm.TailPS, n)
-	for g := 0; g < n; g++ {
-		tm.GateDelayPS[g] = tb.GateDelayPS[g*w+d]
-		tm.ArrPS[g] = tb.ArrPS[g*w+d]
-		tm.TailPS[g] = tb.TailPS[g*w+d]
+
+	for i := len(a.topo) - 1; i >= 0; i-- {
+		g := a.topo[i]
+		acc := 0.0
+		for k := a.succStart[g]; k < a.succStart[g+1]; k++ {
+			cand := a.succSetupPS[k]
+			if cand < 0 {
+				f := a.succs[k]
+				cand = gd[f] + tail[f]
+			}
+			if cand > acc {
+				acc = cand
+			}
+		}
+		tail[g] = acc
 	}
-	tm.DcritPS = tb.DcritPS[d]
-	return tm
+
+	tb.DcritPS[0] = dcrit(arr, tail)
 }

@@ -23,11 +23,14 @@ func withLanes(avx2 bool, f func()) {
 }
 
 // TestRunLightBatchMatchesRunLight: every lane of a batched re-timing must
-// be bit-identical to a scalar RunLight of that die — per-gate delays,
-// arrivals, tails, and the critical delay — across random DAGs, widths that
-// give the AVX2 kernel whole blocks, leftover lanes or both, a lane of
-// nominal (all-ones) scale and a lane of signed zeros mixed among perturbed
-// ones, on the AVX2 kernel and on the Go loops.
+// be bit-identical to a full Run of that die — per-gate delays, arrivals,
+// tails, and the critical delay — across random DAGs, widths that give the
+// AVX2 kernel whole blocks, leftover lanes or both, one lane (the scalar
+// loops), a lane of nominal (all-ones) scale held to Run's nil-scale
+// nominal corner, and a lane of signed zeros mixed among perturbed ones, on
+// the AVX2 kernel and on the Go loops. One batch buffer and one Run buffer
+// serve every width, so each re-time after the first lands in a dirty
+// buffer, narrow after wide as well as wide after narrow.
 func TestRunLightBatchMatchesRunLight(t *testing.T) {
 	for _, avx2 := range lanePaths() {
 		withLanes(avx2, func() {
@@ -40,15 +43,15 @@ func TestRunLightBatchMatchesRunLight(t *testing.T) {
 				n := len(pl.Design.Gates)
 				rng := rand.New(rand.NewSource(seed))
 				var tb *TimingBatch
-				var lightBuf, laneBuf *Timing
-				for _, w := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17} {
+				var ref *Timing
+				for _, w := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17, 1, 6} {
 					scale := make([]float64, n*w)
 					for i := range scale {
 						scale[i] = 0.8 + 0.5*rng.Float64()
 					}
 					if w > 1 {
 						// Lane 1 at exactly nominal: the all-ones product
-						// must still match the scalar path bit for bit.
+						// must match the nominal corner bit for bit.
 						for g := 0; g < n; g++ {
 							scale[n+g] = 1
 						}
@@ -64,21 +67,18 @@ func TestRunLightBatchMatchesRunLight(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if tb.W != w || tb.NumGates() != n {
-						t.Fatalf("seed %d w %d: batch shape (%d, %d)", seed, w, tb.W, tb.NumGates())
+					if tb.W != w || len(tb.GateDelayPS) != n*w || len(tb.DcritPS) != w {
+						t.Fatalf("seed %d w %d: batch shape (%d, %d, %d)", seed, w, tb.W, len(tb.GateDelayPS), len(tb.DcritPS))
 					}
 					for d := 0; d < w; d++ {
-						lightBuf, err = a.RunLight(scale[d*n:(d+1)*n], lightBuf)
-						if err != nil {
+						var laneScale []float64 // nil: the nominal corner
+						if d != 1 {
+							laneScale = scale[d*n : (d+1)*n]
+						}
+						if ref, err = a.Run(laneScale, ref); err != nil {
 							t.Fatal(err)
 						}
-						requireLaneBits(t, tb, d, lightBuf)
-						// The gathered lane is the scalar light Timing.
-						laneBuf = tb.DieInto(d, laneBuf)
-						requireTimingEqual(t, lightBuf, laneBuf, "DieInto lane")
-						if !laneBuf.Light || len(laneBuf.Paths) != 0 {
-							t.Fatalf("DieInto lane is not a light, path-free timing")
-						}
+						requireLaneBits(t, tb, d, ref)
 					}
 				}
 			}
@@ -123,8 +123,10 @@ var specialScales = []float64{
 
 // FuzzRunLightBatch: on a random DAG, at widths 1 to 17, with scale vectors
 // that mix ordinary factors and raw bit patterns with NaN, ±Inf, ±0 and
-// subnormals, every lane of the batch must equal RunLight of that lane by
-// bits (any NaN for a NaN), on the AVX2 kernel and on the Go loops.
+// subnormals, every lane of the batch must equal a full Run of that lane by
+// bits (any NaN for a NaN), on the AVX2 kernel and on the Go loops. The
+// batch buffer first holds a re-time of all 17 lanes and the Run buffer is
+// reused lane to lane, so both sides run on dirty buffers.
 func FuzzRunLightBatch(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(16), uint8(0))
 	f.Add(int64(3), int64(4), uint8(5), uint8(40))
@@ -137,9 +139,10 @@ func FuzzRunLightBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		n := len(pl.Design.Gates)
-		w := 1 + int(width)%17
+		const maxW = 17
+		w := 1 + int(width)%maxW
 		rng := rand.New(rand.NewSource(scaleSeed))
-		scale := make([]float64, n*w)
+		scale := make([]float64, n*maxW)
 		for i := range scale {
 			switch r := rng.Intn(256); {
 			case r >= int(special):
@@ -153,12 +156,16 @@ func FuzzRunLightBatch(f *testing.F) {
 		var ref *Timing
 		for _, avx2 := range lanePaths() {
 			withLanes(avx2, func() {
-				tb, err := a.RunLightBatch(scale, w, nil)
+				// Dirty the batch with a full-width re-time first.
+				tb, err := a.RunLightBatch(scale, maxW, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if tb, err = a.RunLightBatch(scale[:n*w], w, tb); err != nil {
+					t.Fatal(err)
+				}
 				for d := 0; d < w; d++ {
-					if ref, err = a.RunLight(scale[d*n:(d+1)*n], ref); err != nil {
+					if ref, err = a.Run(scale[d*n:(d+1)*n], ref); err != nil {
 						t.Fatal(err)
 					}
 					requireLaneBits(t, tb, d, ref)
@@ -185,8 +192,9 @@ func TestRunLightBatchValidation(t *testing.T) {
 	}
 }
 
-// TestRunLightBatchAllocFree: a warmed batch re-time allocates nothing — the
-// same steady-state contract as RunLight, extended to the SoA block.
+// TestRunLightBatchAllocFree: a warmed batch re-time allocates nothing, at
+// the yield stream's lane widths and at the one-lane re-time of a single
+// die.
 func TestRunLightBatchAllocFree(t *testing.T) {
 	pl := randomPlacement(t, 402)
 	a, err := NewAnalyzer(pl, Options{})
@@ -194,24 +202,22 @@ func TestRunLightBatchAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(pl.Design.Gates)
-	const w = 8
-	scale := make([]float64, n*w)
-	for i := range scale {
-		scale[i] = 0.9 + 0.001*float64(i%200)
-	}
-	tb, err := a.RunLightBatch(scale, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tm *Timing
-	tm = tb.DieInto(0, tm)
-	allocs := testing.AllocsPerRun(50, func() {
-		if tb, err = a.RunLightBatch(scale, w, tb); err != nil {
+	for _, w := range []int{1, 8} {
+		scale := make([]float64, n*w)
+		for i := range scale {
+			scale[i] = 0.9 + 0.001*float64(i%200)
+		}
+		tb, err := a.RunLightBatch(scale, w, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		tm = tb.DieInto(3, tm)
-	})
-	if allocs != 0 {
-		t.Errorf("warmed RunLightBatch+DieInto allocates %v per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if tb, err = a.RunLightBatch(scale, w, tb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warmed RunLightBatch at w %d allocates %v per run, want 0", w, allocs)
+		}
 	}
 }

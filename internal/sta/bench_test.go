@@ -68,26 +68,6 @@ func benchmarkAnalyzerRun(b *testing.B, name string) {
 	}
 }
 
-func benchmarkAnalyzerRunLight(b *testing.B, name string) {
-	pl := benchPlacement(b, name)
-	scale := benchScale(len(pl.Design.Gates))
-	an, err := NewAnalyzer(pl, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := &Timing{}
-	if _, err := an.RunLight(scale, buf); err != nil { // warm the buffer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := an.RunLight(scale, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAnalyzeC5315(b *testing.B)       { benchmarkAnalyze(b, "c5315") }
 func BenchmarkAnalyzeC6288(b *testing.B)       { benchmarkAnalyze(b, "c6288") }
 func BenchmarkAnalyzeIndustrial1(b *testing.B) { benchmarkAnalyze(b, "industrial1") }
@@ -96,29 +76,34 @@ func BenchmarkAnalyzerRunC5315(b *testing.B)       { benchmarkAnalyzerRun(b, "c5
 func BenchmarkAnalyzerRunC6288(b *testing.B)       { benchmarkAnalyzerRun(b, "c6288") }
 func BenchmarkAnalyzerRunIndustrial1(b *testing.B) { benchmarkAnalyzerRun(b, "industrial1") }
 
-func BenchmarkAnalyzerRunLightC5315(b *testing.B)       { benchmarkAnalyzerRunLight(b, "c5315") }
-func BenchmarkAnalyzerRunLightC6288(b *testing.B)       { benchmarkAnalyzerRunLight(b, "c6288") }
-func BenchmarkAnalyzerRunLightIndustrial1(b *testing.B) { benchmarkAnalyzerRunLight(b, "industrial1") }
-
 // BenchmarkRunLightBatch re-times 16 dies per call, the yield stream's
-// batch width, and reports the cost per die; go forces the portable lane
-// loops.
+// batch width (go forces the portable lane loops), and one die per call,
+// the tuning tail's re-time, and reports the cost per die.
 func BenchmarkRunLightBatch(b *testing.B) {
-	const w = 16
+	type variant struct {
+		label string
+		w     int
+		avx2  bool
+	}
+	variants := []variant{{"one", 1, lanesAVX2}}
+	for _, avx2 := range lanePaths() {
+		label := "go"
+		if avx2 {
+			label = "avx2"
+		}
+		variants = append(variants, variant{label, 16, avx2})
+	}
 	for _, name := range []string{"c5315", "c6288", "industrial1"} {
 		pl := benchPlacement(b, name)
-		scale := benchScale(len(pl.Design.Gates) * w)
 		an, err := NewAnalyzer(pl, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, avx2 := range lanePaths() {
-			path := "go"
-			if avx2 {
-				path = "avx2"
-			}
-			b.Run(name+"/"+path, func(b *testing.B) {
-				withLanes(avx2, func() {
+		for _, v := range variants {
+			w := v.w
+			scale := benchScale(len(pl.Design.Gates) * w)
+			b.Run(name+"/"+v.label, func(b *testing.B) {
+				withLanes(v.avx2, func() {
 					tb, err := an.RunLightBatch(scale, w, nil) // warm the buffer
 					if err != nil {
 						b.Fatal(err)

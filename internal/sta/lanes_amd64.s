@@ -9,7 +9,7 @@
 // whose first source is the candidate and second the accumulator: the
 // result is the candidate exactly when cand > acc and the accumulator
 // otherwise, also when either is NaN and for +0 against -0. That is the
-// scalar `if cand > acc { acc = cand }`, so every lane gets RunLight's bits.
+// scalar `if cand > acc { acc = cand }`, so every lane gets Run's bits.
 // Each sum is one VADDPD in the scalar operand order.
 
 // func forwardAVX2(arr, gd, scale, nom []float64, topo, predStart, preds []int32, n, w int)

@@ -44,7 +44,11 @@ type Path struct {
 	SlackPS float64
 }
 
-// Timing is the analysis result.
+// Timing is the result of a full analysis: the corner's per-gate delays,
+// arrivals and tails, its critical delay, and the extracted path set. Analyze
+// and Analyzer.Run are its only producers, so a Timing they return always
+// carries its path set; a Dcrit-only re-time is a TimingBatch
+// (Analyzer.RunLightBatch), which has no path set to misread.
 type Timing struct {
 	Pl   *place.Placement
 	Opts Options
@@ -60,13 +64,8 @@ type Timing struct {
 	// DcritPS is the critical path delay.
 	DcritPS float64
 	// Paths is the pruned unique set Pi of longest paths through each
-	// cell, sorted by descending delay. Empty after a RunLight — the
-	// Dcrit-only fast path never extracts paths.
+	// cell, sorted by descending delay.
 	Paths []Path
-	// Light reports that this Timing came from Analyzer.RunLight: only
-	// GateDelayPS, ArrPS, TailPS and DcritPS are valid, and Paths is
-	// empty. A full Run on the same buffer clears it.
-	Light bool
 
 	// Reusable per-run state for Analyzer.Run: predecessor/successor
 	// choices, the path-chain walk and storage buffers, and the

@@ -198,7 +198,7 @@ func TestSolveCacheHoldsOnlyRecurringTargets(t *testing.T) {
 	opts := TuneOptions{GuardbandPct: 0.005, Workers: 2}
 	cached := opts
 	cached.SolveCache = core.NewSolveCache(al)
-	limit := nom.DcritPS * 1.001 // the default SlackTolPct
+	limit := nom.DcritPS * (1 + slackTolPct)
 
 	recurring := map[float64]bool{}
 	oneOff := 0
@@ -402,7 +402,7 @@ func requireTuneResultBits(tb testing.TB, die int, want, got *TuneResult) {
 // biased die's first allocation and re-time in the batch and enters the
 // escalation loop at its second attempt; TuneOn runs the same loop from the
 // first. On populations tuned to escalate (a wide die-to-die spread, one
-// cluster, a negative guardband, a near-zero slack tolerance) each die's
+// cluster, a negative guardband) each die's
 // TuneResult must be identical, including the dies that need several
 // attempts, the dies whose first solve is beyond the compensation range and
 // the dies that run out of attempts.
@@ -414,7 +414,7 @@ func TestYieldStreamEscalationMatchesTuneOn(t *testing.T) {
 	const dies = 45
 	const seed = 5
 	defer func(saved int) { batchWidth = saved }(batchWidth)
-	base := TuneOptions{GuardbandPct: -0.02, SlackTolPct: 1e-9, MaxClusters: 1}
+	base := TuneOptions{GuardbandPct: -0.02, MaxClusters: 1}
 	capped := base
 	capped.MaxIters = 2
 	escalated, firstFailed, exhausted := 0, 0, 0

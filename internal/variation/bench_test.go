@@ -325,8 +325,8 @@ func TestYieldPerDiePipelineAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		i++
 		smp.SampleInto(die, DieSeed(7, i))
-		tm, err := rt.TimeLight(die)
-		if err != nil || tm.DcritPS <= 0 {
+		dc, err := rt.TimeLight(die)
+		if err != nil || dc <= 0 {
 			panic("light re-time failed")
 		}
 		if _, err := rt.TimeWithBiasLight(die, proc, assign); err != nil {

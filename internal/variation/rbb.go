@@ -59,27 +59,22 @@ func (o *RBBOptions) setDefaults() {
 // RecoverLeakageWith applies the deepest uniform reverse bias that keeps
 // the die within nominal timing. The die's own variation is accounted for
 // exactly: each gate's delay combines its threshold shift with the reverse
-// bias through the process model. The bias-scan re-timings run through the
-// Retimer's Dcrit-only fast path into reused buffers (the scan only ever
-// reads DcritPS), and the unbiased and recovered leakages are one exp pass
-// plus multiply-add sweeps over lm's precomputed tables (lm must be built
-// for rt's placement and the die's process; its per-die state is
-// overwritten).
+// bias through the process model. The bias-scan re-timings are the
+// Retimer's Dcrit-only re-times into reused buffers, and the unbiased and
+// recovered leakages are one exp pass plus multiply-add sweeps over lm's
+// precomputed tables (lm must be built for rt's placement and the die's
+// process; its per-die state is overwritten).
 func RecoverLeakageWith(rt *Retimer, lm *LeakModel, nom *sta.Timing, die *Die, opts RBBOptions) (*RBBResult, error) {
 	opts.setDefaults()
 	if nom == nil || die == nil {
 		return nil, errors.New("variation: nil timing or die")
 	}
-	if nom.Light {
-		return nil, errors.New("variation: nominal timing must be a full (path-extracting) analysis")
-	}
 	proc := lm.Process()
-	dieTm, err := rt.TimeLight(die)
+	dieDcrit, err := rt.TimeLight(die)
 	if err != nil {
 		return nil, err
 	}
 	lm.SetDie(die)
-	dieDcrit := dieTm.DcritPS // rt's buffer is reused by the bias scan below
 	res := &RBBResult{
 		DcritBeforePS: dieDcrit,
 		DcritAfterPS:  dieDcrit,
@@ -95,14 +90,14 @@ func RecoverLeakageWith(rt *Retimer, lm *LeakModel, nom *sta.Timing, die *Die, o
 	// feasible set is contiguous: more RBB is strictly slower).
 	best, bestDcrit := 0.0, dieDcrit
 	for vbs := -opts.StepV; vbs >= -opts.MaxV-1e-9; vbs -= opts.StepV {
-		tm, err := rt.TimeUniformBiasLight(die, proc, vbs)
+		dc, err := rt.TimeUniformBiasLight(die, proc, vbs)
 		if err != nil {
 			return nil, err
 		}
-		if tm.DcritPS > limit {
+		if dc > limit {
 			break
 		}
-		best, bestDcrit = vbs, tm.DcritPS
+		best, bestDcrit = vbs, dc
 	}
 	if best == 0 {
 		return res, nil

@@ -120,12 +120,10 @@ func TestYieldStreamResumableFooterOnly(t *testing.T) {
 	// Checkpoints stop one die short of the end; fold the last result to
 	// obtain the full-coverage accumulator a footer-only resume would carry.
 	acc := full.ckpts[dies-1]
-	o := opts
-	o.setDefaults()
 	an, al, nom := streamFixture(t)
 	_ = an
 	_ = al
-	acc.fold(full.results[dies-1], nom.DcritPS*(1+o.SlackTolPct))
+	acc.fold(full.results[dies-1], nom.DcritPS*(1+slackTolPct))
 
 	emits := 0
 	st, err := YieldStreamResumable(context.Background(), an, al, nom, tech.Default45nm(), Default(),
@@ -309,6 +307,8 @@ func FuzzYieldResume(f *testing.F) {
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, MetBefore: mid + 1}},
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: -1}},
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, FailedCompensations: mid, SumLeakTunedOnlyNW: -float64(at) - 1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: -int(at)}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 1, SumClusters: -1 - int(at)}},
 		} {
 			if _, err := YieldStreamResumable(context.Background(), an, al, nom, proc, Default(),
 				dies, seed, opts, bad, nil); err == nil {

@@ -9,24 +9,20 @@ import (
 )
 
 // Retimer re-times sampled dies of one placement through a shared
-// sta.Analyzer with reusable scratch buffers: the delay-scale vector and the
-// sta.Timing result are both recycled call to call, so a Monte-Carlo loop
-// pays no per-die graph work and near-zero allocations. The Analyzer may be
+// sta.Analyzer with reusable scratch buffers: the delay-scale vector and a
+// one-lane sta.TimingBatch are both recycled call to call, so a Monte-Carlo
+// loop pays no per-die graph work and no allocations. The Analyzer may be
 // shared freely (it is immutable); the Retimer itself holds the mutable
 // buffers and must not be used from more than one goroutine at a time —
 // create one per worker (flow.MapWith does exactly that).
 //
-// Every Time*Light method returns the Retimer's single internal buffer: the
-// result is only valid until the next call on the same Retimer, so callers
-// must copy out any scalars (DcritPS, sensed betas) they need across calls.
-//
-// All three re-times run the Analyzer's Dcrit-only fast path: the result
-// carries bit-identical GateDelayPS/ArrPS/TailPS/DcritPS but no extracted
-// Paths. Population loops only read a die's critical delay; a consumer
-// that needs the path set runs sta.Analyzer.Run on the same delay scale.
+// Every Time*Light method returns the die's critical delay, the one figure
+// the post-silicon loop reads, from a one-lane Analyzer.RunLightBatch: bit
+// for bit the DcritPS of a full Analyzer.Run of the same delay scale, which
+// is what a consumer of the path set or the per-gate vectors runs instead.
 type Retimer struct {
 	an    *sta.Analyzer
-	buf   *sta.Timing
+	tb    *sta.TimingBatch
 	scale []float64
 	shift []float64 // per-row body-effect shifts of biasScale
 }
@@ -34,7 +30,7 @@ type Retimer struct {
 // NewRetimer wraps a (possibly shared) Analyzer with private scratch
 // buffers.
 func NewRetimer(an *sta.Analyzer) *Retimer {
-	return &Retimer{an: an, buf: &sta.Timing{}}
+	return &Retimer{an: an}
 }
 
 // Analyzer returns the shared STA engine.
@@ -43,29 +39,41 @@ func (rt *Retimer) Analyzer() *sta.Analyzer { return rt.an }
 // Placement returns the placement being re-timed.
 func (rt *Retimer) Placement() *place.Placement { return rt.an.Placement() }
 
-// TimeLight re-times the die at its sampled variation corner.
-func (rt *Retimer) TimeLight(die *Die) (*sta.Timing, error) {
-	return rt.an.RunLight(die.DelayScale, rt.buf)
+// TimeLight returns the die's critical delay at its sampled variation
+// corner.
+func (rt *Retimer) TimeLight(die *Die) (float64, error) {
+	return rt.dcrit(die.DelayScale)
 }
 
-// TimeWithBiasLight re-times the die with a row-level body-bias assignment
-// applied on top of its variation.
-func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int) (*sta.Timing, error) {
+// TimeWithBiasLight returns the die's critical delay with a row-level
+// body-bias assignment applied on top of its variation.
+func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int) (float64, error) {
 	scale := rt.scaleBuf(len(die.DVthV))
 	if err := rt.biasScale(scale, die, proc, assign, 0); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return rt.an.RunLight(scale, rt.buf)
+	return rt.dcrit(scale)
 }
 
-// TimeUniformBiasLight re-times the die with one body-bias voltage applied
-// to every gate (the block-level granularity RBB recovery scans).
-func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float64) (*sta.Timing, error) {
+// TimeUniformBiasLight returns the die's critical delay with one body-bias
+// voltage applied to every gate (the block-level granularity RBB recovery
+// scans).
+func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float64) (float64, error) {
 	scale := rt.scaleBuf(len(die.DVthV))
 	if err := rt.biasScale(scale, die, proc, nil, vbs); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return rt.an.RunLight(scale, rt.buf)
+	return rt.dcrit(scale)
+}
+
+// dcrit re-times one die's delay scale into the Retimer's one-lane batch.
+func (rt *Retimer) dcrit(scale []float64) (float64, error) {
+	tb, err := rt.an.RunLightBatch(scale, 1, rt.tb)
+	if err != nil {
+		return 0, err
+	}
+	rt.tb = tb
+	return tb.DcritPS[0], nil
 }
 
 // biasScale fills scale (one entry per gate) with the die's variation

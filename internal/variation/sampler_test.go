@@ -187,13 +187,12 @@ func TestReplicaSensorNoisePerDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRetimer(an)
 	s := ReplicaSensor{Replicas: 8, NoisePct: 0.02, Seed: 5}
 	m := Model{SigmaD2DmV: 25, SigmaSysmV: 0, SigmaRndmV: 0}
 
 	// One physical die, re-timed twice: identical readings (determinism).
 	die := m.Sample(pl, proc, DieSeed(1, 0))
-	tm, err := rt.TimeLight(die)
+	tm, err := an.Run(die.DelayScale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestReplicaSensorNoisePerDie(t *testing.T) {
 	varied := false
 	for i := 0; i < 6; i++ {
 		d := m.Sample(pl, proc, DieSeed(9, i))
-		dtm, err := rt.TimeLight(d)
+		dtm, err := an.Run(d.DelayScale, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

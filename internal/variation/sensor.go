@@ -9,11 +9,12 @@ import (
 // Sensor estimates a die's slowdown coefficient beta relative to nominal
 // timing. The paper's section 3.1 describes both styles implemented here.
 //
-// nom is always a full nominal analysis (its path set is valid); die may be
-// a Dcrit-only light re-time — implementations must not read die.Paths,
-// only its GateDelayPS/ArrPS/DcritPS. dieSeed identifies the die being
-// measured (Die.Seed), so noisy sensors can derive an independent,
-// deterministic noise stream per die.
+// nom is the full nominal analysis. die is the die's own timing: the
+// tuning loops (TuneOn, YieldStream) hand the InSituMonitor a Timing that
+// holds only the die's DcritPS, and every other sensor a full Analyzer.Run
+// of the die's delay scale. dieSeed identifies the die being measured
+// (Die.Seed), so noisy sensors can derive an independent, deterministic
+// noise stream per die.
 type Sensor interface {
 	// MeasureBeta returns the estimated slowdown (0.05 = 5% slower).
 	MeasureBeta(nom, die *sta.Timing, dieSeed int64) float64

@@ -26,9 +26,6 @@ type TuneOptions struct {
 	MaxBiasPairs int
 	// MaxIters bounds the escalate-and-retry loop (default 5).
 	MaxIters int
-	// SlackTolPct accepts dies within this fraction above nominal Dcrit
-	// (default 0.001).
-	SlackTolPct float64
 	// Workers bounds concurrent die tunings in YieldStream (0 = one per
 	// CPU, 1 = sequential). Per-die seeds keep the statistics independent
 	// of the worker count.
@@ -69,10 +66,11 @@ func (o *TuneOptions) setDefaults() {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 5
 	}
-	if o.SlackTolPct <= 0 {
-		o.SlackTolPct = 0.001
-	}
 }
+
+// slackTolPct is the timing tolerance of the tuning loops: a die meets
+// timing when its critical delay is within this fraction above nominal.
+const slackTolPct = 0.001
 
 // TuneResult reports one die's tuning outcome.
 type TuneResult struct {
@@ -108,6 +106,9 @@ type Tuner struct {
 	al   *core.Allocator
 	inst *core.Instance
 	leak *LeakModel
+	// dieTm is the full die analysis handed to sensors other than the
+	// InSituMonitor.
+	dieTm *sta.Timing
 }
 
 // solve returns the allocation for a target slowdown: through cache when
@@ -142,6 +143,23 @@ func (tn *Tuner) Retimer() *Retimer { return tn.rt }
 // Allocator returns the shared allocation engine.
 func (tn *Tuner) Allocator() *core.Allocator { return tn.al }
 
+// sense returns the sensor's reading of a die whose critical delay is
+// dieDcrit. The InSituMonitor reads only that delay, so it gets a Timing
+// holding nothing else; any other sensor gets a full Analyzer.Run of the
+// die's delay scale, whose per-gate delays are the ones the die's light
+// re-time computed.
+func (tn *Tuner) sense(s Sensor, nom *sta.Timing, die *Die, dieDcrit float64) (float64, error) {
+	if mon, ok := s.(InSituMonitor); ok {
+		return mon.MeasureBeta(nom, &sta.Timing{DcritPS: dieDcrit}, die.Seed), nil
+	}
+	tm, err := tn.rt.an.Run(die.DelayScale, tn.dieTm)
+	if err != nil {
+		return 0, err
+	}
+	tn.dieTm = tm
+	return s.MeasureBeta(nom, tm, die.Seed), nil
+}
+
 // leakModel returns the tuner's leakage engine for proc, building (or
 // rebuilding, when the process changes — e.g. the aging controller's
 // per-checkpoint temperature derates) it on demand. Population loops skip
@@ -157,9 +175,9 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 // allocate clustered FBB for it on the design-time (nominal) timing model,
 // verify against the die's actual variation, and escalate the target
 // slowdown if the non-uniform variation defeats the uniform-beta model.
-// The die re-timings run through the Tuner's shared Analyzer's Dcrit-only
-// fast path into reused buffers (only the critical delay of a die corner is
-// ever read — the sensors walk the *nominal* path set), each allocation
+// The die re-timings are the Retimer's Dcrit-only re-times into reused
+// buffers (only the critical delay of a die corner is read, unless a
+// path-reading sensor asks for a full analysis), each allocation
 // attempt re-materializes the clustering instance into the Tuner's reused
 // core.Instance through the shared Allocator, and the per-die leakages are
 // one exp pass plus multiply-add sweeps through the Tuner's LeakModel —
@@ -167,30 +185,29 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 // almost nothing beyond the solutions it reports (the ILP and local-search
 // solvers buy quality with their own working memory).
 func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
-	if nom == nil || nom.Light {
-		return nil, errors.New("variation: nominal timing must be a full (path-extracting) analysis")
+	if nom == nil {
+		return nil, errors.New("variation: nil nominal timing")
 	}
 	if opts.SolveCache != nil && opts.SolveCache.Allocator() != tn.al {
 		return nil, errors.New("variation: TuneOptions.SolveCache built over a different Allocator")
 	}
 	opts.setDefaults()
-	dieTm, err := tn.rt.TimeLight(die)
+	dieDcrit, err := tn.rt.TimeLight(die)
 	if err != nil {
 		return nil, err
 	}
 	lm := tn.leakModel(proc)
 	lm.SetDie(die)
-	// dieTm is the Retimer's reused buffer: every scalar needed after the
-	// next re-timing must be extracted now.
-	dieDcrit := dieTm.DcritPS
 	res := &TuneResult{
 		BetaActual:    dieDcrit/nom.DcritPS - 1,
 		DcritBeforePS: dieDcrit,
 		LeakBeforeNW:  lm.LeakageNW(nil),
 	}
-	limit := nom.DcritPS * (1 + opts.SlackTolPct)
+	limit := nom.DcritPS * (1 + slackTolPct)
 
-	res.BetaSensed = opts.Sensor.MeasureBeta(nom, dieTm, die.Seed)
+	if res.BetaSensed, err = tn.sense(opts.Sensor, nom, die, dieDcrit); err != nil {
+		return nil, err
+	}
 	target := res.BetaSensed + opts.GuardbandPct
 	// Caching an allocation only pays when the target can recur, which
 	// takes a quantizing sensor: a noisy or exact reading is a continuous
@@ -315,7 +332,7 @@ func (tn *Tuner) escalate(t *dieTail, iter int, proc *tech.Process, opts TuneOpt
 			return nil, err
 		}
 		t.res.LeakAfterNW = lm.LeakageNW(sol.Assign)
-		if t.verify(tuned.DcritPS) {
+		if t.verify(tuned) {
 			return t.res, nil
 		}
 	}
@@ -397,9 +414,11 @@ func (a *YieldAccum) fold(r *TuneResult, limit float64) {
 
 // Validate reports whether fold can reach this state: every count lies in
 // [0, Dies], each die either met timing after tuning or counts as a failed
-// compensation, and the leakage sums are non-negative. A resumed stream
-// folds onto its prior as given, so an impossible one would finalize into
-// impossible statistics (a yield above 100%).
+// compensation, every tuned die made at least one allocation attempt and
+// used a non-negative number of clusters, and the leakage sums are
+// non-negative. A resumed stream folds onto its prior as given, so an
+// impossible one would finalize into impossible statistics (a yield above
+// 100%, a negative mean attempt count).
 func (a *YieldAccum) Validate() error {
 	if a.Dies < 0 {
 		return fmt.Errorf("variation: impossible accumulator: dies %d is negative", a.Dies)
@@ -418,6 +437,12 @@ func (a *YieldAccum) Validate() error {
 	if a.MetAfter+a.FailedCompensations != a.Dies {
 		return fmt.Errorf("variation: impossible accumulator: metAfter %d + failedCompensations %d != dies %d",
 			a.MetAfter, a.FailedCompensations, a.Dies)
+	}
+	if a.SumIters < a.TunedDies {
+		return fmt.Errorf("variation: impossible accumulator: sumIters %d below tunedDies %d", a.SumIters, a.TunedDies)
+	}
+	if a.SumClusters < 0 {
+		return fmt.Errorf("variation: impossible accumulator: sumClusters %d is negative", a.SumClusters)
 	}
 	for _, s := range []struct {
 		name string
@@ -608,7 +633,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	}
 	pl := an.Placement()
 	opts.setDefaults()
-	limit := nom.DcritPS * (1 + opts.SlackTolPct)
+	limit := nom.DcritPS * (1 + slackTolPct)
 	width := batchWidth
 	mon, isMonitor := opts.Sensor.(InSituMonitor)
 	memoizable := isMonitor && mon.ResolutionPct > 0
@@ -630,8 +655,6 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 		smp   *Sampler
 		blk   *DieBlock
 		tb    *sta.TimingBatch
-		dieTm *sta.Timing // DieInto scratch for generic sensors
-		shim  sta.Timing  // Dcrit-only view for the in-situ monitor
 		seeds []int64
 		fast  []int     // no-bias lanes of the current batch
 		leakN []float64 // their unbiased leakages
@@ -689,15 +712,11 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 				DcritBeforePS: dieDcrit,
 			}
 			out[d] = res
-			// The in-situ monitor reads only the die's critical delay, so
-			// it senses straight off the batch; generic sensors get the
-			// lane gathered into a scalar light Timing.
-			if isMonitor {
-				w.shim.DcritPS = dieDcrit
-				res.BetaSensed = opts.Sensor.MeasureBeta(nom, &w.shim, die.Seed)
-			} else {
-				w.dieTm = tb.DieInto(d, w.dieTm)
-				res.BetaSensed = opts.Sensor.MeasureBeta(nom, w.dieTm, die.Seed)
+			// Only rows below d hold biased scales yet (the k-th biased
+			// lane writes row k <= its own), so a sensor that re-times
+			// die d in full still reads its sampled scale.
+			if res.BetaSensed, err = w.tn.sense(opts.Sensor, nom, die, dieDcrit); err != nil {
+				return nil, err
 			}
 			target := res.BetaSensed + opts.GuardbandPct
 			if dieDcrit <= limit && target <= 0 {
