@@ -340,35 +340,6 @@ func BenchmarkGeneratorResolutionAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkRBBLeakageRecovery exercises the reverse-body-bias extension:
-// fast dies give leakage back (section 1-2 of the paper, after [8]).
-func BenchmarkRBBLeakageRecovery(b *testing.B) {
-	lib := cell.Default()
-	d, err := gen.Build("c1355", lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := place.Place(d, lib, place.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	proc := tech.Default45nm()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := variation.RecoveryStudy(pl, proc, variation.Default(), 10, 33,
-			variation.RBBOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printOnce("rbb", func() {
-		st, _ := variation.RecoveryStudy(pl, proc, variation.Default(), 60, 33, variation.RBBOptions{})
-		fmt.Printf("\n[extension] RBB recovery (60 dies, c1355): %d fast dies reverse-biased, "+
-			"mean die saving %.1f%%, fleet leakage %.0f -> %.0f nW\n",
-			st.Recovered, st.MeanSavedPct, st.MeanLeakBeforeNW, st.MeanLeakAfterNW)
-	})
-}
-
 // --- component micro-benchmarks -----------------------------------------
 
 // BenchmarkComponentPlacement places at automatic rows and, for the long

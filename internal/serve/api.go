@@ -388,11 +388,29 @@ func (q *YieldRequest) validate(maxDies int) *apiError {
 		if q.Resume.Acc.Dies != q.Resume.Ckpt {
 			return badRequest("resume.acc covers %d dies, resume.ckpt is %d", q.Resume.Acc.Dies, q.Resume.Ckpt)
 		}
-		if err := q.Resume.Acc.Validate(); err != nil {
+		if err := q.Resume.Acc.Validate(q.tuneOptions()); err != nil {
 			return badRequest("resume.acc: %v", err)
 		}
 	}
 	return nil
+}
+
+// tuneOptions returns the stream options the request asks for, less the
+// solver and the solve cache. validate checks a resume prior against them,
+// so the prior meets the same defaults the stream applies.
+func (q *YieldRequest) tuneOptions() variation.TuneOptions {
+	opts := variation.TuneOptions{
+		GuardbandPct: q.GuardbandPct,
+		MaxClusters:  q.MaxClusters,
+		MaxBiasPairs: q.MaxBiasPairs,
+		MaxIters:     q.MaxIters,
+		Workers:      q.Workers,
+		TargetCI:     q.TargetCI,
+	}
+	if opts.GuardbandPct == 0 {
+		opts.GuardbandPct = defaultGuardbandPct
+	}
+	return opts
 }
 
 func (q *Table1Request) validate() *apiError {

@@ -27,11 +27,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"netlist":"INPUT(a)\ny = ZAP(a)\nOUTPUT(y)"}`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
-	// Resume bodies: a possible prior, an impossible one, and a
-	// footer-only resume (ckpt == dies).
+	// Resume bodies: a possible prior, an impossible one, a footer-only
+	// resume (ckpt == dies), and one beyond the default maxIters.
 	f.Add([]byte(`{"benchmark":"c1355","dies":4,"resume":{"ckpt":2,"acc":{"dies":2,"metBefore":1,"metAfter":2,"worstBetaPct":3,"sumBetaPct":4,"sumLeakBeforeNW":500,"sumLeakAfterNW":600,"sumLeakTunedOnlyNW":350,"tunedDies":1,"sumIters":1,"sumClusters":2}}}`))
 	f.Add([]byte(`{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":{"dies":1,"metBefore":-5,"metAfter":1000,"tunedDies":7,"failedCompensations":-3}}}`))
 	f.Add([]byte(`{"benchmark":"c1355","dies":3,"resume":{"ckpt":3,"acc":{"dies":3,"metBefore":2,"metAfter":2,"failedCompensations":1,"sumLeakBeforeNW":900,"sumLeakAfterNW":950}}}`))
+	f.Add([]byte(`{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":1000,"sumClusters":50}}}`))
 
 	lib := cell.Default()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,7 +59,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if e := decodeJSON(bytes.NewReader(data), &yield); e == nil {
 			if e := yield.validate(1_000_000); e == nil {
 				if yield.Resume != nil {
-					if err := yield.Resume.Acc.Validate(); err != nil {
+					if err := yield.Resume.Acc.Validate(yield.tuneOptions()); err != nil {
 						t.Fatalf("validated resume carries an impossible accumulator: %v", err)
 					}
 				}

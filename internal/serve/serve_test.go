@@ -608,6 +608,11 @@ func TestYieldRejectsImpossibleResume(t *testing.T) {
 		{`{"dies":1,"metAfter":1,"sumLeakAfterNW":-3}`, "sumLeakAfterNW -3"},
 		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":-7,"sumClusters":-3}`, "sumIters -7 below tunedDies 1"},
 		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":1,"sumClusters":-3}`, "sumClusters -3"},
+		// Beyond the default MaxIters (5) and MaxClusters (3).
+		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":1000,"sumClusters":50}`, "sumIters 1000 above tunedDies 1 × 5"},
+		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":5,"sumClusters":50}`, "sumClusters 50 above tunedDies 1 × 3"},
+		{`{"dies":1,"metAfter":1,"tunedDies":1,"sumIters":1,"sumClusters":1,"sumLeakAfterNW":2,"sumLeakTunedOnlyNW":3}`,
+			"sumLeakTunedOnlyNW 3 above sumLeakAfterNW 2"},
 	} {
 		body := `{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":` + tc.acc + `}}`
 		status, resp := postRaw(t, c, "/v1/yield", body)
@@ -618,11 +623,16 @@ func TestYieldRejectsImpossibleResume(t *testing.T) {
 			t.Fatalf("acc %s: body %s, want one error naming %q", tc.acc, resp, tc.want)
 		}
 	}
-	// A possible prior still resumes.
-	status, resp := postRaw(t, c, "/v1/yield",
-		`{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":{"dies":1,"metBefore":1,"metAfter":1,"worstBetaPct":-1,"sumBetaPct":-1,"sumLeakBeforeNW":5,"sumLeakAfterNW":5}}}`)
-	if status != http.StatusOK || !strings.Contains(string(resp), `"die":1`) {
-		t.Fatalf("valid resume: status %d, body %s", status, resp)
+	// Possible priors still resume, the second within the request's own
+	// maxIters and maxClusters rather than the defaults.
+	for _, body := range []string{
+		`{"benchmark":"c1355","dies":2,"resume":{"ckpt":1,"acc":{"dies":1,"metBefore":1,"metAfter":1,"worstBetaPct":-1,"sumBetaPct":-1,"sumLeakBeforeNW":5,"sumLeakAfterNW":5}}}`,
+		`{"benchmark":"c1355","dies":2,"maxIters":8,"maxClusters":4,"resume":{"ckpt":1,"acc":{"dies":1,"metAfter":1,"worstBetaPct":2,"sumBetaPct":2,"sumLeakBeforeNW":5,"sumLeakAfterNW":6,"sumLeakTunedOnlyNW":6,"tunedDies":1,"sumIters":8,"sumClusters":4}}}`,
+	} {
+		status, resp := postRaw(t, c, "/v1/yield", body)
+		if status != http.StatusOK || !strings.Contains(string(resp), `"die":1`) {
+			t.Fatalf("valid resume %s: status %d, body %s", body, status, resp)
+		}
 	}
 }
 

@@ -393,19 +393,9 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opts := variation.TuneOptions{
-		GuardbandPct: req.GuardbandPct,
-		MaxClusters:  req.MaxClusters,
-		MaxBiasPairs: req.MaxBiasPairs,
-		MaxIters:     req.MaxIters,
-		Workers:      req.Workers,
-		Solver:       solver,
-		TargetCI:     req.TargetCI,
-		SolveCache:   pfx.Solves,
-	}
-	if opts.GuardbandPct == 0 {
-		opts.GuardbandPct = defaultGuardbandPct
-	}
+	opts := req.tuneOptions()
+	opts.Solver = solver
+	opts.SolveCache = pfx.Solves
 
 	// Stream: one DieResult line per die in die order, then the stats
 	// footer. Memory stays bounded — variation.YieldStream hands each

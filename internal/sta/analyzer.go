@@ -14,18 +14,17 @@ import (
 // fanout adjacency, the estimated wire and pin load of every net, the
 // nominal loaded gate delays, and the endpoint structure — is computed once
 // at construction, so Run only re-evaluates delays, arrivals, requireds and
-// the extracted path set. Monte-Carlo loops (YieldStream, RBB recovery,
-// aging) re-time thousands of per-die corners of one placement; with
-// Analyze each corner pays the full graph build, with an Analyzer each
-// corner is two linear passes plus path extraction into reused buffers.
+// the extracted path set. Monte-Carlo loops (YieldStream, aging) re-time
+// thousands of per-die corners of one placement; with Analyze each corner
+// pays the full graph build, with an Analyzer each corner is two linear
+// passes plus path extraction into reused buffers.
 //
 // An Analyzer is immutable after construction and therefore safe for
 // concurrent use: all per-call state lives in the caller-provided Timing
 // buffer. Callers that run concurrently share one Analyzer and keep one
 // Timing scratch buffer per worker.
 type Analyzer struct {
-	pl   *place.Placement
-	opts Options // defaults applied; DelayScale is per-Run, never stored
+	pl *place.Placement
 
 	topo       []netlist.GateID
 	nomDelayPS []float64 // loaded delay of every gate at scale 1.0
@@ -47,11 +46,9 @@ type Analyzer struct {
 }
 
 // NewAnalyzer precomputes the scale-independent part of STA for a placed
-// design. opts.DelayScale is ignored: the scale vector is an argument of
-// each Run call.
+// design. opts.DelayScale, the only option, is ignored: the scale vector is
+// an argument of each Run call.
 func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
-	opts.setDefaults()
-	opts.DelayScale = nil
 	d := pl.Design
 	n := len(d.Gates)
 	if n == 0 {
@@ -64,7 +61,6 @@ func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 
 	a := &Analyzer{
 		pl:         pl,
-		opts:       opts,
 		topo:       topo,
 		nomDelayPS: make([]float64, n),
 		isDFF:      make([]bool, n),
@@ -78,7 +74,7 @@ func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 	fanouts := pl.Fanouts()
 	for g := 0; g < n; g++ {
 		a.isDFF[g] = d.Gates[g].IsDFF()
-		load := opts.WireCapPerUMfF * pl.NetHPWL(netlist.GateID(g))
+		load := wireCapPerUMfF * pl.NetHPWL(netlist.GateID(g))
 		for _, f := range fanouts[g] {
 			for _, in := range d.Gates[f].Ins {
 				if in.Kind == netlist.SigGate && in.Idx == netlist.GateID(g) {
@@ -87,7 +83,7 @@ func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 			}
 		}
 		if len(pl.POsOf(netlist.GateID(g))) > 0 {
-			load += opts.POLoadFF
+			load += poLoadFF
 		}
 		a.nomDelayPS[g] = d.Gates[g].Cell.DelayPS(load)
 	}
@@ -148,8 +144,7 @@ func (a *Analyzer) Run(scale []float64, buf *Timing) (*Timing, error) {
 		tm = &Timing{}
 	}
 	tm.Pl = a.pl
-	tm.Opts = a.opts
-	tm.Opts.DelayScale = scale
+	tm.Opts = Options{DelayScale: scale}
 	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
 	tm.ArrPS = growFloat(tm.ArrPS, n)
 	tm.TailPS = growFloat(tm.TailPS, n)

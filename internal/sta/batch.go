@@ -56,7 +56,7 @@ var lanesAVX2 = cpufeat.AVX2()
 // whose VMAXPD reduction is exactly the scalar `if v > acc { acc = v }` (NaN
 // and signed zeros included); the w%4 leftover lanes, and every lane
 // elsewhere, run the Go loops of goLanes. A single die (w == 1, the
-// per-die re-time of the tuning tail and RBB scans) runs oneLane's scalar
+// per-die re-time of the tuning tail) runs oneLane's scalar
 // loops instead, which at one lane are several times faster than the lane
 // loops.
 func (a *Analyzer) RunLightBatch(scale []float64, w int, buf *TimingBatch) (*TimingBatch, error) {

@@ -13,24 +13,17 @@ import (
 
 // Options configure the analysis.
 type Options struct {
-	// WireCapPerUMfF is the wire capacitance per micrometre of estimated
-	// net length (default 0.20 fF/um).
-	WireCapPerUMfF float64
-	// POLoadFF is the capacitive load on primary outputs (default 2 fF).
-	POLoadFF float64
 	// DelayScale optionally scales each gate's delay (per-gate process
 	// variation); length must equal the gate count when non-nil.
 	DelayScale []float64
 }
 
-func (o *Options) setDefaults() {
-	if o.WireCapPerUMfF <= 0 {
-		o.WireCapPerUMfF = 0.20
-	}
-	if o.POLoadFF <= 0 {
-		o.POLoadFF = 2.0
-	}
-}
+// The load model of every analysis: wire capacitance per micrometre of
+// estimated net length, and the capacitive load on each primary output.
+const (
+	wireCapPerUMfF = 0.20
+	poLoadFF       = 2.0
+)
 
 // Path is one extracted timing path: the chain of gates from a startpoint
 // (PI or flip-flop output) to an endpoint (PO, flip-flop D input, or an

@@ -78,9 +78,8 @@ func (lm *LeakModel) Clone() *LeakModel {
 func (lm *LeakModel) Process() *tech.Process { return lm.proc }
 
 // SetDie computes the per-gate variation factors of the die — the only
-// exp-heavy pass, paid once per die; every LeakageNW/LeakageUniformNW call
-// after it is multiply-adds. The die's DVthV must cover the placement's
-// gates.
+// exp-heavy pass, paid once per die; every LeakageNW call after it is
+// multiply-adds. The die's DVthV must cover the placement's gates.
 func (lm *LeakModel) SetDie(die *Die) {
 	n := len(lm.baseNW)
 	if cap(lm.fsub) < n {
@@ -94,10 +93,15 @@ func (lm *LeakModel) SetDie(die *Die) {
 // row-level assignment (nil = no body bias), bit-identical to the scalar
 // per-gate sum of Cell.LeakNW × LeakageFactorBias(vbs, dvth).
 func (lm *LeakModel) LeakageNW(assign []int) float64 {
-	if assign == nil {
-		return lm.LeakageUniformNW(0)
-	}
 	total := 0.0
+	if assign == nil {
+		w := lm.proc.SubthresholdFactor(0)
+		j := lm.proc.JunctionFactor(0)
+		for g, f := range lm.fsub {
+			total += lm.baseNW[g] * ((lm.subShr*(w*f) + lm.gls + j) * lm.temp)
+		}
+		return total
+	}
 	for g, f := range lm.fsub {
 		j := assign[lm.rowOf[g]]
 		total += lm.baseNW[g] * ((lm.subShr*(lm.subW[j]*f) + lm.gls + lm.junc[j]) * lm.temp)
@@ -130,18 +134,4 @@ func (lm *LeakModel) LeakageBlockNW(blk *DieBlock, lanes []int, out []float64) [
 		out = append(out, total)
 	}
 	return out
-}
-
-// LeakageUniformNW returns the SetDie die's total leakage with one bias
-// voltage on every gate (the block-level form RBB recovery evaluates; vbs
-// may be negative), bit-identical to the scalar loop over
-// LeakageFactorBias(vbs, dvth).
-func (lm *LeakModel) LeakageUniformNW(vbs float64) float64 {
-	w := lm.proc.SubthresholdFactor(vbs)
-	j := lm.proc.JunctionFactor(vbs)
-	total := 0.0
-	for g, f := range lm.fsub {
-		total += lm.baseNW[g] * ((lm.subShr*(w*f) + lm.gls + j) * lm.temp)
-	}
-	return total
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestLeakModelMatchesScalar is the differential harness of the batched
-// leakage path: under random row assignments, uniform biases (forward and
-// reverse) and no bias at all, the precomputed-table multiply-add pass must
+// leakage path: under random row assignments and no bias at all, the
+// precomputed-table multiply-add pass must
 // reproduce the scalar per-gate Die.LeakageNW / LeakageFactorBias loop bit
 // for bit — including across die changes on one reused model.
 func TestLeakModelMatchesScalar(t *testing.T) {
@@ -36,16 +36,6 @@ func TestLeakModelMatchesScalar(t *testing.T) {
 			want := die.LeakageNW(pl, proc, assign)
 			if got := lm.LeakageNW(assign); want != got {
 				t.Fatalf("die %d assignment %v: %v, want %v", i, assign, got, want)
-			}
-		}
-
-		for _, vbs := range []float64{-0.5, -0.2, -0.05, 0, 0.05, 0.3, 0.5} {
-			want := 0.0
-			for g := range pl.Design.Gates {
-				want += pl.Design.Gates[g].Cell.LeakNW * proc.LeakageFactorBias(vbs, die.DVthV[g])
-			}
-			if got := lm.LeakageUniformNW(vbs); want != got {
-				t.Fatalf("die %d uniform vbs=%v: %v, want %v", i, vbs, got, want)
 			}
 		}
 	}
@@ -90,8 +80,8 @@ func TestLeakModelCloneSharesTables(t *testing.T) {
 	}
 }
 
-// TestLeakModelAllocFree: after one warm-up die, SetDie and both evaluation
-// forms allocate nothing.
+// TestLeakModelAllocFree: after one warm-up die, SetDie and LeakageNW,
+// biased or not, allocate nothing.
 func TestLeakModelAllocFree(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -111,7 +101,6 @@ func TestLeakModelAllocFree(t *testing.T) {
 		lm.SetDie(die)
 		_ = lm.LeakageNW(nil)
 		_ = lm.LeakageNW(assign)
-		_ = lm.LeakageUniformNW(-0.2)
 	}); n != 0 {
 		t.Errorf("warmed-up LeakModel allocates %v/op, want 0", n)
 	}

@@ -1,10 +1,10 @@
-// Package variation models process variability, timing sensors and the
-// post-silicon tuning loop of the paper's section 3.1.
+// Package variation models process variability, the in-situ timing monitor
+// and the post-silicon tuning loop of the paper's section 3.1.
 //
 // Threshold-voltage variation is decomposed the standard way: a die-to-die
 // offset, a spatially correlated within-die (systematic) surface, and
 // per-gate random mismatch. Dies sampled from the model are re-timed with
-// the STA engine, sensed by replica or in-situ monitors, and compensated by
+// the STA engine, sensed by an in-situ monitor, and compensated by
 // the core allocator under a sensed slowdown — the full loop the paper
 // assumes around its clustering method. Temperature and NBTI aging provide
 // the dynamic-variation axis ([4], [5]).

@@ -195,6 +195,14 @@ func TestYieldStreamResumableValidation(t *testing.T) {
 			"tunedDies 3 out of range [0, 2]"},
 		{"negative leakage", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 1, FailedCompensations: 1, SumLeakAfterNW: -1}},
 			"sumLeakAfterNW -1"},
+		{"iters beyond MaxIters", StreamOptions{StartDie: 1, Prior: &YieldAccum{Dies: 1, MetAfter: 1, TunedDies: 1, SumIters: 1000, SumClusters: 50}},
+			"sumIters 1000 above tunedDies 1 × 5"},
+		{"clusters beyond MaxClusters", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 2, TunedDies: 2, SumIters: 10, SumClusters: 7}},
+			"sumClusters 7 above tunedDies 2 × 3"},
+		{"tuned die without a cluster", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 2, TunedDies: 2, SumIters: 2, SumClusters: 1}},
+			"sumClusters 1 below tunedDies 2"},
+		{"tuned leakage above total", StreamOptions{StartDie: 2, Prior: &YieldAccum{Dies: 2, MetAfter: 2, TunedDies: 1, SumIters: 1, SumClusters: 1, SumLeakAfterNW: 5, SumLeakTunedOnlyNW: 6}},
+			"sumLeakTunedOnlyNW 6 above sumLeakAfterNW 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +240,7 @@ func FuzzYieldResume(f *testing.F) {
 			r := &run{ckpts: map[int]YieldAccum{}}
 			sopts.CheckpointEvery = int(every) % 9
 			sopts.OnCheckpoint = func(die int, acc YieldAccum) error {
-				if err := acc.Validate(); err != nil {
+				if err := acc.Validate(opts); err != nil {
 					t.Fatalf("checkpoint at die %d: %v", die, err)
 				}
 				r.ckpts[die] = acc
@@ -309,6 +317,12 @@ func FuzzYieldResume(f *testing.F) {
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, FailedCompensations: mid, SumLeakTunedOnlyNW: -float64(at) - 1}},
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: -int(at)}},
 			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 1, SumClusters: -1 - int(at)}},
+			// Beyond the stream's MaxIters (5) and MaxClusters (3).
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 1000, SumClusters: 50}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 6 + int(at), SumClusters: 1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 1, SumClusters: 4 + int(at)}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, TunedDies: 1, SumIters: 1}},
+			{StartDie: mid, Prior: &YieldAccum{Dies: mid, MetAfter: mid, SumLeakAfterNW: float64(at), SumLeakTunedOnlyNW: float64(at) + 1}},
 		} {
 			if _, err := YieldStreamResumable(context.Background(), an, al, nom, proc, Default(),
 				dies, seed, opts, bad, nil); err == nil {

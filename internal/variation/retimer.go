@@ -16,10 +16,11 @@ import (
 // buffers and must not be used from more than one goroutine at a time —
 // create one per worker (flow.MapWith does exactly that).
 //
-// Every Time*Light method returns the die's critical delay, the one figure
-// the post-silicon loop reads, from a one-lane Analyzer.RunLightBatch: bit
-// for bit the DcritPS of a full Analyzer.Run of the same delay scale, which
-// is what a consumer of the path set or the per-gate vectors runs instead.
+// TimeLight and TimeWithBiasLight return the die's critical delay, the one
+// figure the post-silicon loop reads, from a one-lane Analyzer.RunLightBatch:
+// bit for bit the DcritPS of a full Analyzer.Run of the same delay scale,
+// which is what a consumer of the path set or the per-gate vectors runs
+// instead.
 type Retimer struct {
 	an    *sta.Analyzer
 	tb    *sta.TimingBatch
@@ -49,18 +50,7 @@ func (rt *Retimer) TimeLight(die *Die) (float64, error) {
 // body-bias assignment applied on top of its variation.
 func (rt *Retimer) TimeWithBiasLight(die *Die, proc *tech.Process, assign []int) (float64, error) {
 	scale := rt.scaleBuf(len(die.DVthV))
-	if err := rt.biasScale(scale, die, proc, assign, 0); err != nil {
-		return 0, err
-	}
-	return rt.dcrit(scale)
-}
-
-// TimeUniformBiasLight returns the die's critical delay with one body-bias
-// voltage applied to every gate (the block-level granularity RBB recovery
-// scans).
-func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float64) (float64, error) {
-	scale := rt.scaleBuf(len(die.DVthV))
-	if err := rt.biasScale(scale, die, proc, nil, vbs); err != nil {
+	if err := rt.biasScale(scale, die, proc, assign); err != nil {
 		return 0, err
 	}
 	return rt.dcrit(scale)
@@ -77,30 +67,23 @@ func (rt *Retimer) dcrit(scale []float64) (float64, error) {
 }
 
 // biasScale fills scale (one entry per gate) with the die's variation
-// combined with a body bias that is uniform within each row: grid level
-// assign[r] on row r, or vbs on every row when assign is nil. The
-// body-effect shift depends only on the row's bias, so it is computed once
-// per row; each gate then adds its own variation exactly as
-// tech.Process.DelayFactorBias does. Only the die's DVthV is read.
-func (rt *Retimer) biasScale(scale []float64, die *Die, proc *tech.Process, assign []int, vbs float64) error {
+// combined with a row-level body-bias assignment: grid level assign[r] on
+// row r, one entry per row. The body-effect shift depends only on the
+// row's bias, so it is computed once per row; each gate then adds its own
+// variation exactly as tech.Process.DelayFactorBias does. Only the die's
+// DVthV is read.
+func (rt *Retimer) biasScale(scale []float64, die *Die, proc *tech.Process, assign []int) error {
 	pl := rt.an.Placement()
-	if assign != nil && len(assign) != pl.NumRows {
+	if len(assign) != pl.NumRows {
 		return errors.New("variation: assignment length mismatch")
 	}
 	if cap(rt.shift) < pl.NumRows {
 		rt.shift = make([]float64, pl.NumRows)
 	}
 	shift := rt.shift[:pl.NumRows]
-	if assign == nil {
-		uniform := proc.VthShift(vbs)
-		for r := range shift {
-			shift[r] = uniform
-		}
-	} else {
-		grid := pl.Lib.Grid
-		for r, level := range assign {
-			shift[r] = proc.VthShift(grid.Voltage(level))
-		}
+	grid := pl.Lib.Grid
+	for r, level := range assign {
+		shift[r] = proc.VthShift(grid.Voltage(level))
 	}
 	for g := range scale {
 		scale[g] = shift[pl.RowOf[g]] + die.DVthV[g]
@@ -125,8 +108,7 @@ func DieSeed(seed int64, die int) int64 {
 	return splitmix64(uint64(seed) + uint64(die)*0x9e3779b97f4a7c15)
 }
 
-// splitmix64 is the splitmix64 finalizer, the mixing core of DieSeed and
-// the sensor noise streams.
+// splitmix64 is the splitmix64 finalizer, the mixing core of DieSeed.
 func splitmix64(z uint64) int64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9

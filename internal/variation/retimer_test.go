@@ -11,8 +11,8 @@ import (
 // TestBiasScaleMatchesDelayFactorBias: the re-timer's per-gate scales, with
 // the body-effect shift hoisted out of the gate loop, must equal
 // tech.Process.DelayFactorBias gate by gate, bit for bit, for row
-// assignments over the whole grid (and beyond it, where Voltage clamps) and
-// for uniform biases.
+// assignments over the whole grid (and beyond it, where Voltage clamps). An
+// assignment that is nil or not one level per row is an error.
 func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 	pl := placed(t, "c1355")
 	rt := NewRetimer(newAnalyzer(t, pl))
@@ -26,7 +26,7 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 			for r := range assign {
 				assign[r] = rng.Intn(grid.NumLevels()+2) - 1
 			}
-			if err := rt.biasScale(scale, die, proc, assign, 0); err != nil {
+			if err := rt.biasScale(scale, die, proc, assign); err != nil {
 				t.Fatal(err)
 			}
 			for g, got := range scale {
@@ -36,14 +36,9 @@ func TestBiasScaleMatchesDelayFactorBias(t *testing.T) {
 				}
 			}
 		}
-		for _, vbs := range []float64{-0.2, 0, 0.05, 0.3, 0.5, 0.8} {
-			if err := rt.biasScale(scale, die, proc, nil, vbs); err != nil {
-				t.Fatal(err)
-			}
-			for g, got := range scale {
-				if want := proc.DelayFactorBias(vbs, die.DVthV[g]); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("uniform biasScale(%v) gate %d: got %v, want %v", vbs, g, got, want)
-				}
+		for _, assign := range [][]int{nil, make([]int, pl.NumRows-1)} {
+			if err := rt.biasScale(scale, die, proc, assign); err == nil {
+				t.Fatalf("biasScale accepted a %d-row assignment on %d rows", len(assign), pl.NumRows)
 			}
 		}
 	}

@@ -173,59 +173,3 @@ func TestSampleIntoAllocFree(t *testing.T) {
 		t.Errorf("warmed-up SampleInto+AgedInto allocate %v/op, want 0", n)
 	}
 }
-
-// TestReplicaSensorNoisePerDie pins the decorrelation fix: a fixed sensor
-// seed must still give a deterministic reading per die, but two dies must
-// not see the same noise stream (the pre-fix sensor replayed one stream on
-// every die, making measurement error perfectly correlated across the
-// population).
-func TestReplicaSensorNoisePerDie(t *testing.T) {
-	pl := placed(t, "c1355")
-	proc := tech.Default45nm()
-	an := newAnalyzer(t, pl)
-	nom, err := an.Run(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ReplicaSensor{Replicas: 8, NoisePct: 0.02, Seed: 5}
-	m := Model{SigmaD2DmV: 25, SigmaSysmV: 0, SigmaRndmV: 0}
-
-	// One physical die, re-timed twice: identical readings (determinism).
-	die := m.Sample(pl, proc, DieSeed(1, 0))
-	tm, err := an.Run(die.DelayScale, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := s.MeasureBeta(nom, tm, die.Seed)
-	if r2 := s.MeasureBeta(nom, tm, die.Seed); r2 != r1 {
-		t.Errorf("re-measuring one die drifted: %v then %v", r1, r2)
-	}
-
-	// Two dies with *identical* variation but different seeds: without
-	// per-die noise the readings would be exactly equal, since the noise
-	// stream and the timing are both the same.
-	other := *die
-	other.Seed = DieSeed(1, 1)
-	if r3 := s.MeasureBeta(nom, tm, other.Seed); r3 == r1 {
-		t.Errorf("two dies saw identical measurement noise (%v): streams are correlated", r1)
-	}
-
-	// And across a real population, readings must not be a deterministic
-	// function of the true slowdown alone: sample several dies and check
-	// the noise actually differs from the noiseless reading.
-	noiseless := ReplicaSensor{Replicas: 8, NoisePct: 0, Seed: 5}
-	varied := false
-	for i := 0; i < 6; i++ {
-		d := m.Sample(pl, proc, DieSeed(9, i))
-		dtm, err := an.Run(d.DelayScale, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.MeasureBeta(nom, dtm, d.Seed) != noiseless.MeasureBeta(nom, dtm, d.Seed) {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Error("noisy sensor never diverged from the noiseless reading")
-	}
-}

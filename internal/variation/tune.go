@@ -15,11 +15,8 @@ import (
 
 // TuneOptions configure the post-silicon tuning loop.
 type TuneOptions struct {
-	// Sensor estimates the die slowdown (default: exact in-situ monitor
-	// with 1% resolution).
-	Sensor Sensor
-	// GuardbandPct is added to the sensed slowdown before allocation
-	// (sensor error headroom).
+	// GuardbandPct is added to the sensed slowdown (the in-situ monitor's
+	// 1%-step reading) before allocation: sensor error headroom.
 	GuardbandPct float64
 	// MaxClusters / MaxBiasPairs bound the clustering (defaults 3 / 2).
 	MaxClusters  int
@@ -54,9 +51,6 @@ type TuneOptions struct {
 }
 
 func (o *TuneOptions) setDefaults() {
-	if o.Sensor == nil {
-		o.Sensor = InSituMonitor{ResolutionPct: 0.01}
-	}
 	if o.MaxClusters == 0 {
 		o.MaxClusters = 3
 	}
@@ -106,9 +100,6 @@ type Tuner struct {
 	al   *core.Allocator
 	inst *core.Instance
 	leak *LeakModel
-	// dieTm is the full die analysis handed to sensors other than the
-	// InSituMonitor.
-	dieTm *sta.Timing
 }
 
 // solve returns the allocation for a target slowdown: through cache when
@@ -143,23 +134,6 @@ func (tn *Tuner) Retimer() *Retimer { return tn.rt }
 // Allocator returns the shared allocation engine.
 func (tn *Tuner) Allocator() *core.Allocator { return tn.al }
 
-// sense returns the sensor's reading of a die whose critical delay is
-// dieDcrit. The InSituMonitor reads only that delay, so it gets a Timing
-// holding nothing else; any other sensor gets a full Analyzer.Run of the
-// die's delay scale, whose per-gate delays are the ones the die's light
-// re-time computed.
-func (tn *Tuner) sense(s Sensor, nom *sta.Timing, die *Die, dieDcrit float64) (float64, error) {
-	if mon, ok := s.(InSituMonitor); ok {
-		return mon.MeasureBeta(nom, &sta.Timing{DcritPS: dieDcrit}, die.Seed), nil
-	}
-	tm, err := tn.rt.an.Run(die.DelayScale, tn.dieTm)
-	if err != nil {
-		return 0, err
-	}
-	tn.dieTm = tm
-	return s.MeasureBeta(nom, tm, die.Seed), nil
-}
-
 // leakModel returns the tuner's leakage engine for proc, building (or
 // rebuilding, when the process changes — e.g. the aging controller's
 // per-checkpoint temperature derates) it on demand. Population loops skip
@@ -176,8 +150,8 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 // verify against the die's actual variation, and escalate the target
 // slowdown if the non-uniform variation defeats the uniform-beta model.
 // The die re-timings are the Retimer's Dcrit-only re-times into reused
-// buffers (only the critical delay of a die corner is read, unless a
-// path-reading sensor asks for a full analysis), each allocation
+// buffers (only the critical delay of a die corner is read, by the monitor
+// and by the verification alike), each allocation
 // attempt re-materializes the clustering instance into the Tuner's reused
 // core.Instance through the shared Allocator, and the per-die leakages are
 // one exp pass plus multiply-add sweeps through the Tuner's LeakModel —
@@ -204,17 +178,8 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 		LeakBeforeNW:  lm.LeakageNW(nil),
 	}
 	limit := nom.DcritPS * (1 + slackTolPct)
-
-	if res.BetaSensed, err = tn.sense(opts.Sensor, nom, die, dieDcrit); err != nil {
-		return nil, err
-	}
+	res.BetaSensed = monitor.MeasureBeta(nom, &sta.Timing{DcritPS: dieDcrit}, die.Seed)
 	target := res.BetaSensed + opts.GuardbandPct
-	// Caching an allocation only pays when the target can recur, which
-	// takes a quantizing sensor: a noisy or exact reading is a continuous
-	// per-die float, and inserting it would just fill the bounded cache
-	// with dead entries.
-	mon, isMonitor := opts.Sensor.(InSituMonitor)
-	memoizable := isMonitor && mon.ResolutionPct > 0
 	if dieDcrit <= limit && target <= 0 {
 		// Fast or nominal die: nothing to do.
 		res.Met = true
@@ -222,7 +187,7 @@ func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneO
 		res.LeakAfterNW = res.LeakBeforeNW
 		return res, nil
 	}
-	t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable)
+	t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target)
 	return tn.escalate(&t, 0, proc, opts)
 }
 
@@ -245,12 +210,13 @@ type dieTail struct {
 }
 
 // newDieTail starts the tail of a die that needs bias. Only a target that
-// can recur is worth a cache slot: a quantized reading plus the constant
+// can recur is worth a cache slot (a one-off target would just fill the
+// bounded cache with a dead entry): a quantized reading plus the constant
 // guardband, or the constant floor below. The monitor leaves negative
 // readings unquantized, so a guardband that lifts one above zero gives a
 // one-off per-die target.
-func newDieTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64, memoizable bool) dieTail {
-	memoizable = memoizable && (res.BetaSensed >= 0 || target <= 0)
+func newDieTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target float64) dieTail {
+	memoizable := res.BetaSensed >= 0 || target <= 0
 	if target <= 0 {
 		target = 0.005 // sensor saw nothing but the die misses timing
 	}
@@ -412,14 +378,18 @@ func (a *YieldAccum) fold(r *TuneResult, limit float64) {
 	}
 }
 
-// Validate reports whether fold can reach this state: every count lies in
-// [0, Dies], each die either met timing after tuning or counts as a failed
-// compensation, every tuned die made at least one allocation attempt and
-// used a non-negative number of clusters, and the leakage sums are
-// non-negative. A resumed stream folds onto its prior as given, so an
-// impossible one would finalize into impossible statistics (a yield above
-// 100%, a negative mean attempt count).
-func (a *YieldAccum) Validate() error {
+// Validate reports whether fold can reach this state in a stream run with
+// opts (its defaults applied here): every count lies in [0, Dies], each die
+// either met timing after tuning or counts as a failed compensation, every
+// tuned die made between 1 and MaxIters allocation attempts and applied a
+// solution of between 1 and MaxClusters clusters, the leakage sums are
+// non-negative, and the tuned dies' leakage sum, a subset of the after-tuning
+// sum's non-negative terms added in the same order, does not exceed it. A
+// resumed stream folds onto its prior as given, so an impossible one would
+// finalize into impossible statistics (a yield above 100%, a mean attempt
+// count above MaxIters).
+func (a *YieldAccum) Validate(opts TuneOptions) error {
+	opts.setDefaults()
 	if a.Dies < 0 {
 		return fmt.Errorf("variation: impossible accumulator: dies %d is negative", a.Dies)
 	}
@@ -438,11 +408,21 @@ func (a *YieldAccum) Validate() error {
 		return fmt.Errorf("variation: impossible accumulator: metAfter %d + failedCompensations %d != dies %d",
 			a.MetAfter, a.FailedCompensations, a.Dies)
 	}
-	if a.SumIters < a.TunedDies {
-		return fmt.Errorf("variation: impossible accumulator: sumIters %d below tunedDies %d", a.SumIters, a.TunedDies)
-	}
-	if a.SumClusters < 0 {
-		return fmt.Errorf("variation: impossible accumulator: sumClusters %d is negative", a.SumClusters)
+	for _, e := range []struct {
+		name     string
+		sum, per int
+	}{
+		{"sumIters", a.SumIters, opts.MaxIters}, {"sumClusters", a.SumClusters, opts.MaxClusters},
+	} {
+		if e.sum < a.TunedDies {
+			return fmt.Errorf("variation: impossible accumulator: %s %d below tunedDies %d", e.name, e.sum, a.TunedDies)
+		}
+		// e.sum > TunedDies·per, without forming a product that can
+		// overflow.
+		if q := e.sum / e.per; q > a.TunedDies || q == a.TunedDies && e.sum%e.per != 0 {
+			return fmt.Errorf("variation: impossible accumulator: %s %d above tunedDies %d × %d",
+				e.name, e.sum, a.TunedDies, e.per)
+		}
 	}
 	for _, s := range []struct {
 		name string
@@ -454,6 +434,10 @@ func (a *YieldAccum) Validate() error {
 		if !(s.v >= 0) {
 			return fmt.Errorf("variation: impossible accumulator: %s %g is not non-negative", s.name, s.v)
 		}
+	}
+	if a.SumLeakTunedOnlyNW > a.SumLeakAfterNW {
+		return fmt.Errorf("variation: impossible accumulator: sumLeakTunedOnlyNW %g above sumLeakAfterNW %g",
+			a.SumLeakTunedOnlyNW, a.SumLeakAfterNW)
 	}
 	return nil
 }
@@ -552,10 +536,10 @@ func wilsonHalfWidth(n, successes int) float64 {
 // Within a window, dies move through the population kernels in batches of
 // batchWidth: one SoA sample block per batch, one die-major batched
 // re-timing, and one fused leakage sweep over the lanes that need no bias.
-// The dies that miss timing (or whose sensor demands bias) get their first
-// allocation in lane order and are re-timed under it together in a second
-// batched re-timing; only those still missing timing fall back to the
-// scalar escalation loop. Every lane preserves the per-die float operation
+// The dies that miss timing (or whose monitor reading demands bias) get
+// their first allocation in lane order and are re-timed under it together
+// in a second batched re-timing; only those still missing timing fall back
+// to the scalar escalation loop. Every lane preserves the per-die float operation
 // order of the scalar path, so the batch width (and the worker count, and
 // the chunk size) never changes a single byte of the per-die results or the
 // aggregate.
@@ -621,8 +605,9 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	} else if sopts.Prior != nil && sopts.Prior.Dies != 0 {
 		return nil, fmt.Errorf("variation: Prior covers %d dies but StartDie is 0", sopts.Prior.Dies)
 	}
+	opts.setDefaults()
 	if sopts.Prior != nil {
-		if err := sopts.Prior.Validate(); err != nil {
+		if err := sopts.Prior.Validate(opts); err != nil {
 			return nil, err
 		}
 	}
@@ -632,11 +617,8 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 		return nil, errors.New("variation: TuneOptions.SolveCache built over a different Allocator")
 	}
 	pl := an.Placement()
-	opts.setDefaults()
 	limit := nom.DcritPS * (1 + slackTolPct)
 	width := batchWidth
-	mon, isMonitor := opts.Sensor.(InSituMonitor)
-	memoizable := isMonitor && mon.ResolutionPct > 0
 
 	// The assignment-independent structure is built once for the whole
 	// stream: the Sampler's gate-centre geometry and the LeakModel's
@@ -712,12 +694,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 				DcritBeforePS: dieDcrit,
 			}
 			out[d] = res
-			// Only rows below d hold biased scales yet (the k-th biased
-			// lane writes row k <= its own), so a sensor that re-times
-			// die d in full still reads its sampled scale.
-			if res.BetaSensed, err = w.tn.sense(opts.Sensor, nom, die, dieDcrit); err != nil {
-				return nil, err
-			}
+			res.BetaSensed = monitor.MeasureBeta(nom, &sta.Timing{DcritPS: dieDcrit}, die.Seed)
 			target := res.BetaSensed + opts.GuardbandPct
 			if dieDcrit <= limit && target <= 0 {
 				// Fast or nominal die: complete it in-batch and defer
@@ -729,7 +706,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 			}
 			lm.SetDie(die)
 			res.LeakBeforeNW = lm.LeakageNW(nil)
-			t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target, memoizable)
+			t := newDieTail(res, die, nom.DcritPS, dieDcrit, limit, target)
 			sol, err := w.tn.allocate(&t, 0, opts)
 			if err != nil {
 				return nil, err
@@ -738,11 +715,11 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 				continue // beyond the compensation range: res is final
 			}
 			res.LeakAfterNW = lm.LeakageNW(sol.Assign)
-			// The k-th biased lane's scale goes to row k of the block.
-			// k <= d, so that row's die is already sensed, and from here
-			// on only the DVthV rows are read.
+			// The k-th biased lane's scale goes to row k <= d of the
+			// block: every die is sensed from its batched Dcrit, and from
+			// here on only the DVthV rows are read.
 			k := len(w.tails)
-			if err := w.tn.rt.biasScale(blk.DelayScale[k*n:(k+1)*n], die, proc, sol.Assign, 0); err != nil {
+			if err := w.tn.rt.biasScale(blk.DelayScale[k*n:(k+1)*n], die, proc, sol.Assign); err != nil {
 				return nil, err
 			}
 			w.tails = append(w.tails, t)

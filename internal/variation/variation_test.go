@@ -170,10 +170,6 @@ func TestSensors(t *testing.T) {
 	if truth > 0 && (quant < truth-1e-9 || quant > truth+0.01+1e-9) {
 		t.Errorf("quantized monitor read %f for truth %f", quant, truth)
 	}
-	replica := ReplicaSensor{Replicas: 16, NoisePct: 0.005, Seed: 1}.MeasureBeta(nom, dieTm, die.Seed)
-	if truth > 0 && math.Abs(replica-truth) > 0.05 {
-		t.Errorf("replica sensor read %f, truth %f", replica, truth)
-	}
 }
 
 func TestTuneSlowDie(t *testing.T) {

@@ -116,34 +116,6 @@ func TestTuneOnMatchesTune(t *testing.T) {
 	}
 }
 
-// TestRecoverLeakageOnMatches checks the RBB scan on a Retimer and a
-// LeakModel shared across dies against a fresh pair per die.
-func TestRecoverLeakageOnMatches(t *testing.T) {
-	pl := placed(t, "c1355")
-	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, lm := rbbEngines(t, pl, proc)
-	m := Default()
-	for i := 0; i < 8; i++ {
-		die := m.Sample(pl, proc, DieSeed(31, i))
-		frt, flm := rbbEngines(t, pl, proc)
-		want, err := RecoverLeakageWith(frt, flm, nom, die, RBBOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RecoverLeakageWith(rt, lm, nom, die, RBBOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *want != *got {
-			t.Fatalf("die %d: shared Retimer/LeakModel diverged:\nwant %+v\ngot  %+v", i, want, got)
-		}
-	}
-}
-
 // TestTuneResultConsistency pins the failure-path contract: whatever a
 // die's fate — tuned, never allocatable, or failed on a later escalation —
 // the reported Solution, DcritAfterPS and LeakAfterNW must describe one
