@@ -18,6 +18,7 @@
 //	fbbrouter -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
 //	          [-addr :8090] [-health-interval 500ms] [-spill 1]
 //	          [-vnodes 64] [-forward-timeout 0s] [-breaker 3]
+//	          [-max-gates 100000]
 package main
 
 import (
@@ -60,6 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		vnodes         = fs.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 		forwardTimeout = fs.Duration("forward-timeout", 0, "per-forward budget for a replica to start responding (0 = unbounded; response bodies stream without limit)")
 		breaker        = fs.Int("breaker", 3, "consecutive forward failures that trip a replica out of the ring to immediate re-probe")
+		maxGates       = fs.Int("max-gates", 100_000, "largest accepted design (set to the replicas' -max-gates)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -90,6 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		VirtualNodes:     *vnodes,
 		ForwardTimeout:   *forwardTimeout,
 		BreakerThreshold: *breaker,
+		MaxGates:         *maxGates,
 	})
 	if err != nil {
 		return err

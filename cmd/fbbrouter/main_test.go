@@ -116,6 +116,28 @@ func TestRouterDaemonServesCluster(t *testing.T) {
 	}
 }
 
+// TestRouterMaxGatesFlag: -max-gates reaches the router, which rejects a
+// larger design itself, before forwarding anything.
+func TestRouterMaxGatesFlag(t *testing.T) {
+	baseURL := startRouter(t, newReplicas(t, 1), "-max-gates", "100")
+	c := serve.NewClient(baseURL)
+	_, err := c.Tune(context.Background(), serve.TuneRequest{
+		DesignRef: serve.DesignRef{Benchmark: "c1355"}, Beta: 0.05,
+	})
+	if err == nil || !strings.Contains(err.Error(), "design too large") || !strings.Contains(err.Error(), "limit 100") {
+		t.Fatalf("c1355 through a 100-gate router: %v, want design too large", err)
+	}
+	cs, err := c.ClusterStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cs.Replicas {
+		if r.Forwarded != 0 {
+			t.Errorf("replica %s was forwarded %d requests", r.Addr, r.Forwarded)
+		}
+	}
+}
+
 func TestRouterRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{},                                 // -replicas required

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -59,13 +61,13 @@ type Allocator struct {
 	groupGateStart []int32
 	pathGates      []int32
 
+	// crit is the same grouping transposed to rows, the heuristic's
+	// criticality table; every Instance shares it.
+	crit critRuns
+
 	// omdf[g*p+j] = 1 - DelayFactor[j] of gate g's cell: the fractional
 	// delay reduction bias level j buys on gate g.
 	omdf []float64
-
-	// maxContribs bounds the RowContrib arena any At can need: the row
-	// groups of every class exemplar.
-	maxContribs int
 
 	// groups partitions the paths into structural-duplicate classes: two
 	// paths with the same row list and, per row, the same sequence of
@@ -154,9 +156,33 @@ func NewAllocator(pl *place.Placement, tm *sta.Timing) (*Allocator, error) {
 		a.pathStart[pi+1] = int32(len(a.groupRow))
 	}
 	a.groupGateStart = append(a.groupGateStart, int32(len(a.pathGates)))
+	a.buildCritRuns()
 	a.buildGroups()
 	a.markMergeCandidates()
 	return a, nil
+}
+
+// buildCritRuns transposes the path-major row grouping into critRuns:
+// visiting the groups path by path appends each row's runs in path order.
+func (a *Allocator) buildCritRuns() {
+	start := make([]int32, a.n+1)
+	for _, r := range a.groupRow {
+		start[r+1]++
+	}
+	for i := 0; i < a.n; i++ {
+		start[i+1] += start[i]
+	}
+	runs := make([]critRun, len(a.groupRow))
+	next := make([]int32, a.n)
+	copy(next, start)
+	for pi := 0; pi+1 < len(a.pathStart); pi++ {
+		for gi := a.pathStart[pi]; gi < a.pathStart[pi+1]; gi++ {
+			r := a.groupRow[gi]
+			runs[next[r]] = critRun{path: int32(pi), count: a.groupGateStart[gi+1] - a.groupGateStart[gi]}
+			next[r]++
+		}
+	}
+	a.crit = critRuns{start: start, runs: runs}
 }
 
 // buildGroups partitions the paths into structural-duplicate classes. Gates
@@ -215,7 +241,6 @@ func (a *Allocator) buildGroups() {
 				exemplar: int32(pi),
 				members:  []int32{int32(pi)},
 			})
-			a.maxContribs += int(a.pathStart[pi+1] - a.pathStart[pi])
 		}
 	}
 }
@@ -391,19 +416,10 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	inst.MaxClusters, inst.MaxBiasPairs = opts.MaxClusters, opts.MaxBiasPairs
 	inst.N, inst.P = a.n, a.p
 	inst.RowLeakNW = a.rowLeak
+	inst.crit = a.crit
 	inst.RawViolations = 0
 
 	cons := inst.Constraints[:0]
-	contribs := inst.contribArena
-	if cap(contribs) < a.maxContribs {
-		contribs = make([]RowContrib, 0, a.maxContribs)
-	}
-	contribs = contribs[:0]
-	deltas := inst.deltaArena
-	if cap(deltas) < a.maxContribs*a.p {
-		deltas = make([]float64, 0, a.maxContribs*a.p)
-	}
-	deltas = deltas[:0]
 	keys := inst.keyArena[:0]
 	keyOff := inst.keyOff[:0]
 	keyLen := inst.keyLen[:0]
@@ -433,6 +449,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	// does (two ulp-apart delays can round to equal requirements, and the
 	// tie must then keep the first member's PathIdx).
 	viol := inst.viol[:0]
+	rows := 0 // row groups of the violating exemplars: pass 2's arena need
 	for gi := range a.groups {
 		g := &a.groups[gi]
 		firstPi := int32(-1)
@@ -456,6 +473,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			continue
 		}
 		inst.RawViolations += count
+		rows += int(a.pathStart[g.exemplar+1] - a.pathStart[g.exemplar])
 		viol = append(viol, violGroup{
 			group:   int32(gi),
 			firstPi: firstPi,
@@ -466,6 +484,21 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	inst.viol = viol
 	inst.violSort.v = viol
 	sort.Sort(&inst.violSort)
+
+	// Size the arenas before pass 2 so that it never regrows them midway
+	// (a constraint would keep its rows on the old array: correct, but one
+	// allocation per regrowth): to this beta's need, at least doubling, so
+	// that a buffer re-used at rising betas regrows a few times and then
+	// holds what its largest instance needs, not what the largest beta
+	// could.
+	contribs := inst.contribArena[:0]
+	if cap(contribs) < rows {
+		contribs = make([]RowContrib, 0, max(rows, 2*cap(contribs)))
+	}
+	deltas := inst.deltaArena[:0]
+	if cap(deltas) < rows*a.p {
+		deltas = make([]float64, 0, max(rows*a.p, 2*cap(deltas)))
+	}
 
 	// Pass 2: materialize one constraint per violating class in
 	// registration order, format-merging only the candidate classes
@@ -511,12 +544,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 
 		if g.candidate {
 			key := keys[kstart:]
-			h := uint64(14695981039346656037)
-			for _, b := range key {
-				h ^= uint64(b)
-				h *= 1099511628211
-			}
-			slot := h & uint64(nb-1)
+			slot := keyHash(key) & uint64(nb-1)
 			dup := int32(-1)
 			for j := buckets[slot]; j >= 0; j = bnext[j] {
 				if bytes.Equal(key, keys[keyOff[j]:keyOff[j]+keyLen[j]]) {
@@ -568,6 +596,23 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	inst.keyLen = keyLen
 	inst.bnext = bnext
 	return inst, nil
+}
+
+// keyHash hashes a merge key eight bytes at a time. Only bucket placement
+// depends on it: a chain is searched with bytes.Equal and never holds two
+// equal keys, so constraints, merge order and PathIdx do not.
+func keyHash(key []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(key)) * m
+	for ; len(key) >= 8; key = key[8:] {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(key))*m, 29)
+	}
+	var tail uint64
+	for i, b := range key {
+		tail |= uint64(b) << (8 * i)
+	}
+	h = (h ^ tail) * m
+	return h ^ h>>32
 }
 
 // SolveAt materializes the instance for opts into buf and solves it with

@@ -273,6 +273,37 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 	}
 }
 
+// TestAllocatorAtAllocFree: At sizes its arenas to the beta at hand, so an
+// Instance that has served a beta re-materializes it, and any smaller beta,
+// without allocating; only a larger need regrows it.
+func TestAllocatorAtAllocFree(t *testing.T) {
+	pl, tm := builtinTimed(t, cell.Default(), "c5315")
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := al.At(Options{Beta: 0.003}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := cap(inst.deltaArena)
+	if inst, err = al.At(Options{Beta: 0.1}, inst); err != nil {
+		t.Fatal(err)
+	}
+	if cap(inst.deltaArena) <= small {
+		t.Fatalf("arena did not grow from beta 0.003 to 0.1 (cap %d)", small)
+	}
+	for _, beta := range []float64{0.1, 0.05, 0.003} {
+		if n := testing.AllocsPerRun(5, func() {
+			if _, err := al.At(Options{Beta: beta}, inst); err != nil {
+				panic(err)
+			}
+		}); n != 0 {
+			t.Errorf("beta %v after beta 0.1: %v allocations per At, want 0", beta, n)
+		}
+	}
+}
+
 // TestAllocatorValidation pins the error contract of the batched path.
 func TestAllocatorValidation(t *testing.T) {
 	lib := cell.Default()

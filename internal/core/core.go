@@ -130,6 +130,9 @@ type Instance struct {
 	viol     []violGroup
 	violSort violSorter
 
+	// crit is the Allocator's per-row criticality table (read-only).
+	crit critRuns
+
 	heur heurScratch
 }
 

@@ -18,6 +18,7 @@ type heurScratch struct {
 	levelSeen []bool
 	levels    []int
 	rows      []int
+	w         []float64 // per-path criticality weights of rowCriticality
 	sorter    ctSorter
 	sol       Solution
 	solSingle Solution
@@ -80,25 +81,51 @@ func (inst *Instance) SingleBB() (*Solution, error) {
 	return &s.solSingle, nil
 }
 
+// critRuns lists, per placement row, the paths of Π through it in CSR form:
+// row i's runs are runs[start[i]:start[i+1]], paths ascending, each with the
+// number of the path's cells in the row (the paper's Q_ik).
+type critRuns struct {
+	start []int32
+	runs  []critRun
+}
+
+type critRun struct {
+	path, count int32
+}
+
 // rowCriticality fills ct (len N) with the paper's timing-criticality
 // coefficient per row: ct_i = sum over paths k of Q_ik / slack_k, where
 // Q_ik counts the path's cells in row i and the slack is taken under the
 // degraded timing (floored at one picosecond so violating paths dominate
 // the ranking).
+//
+// The sum runs row-major over critRuns: each row adds w_k = 1/slack_k once
+// per cell, paths ascending, into a register. Each row therefore sees the
+// additions of a walk over Π path by path and cell by cell, in the same
+// order, from the same zero: the coefficients are bit-identical to that
+// walk's, without its scattered read-modify-writes of ct.
 func (inst *Instance) rowCriticality(ct []float64) []float64 {
 	const minSlackPS = 1.0
-	for i := range ct {
-		ct[i] = 0
-	}
-	for _, path := range inst.Tm.Paths {
-		slack := inst.Tm.DcritPS - path.DelayPS*(1+inst.Beta)
+	s := &inst.heur
+	s.w = growFloats(s.w, len(inst.Tm.Paths))
+	w := s.w
+	for k := range inst.Tm.Paths {
+		slack := inst.Tm.DcritPS - inst.Tm.Paths[k].DelayPS*(1+inst.Beta)
 		if slack < minSlackPS {
 			slack = minSlackPS
 		}
-		w := 1 / slack
-		for _, g := range path.Gates {
-			ct[inst.Pl.RowOf[g]] += w
+		w[k] = 1 / slack
+	}
+	start := inst.crit.start
+	for i := range ct {
+		sum := 0.0
+		for _, r := range inst.crit.runs[start[i]:start[i+1]] {
+			wk := w[r.path]
+			for c := r.count; c > 0; c-- {
+				sum += wk
+			}
 		}
+		ct[i] = sum
 	}
 	return ct
 }

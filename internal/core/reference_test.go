@@ -94,7 +94,51 @@ func buildProblem(pl *place.Placement, tm *sta.Timing, opts Options) (*Instance,
 
 	// Row-to-constraint index and involvement flags.
 	p.rowConsStart, p.rowConsRefs = buildRowCons(p.N, p.Constraints, p.Involved, nil, nil)
+	p.crit = referenceCritRuns(pl, tm)
 	return p, nil
+}
+
+// referenceCritRuns builds the per-row criticality runs directly from the
+// paths: each path appends one (path, cell count) run to every row it
+// touches.
+func referenceCritRuns(pl *place.Placement, tm *sta.Timing) critRuns {
+	perRow := make([][]critRun, pl.NumRows)
+	for pi, path := range tm.Paths {
+		count := map[int]int32{}
+		for _, g := range path.Gates {
+			count[pl.RowOf[g]]++
+		}
+		for r, c := range count {
+			perRow[r] = append(perRow[r], critRun{path: int32(pi), count: c})
+		}
+	}
+	cr := critRuns{start: make([]int32, 1, pl.NumRows+1)}
+	for _, rs := range perRow {
+		cr.runs = append(cr.runs, rs...)
+		cr.start = append(cr.start, int32(len(cr.runs)))
+	}
+	return cr
+}
+
+// referenceRowCriticality is the path-major criticality walk rowCriticality
+// must match bit for bit: every path adds its weight to the row of each of
+// its cells, in path order.
+func referenceRowCriticality(inst *Instance, ct []float64) []float64 {
+	const minSlackPS = 1.0
+	for i := range ct {
+		ct[i] = 0
+	}
+	for _, path := range inst.Tm.Paths {
+		slack := inst.Tm.DcritPS - path.DelayPS*(1+inst.Beta)
+		if slack < minSlackPS {
+			slack = minSlackPS
+		}
+		w := 1 / slack
+		for _, g := range path.Gates {
+			ct[inst.Pl.RowOf[g]] += w
+		}
+	}
+	return ct
 }
 
 // newTimingState readies a fresh incremental timing state over assign.

@@ -15,8 +15,9 @@
 //     time.Tick;
 //   - call math/rand package-level functions (the global, locked,
 //     entropy-seeded stream: rand.Intn, rand.Float64, rand.Shuffle, ...);
-//   - call rand.New with anything but an inline rand.NewSource(seed);
-//   - seed rand.NewSource through any call chain that is not visibly a
+//   - call rand.New with anything but an inline rand.NewSource(seed) or an
+//     inline call of a package-local …Source(seed) constructor;
+//   - seed either of them through any call chain that is not visibly a
 //     seed derivation (a function whose name mentions Seed or splitmix).
 //
 // Constant seeds and seeds threaded in as plain variables are allowed: the
@@ -107,8 +108,13 @@ func checkRand(pass *analysis.Pass, call *ast.CallExpr, fn *types.Func) {
 	case "New":
 		src := ast.Unparen(firstArg(call))
 		inner, ok := src.(*ast.CallExpr)
-		if !ok || calleeName(pass, inner) != "NewSource" {
-			pass.Reportf(call.Pos(), "rand.New must wrap an inline rand.NewSource(seed) so the seed derivation is auditable at the construction site")
+		switch {
+		case ok && calleeName(pass, inner) == "NewSource":
+			// vetted where the inspection reaches the inner call
+		case ok && isLocalSourceConstructor(pass, inner):
+			checkSeed(pass, firstArg(inner))
+		default:
+			pass.Reportf(call.Pos(), "rand.New must wrap an inline rand.NewSource(seed) or a package-local …Source(seed) constructor so the seed derivation is auditable at the construction site")
 		}
 	case "NewSource":
 		checkSeed(pass, firstArg(call))
@@ -151,6 +157,16 @@ func checkSeed(pass *analysis.Pass, seed ast.Expr) {
 	if hasCall && !hasDerivation {
 		pass.Reportf(seed.Pos(), "rand.NewSource seed must be a constant, a threaded-in variable, or a visible derivation (variation.DieSeed/splitmix64), not an arbitrary call chain")
 	}
+}
+
+// isLocalSourceConstructor reports whether call is a plain function of the
+// package under analysis whose name ends in "Source" (such as variation's
+// newLaggedSource): a seeded generator the package defines itself, whose
+// seed argument is then held to checkSeed like rand.NewSource's.
+func isLocalSourceConstructor(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := lintutil.Callee(pass.TypesInfo, call)
+	return fn != nil && fn.Pkg() == pass.Pkg && fn.Signature().Recv() == nil &&
+		strings.HasSuffix(fn.Name(), "Source")
 }
 
 func firstArg(call *ast.CallExpr) ast.Expr {

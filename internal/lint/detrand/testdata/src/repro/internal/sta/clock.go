@@ -69,6 +69,25 @@ func laundered(x int64) *rand.Rand {
 
 func mix(x int64) int64 { return x*6364136223846793005 + 1442695040888963407 }
 
+func launderedLocal(x int64) *rand.Rand {
+	return rand.New(newCountingSource(mix(x))) // want `rand\.NewSource seed must be a constant, a threaded-in variable, or a visible derivation`
+}
+
+func foreignConstructor() *rand.Rand {
+	return rand.New(makeGenerator(0)) // want `rand\.New must wrap an inline rand\.NewSource\(seed\)`
+}
+
+// countingSource is a package-local generator; newCountingSource is its
+// seeded constructor.
+type countingSource struct{ n int64 }
+
+func newCountingSource(seed int64) *countingSource { return &countingSource{n: seed} }
+
+func makeGenerator(seed int64) *countingSource { return &countingSource{n: seed} }
+
+func (s *countingSource) Int63() int64 { s.n++; return s.n & (1<<63 - 1) }
+func (s *countingSource) Seed(n int64) { s.n = n }
+
 // The sanctioned forms.
 
 func constantSeed() *rand.Rand {
@@ -85,6 +104,10 @@ func derivedSeed(seed int64, die int) *rand.Rand {
 
 func splitmixed(z uint64) *rand.Rand {
 	return rand.New(rand.NewSource(splitmix64(z)))
+}
+
+func localSource(seed int64) *rand.Rand {
+	return rand.New(newCountingSource(seed))
 }
 
 func drawn(rng *rand.Rand) float64 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/sta"
+	"repro/internal/tech"
 	"repro/internal/variation"
 )
 
@@ -85,11 +86,11 @@ func viaFactory(ctx context.Context, an *sta.Analyzer, nom *sta.Timing, dies []*
 		})
 }
 
-// cloningFactory: capturing a base Sampler to Clone is the idiom; only
-// returning it verbatim would share state.
-func cloningFactory(ctx context.Context, smp *variation.Sampler, n int) {
+// constructingFactory: capturing a base Sampler to build a fresh one from
+// is the idiom; only returning it verbatim would share state.
+func constructingFactory(ctx context.Context, smp *variation.Sampler, m variation.Model, n int) {
 	flow.MapWith(ctx, 0, n,
-		func() *variation.Sampler { return smp.Clone() },
+		func() *variation.Sampler { return variation.NewSampler(smp.Placement(), tech.Default45nm(), m) },
 		func(ctx context.Context, s *variation.Sampler, i int) (int, error) {
 			return 0, nil
 		})

@@ -19,7 +19,7 @@
 //     those must arrive through the factory-made state parameter;
 //   - a MapWith factory must not return a captured worker-scoped value
 //     verbatim: that would hand every worker the same state. Factories
-//     capture shared immutable bases and Clone/construct from them.
+//     capture shared immutable bases and clone/construct from them.
 package workerstate
 
 import (
@@ -154,7 +154,7 @@ func checkFactory(pass *analysis.Pass, lit *ast.FuncLit) {
 				continue
 			}
 			if path := lintutil.NamedPath(obj.Type()); workerScoped[path] {
-				pass.Reportf(res.Pos(), "flow.MapWith factory returns captured %s (%s): every worker would share one mutable state — construct or Clone a fresh one per call", id.Name, path)
+				pass.Reportf(res.Pos(), "flow.MapWith factory returns captured %s (%s): every worker would share one mutable state — construct or clone a fresh one per call", id.Name, path)
 			}
 		}
 		return true

@@ -94,6 +94,9 @@ func (dr *designResolver) builtinInfo(ref *DesignRef) (designInfo, error) {
 	})
 }
 
+// defaultMaxGates is both tiers' default design size limit.
+const defaultMaxGates = 100_000
+
 func checkGates(n, maxGates int) error {
 	if n > maxGates {
 		return fmt.Errorf("design too large: %d gates > limit %d", n, maxGates)

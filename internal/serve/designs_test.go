@@ -144,10 +144,11 @@ func TestUploadKeyMemoMisses(t *testing.T) {
 // TestUploadKeyMemoSkipsFailures: a parse error, a one-input NAND and a
 // multiply-driven net are never memoized, and every request gets the same
 // line-numbered 400 at both tiers; an upload over MaxGates is a 400 on
-// every request and never enters the replica's memo.
+// every request and enters neither tier's memo. The router answers each
+// with the replica's exact 400 body.
 func TestUploadKeyMemoSkipsFailures(t *testing.T) {
 	servers, urls := newCluster(t, 1, Options{MaxGates: 10}, nil)
-	rt, viaRouter := newTestRouter(t, urls, RouterOptions{})
+	rt, viaRouter := newTestRouter(t, urls, RouterOptions{MaxGates: 10})
 	direct := NewClient(urls[0])
 	for _, tc := range []struct{ netlist, want string }{
 		{"INPUT(a)\nOUTPUT(y)\ny = FROB(a, a)\n", "bench line 3"},
@@ -157,6 +158,7 @@ func TestUploadKeyMemoSkipsFailures(t *testing.T) {
 		{chainBench(11), "design too large: 11 gates"},
 	} {
 		body := string(encodeJSON(t, TuneRequest{DesignRef: DesignRef{Netlist: tc.netlist}, Beta: 0.05}))
+		firsts := map[string][]byte{}
 		for tier, c := range map[string]*Client{"fbbd": direct, "router": viaRouter} {
 			var first []byte
 			for i := 0; i < 3; i++ {
@@ -170,15 +172,17 @@ func TestUploadKeyMemoSkipsFailures(t *testing.T) {
 					t.Fatalf("%s request %d: 400 body %s, first was %s", tier, i, resp, first)
 				}
 			}
+			firsts[tier] = first
+		}
+		if !bytes.Equal(firsts["router"], firsts["fbbd"]) {
+			t.Fatalf("router 400 %s, replica 400 %s", firsts["router"], firsts["fbbd"])
 		}
 	}
 	if n := servers[0].keys.uploads.len(); n != 0 {
 		t.Errorf("replica memoized %d failed uploads", n)
 	}
-	// The router has no gate limit: only the oversize design, which parses,
-	// enters its memo.
-	if n := rt.keys.uploads.len(); n != 1 {
-		t.Errorf("router memo holds %d uploads, want only the oversize one", n)
+	if n := rt.keys.uploads.len(); n != 0 {
+		t.Errorf("router memoized %d failed uploads", n)
 	}
 }
 

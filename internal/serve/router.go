@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -102,6 +101,11 @@ type RouterOptions struct {
 	// restarted. Only transport-level failures count; a shed 503 is a
 	// healthy replica pushing back, not a failure.
 	BreakerThreshold int
+	// MaxGates caps the designs the router routes (default 100_000, the
+	// replicas' default). A larger design is answered with the replicas'
+	// own "design too large" 400 before any forward and never enters the
+	// router's upload memo; set it to the replicas' MaxGates.
+	MaxGates int
 }
 
 func (o RouterOptions) withDefaults() RouterOptions {
@@ -126,6 +130,9 @@ func (o RouterOptions) withDefaults() RouterOptions {
 		o.BreakerThreshold = 3
 	} else if o.BreakerThreshold < 1 {
 		o.BreakerThreshold = 1
+	}
+	if o.MaxGates <= 0 {
+		o.MaxGates = defaultMaxGates
 	}
 	return o
 }
@@ -292,14 +299,15 @@ func (rt *Router) noteForwardFailure(rep *replica) {
 
 // designKey resolves a request's DesignRef to its cluster routing key
 // without running the flow: built-in benchmarks are generated (netlist
-// only) and uploads parsed, each once per distinct design. The key is the
-// same DesignKey the replicas use for their prefix caches, so router
-// placement and replica caching agree by construction.
+// only) and uploads parsed, each once per distinct design, and a design
+// over MaxGates fails with the replicas' error. The key is the same
+// DesignKey the replicas use for their prefix caches, so router placement
+// and replica caching agree by construction.
 func (rt *Router) designKey(ref *DesignRef) (string, *apiError) {
 	if e := ref.validate(); e != nil {
 		return "", e
 	}
-	info, _, err := rt.keys.resolve(ref, math.MaxInt)
+	info, _, err := rt.keys.resolve(ref, rt.opts.MaxGates)
 	if err != nil {
 		return "", badRequest("%v", err)
 	}

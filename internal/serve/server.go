@@ -93,7 +93,7 @@ func (o Options) withDefaults() Options {
 		o.MaxDies = 1_000_000
 	}
 	if o.MaxGates <= 0 {
-		o.MaxGates = 100_000
+		o.MaxGates = defaultMaxGates
 	}
 	if o.RetryAfterSec <= 0 {
 		o.RetryAfterSec = 1

@@ -46,8 +46,9 @@ type Analyzer struct {
 }
 
 // NewAnalyzer precomputes the scale-independent part of STA for a placed
-// design. opts.DelayScale, the only option, is ignored: the scale vector is
-// an argument of each Run call.
+// design. opts is ignored: its only option, DelayScale, is an argument of
+// each Run call instead, and the parameter stays so that existing callers
+// (among them the fbbbench module's traced replay) keep compiling.
 func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 	d := pl.Design
 	n := len(d.Gates)
@@ -144,7 +145,6 @@ func (a *Analyzer) Run(scale []float64, buf *Timing) (*Timing, error) {
 		tm = &Timing{}
 	}
 	tm.Pl = a.pl
-	tm.Opts = Options{DelayScale: scale}
 	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
 	tm.ArrPS = growFloat(tm.ArrPS, n)
 	tm.TailPS = growFloat(tm.TailPS, n)

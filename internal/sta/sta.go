@@ -43,8 +43,7 @@ type Path struct {
 // carries its path set; a Dcrit-only re-time is a TimingBatch
 // (Analyzer.RunLightBatch), which has no path set to misread.
 type Timing struct {
-	Pl   *place.Placement
-	Opts Options
+	Pl *place.Placement
 
 	// GateDelayPS is the loaded delay of every gate at the analysis
 	// corner (clk-to-q for flip-flops).

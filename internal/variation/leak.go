@@ -19,13 +19,14 @@ import (
 //
 // Construction splits immutable from per-die state: the per-gate base
 // leakage, the row map and the per-level tables never change and are shared
-// by Clone; the per-die factors live in private scratch, so one LeakModel
-// must not be used from more than one goroutine at a time. Population loops
-// build one and Clone it per worker (YieldStream's Tuner pool does).
+// by cloneInto; the per-die factors live in private scratch, so one
+// LeakModel must not be used from more than one goroutine at a time.
+// Population loops build one and clone it per worker (YieldStream's worker
+// pool does).
 type LeakModel struct {
 	proc *tech.Process
 	grid tech.BiasGrid
-	// Immutable after construction, shared across Clones.
+	// Immutable after construction, shared across clones.
 	rowOf  []int
 	baseNW []float64 // Cell.LeakNW per gate
 	subW   []float64 // per level: SubthresholdFactor(Voltage(j))
@@ -66,12 +67,18 @@ func NewLeakModel(pl *place.Placement, proc *tech.Process) *LeakModel {
 	return lm
 }
 
-// Clone returns a LeakModel sharing the immutable tables with private
-// per-die scratch, the per-worker form of a shared model.
-func (lm *LeakModel) Clone() *LeakModel {
-	c := *lm
-	c.fsub, c.fblk = nil, nil
-	return &c
+// cloneInto makes dst a LeakModel sharing lm's immutable tables with
+// private per-die scratch, the per-worker form of a shared model. dst's
+// scratch buffers are kept for their capacity (a nil dst allocates a new
+// model); no die is set until the next SetDie.
+func (lm *LeakModel) cloneInto(dst *LeakModel) *LeakModel {
+	if dst == nil {
+		dst = &LeakModel{}
+	}
+	fsub, fblk := dst.fsub[:0], dst.fblk
+	*dst = *lm
+	dst.fsub, dst.fblk = fsub, fblk
+	return dst
 }
 
 // Process returns the process the tables were built for.

@@ -67,7 +67,7 @@ func TestLeakModelCloneSharesTables(t *testing.T) {
 	proc := tech.Default45nm()
 	m := Default()
 	lm := NewLeakModel(pl, proc)
-	cl := lm.Clone()
+	cl := lm.cloneInto(nil)
 	d1 := m.Sample(pl, proc, 1)
 	d2 := m.Sample(pl, proc, 2)
 	lm.SetDie(d1)

@@ -120,7 +120,7 @@ func TestSamplerCloneIndependence(t *testing.T) {
 	proc := tech.Default45nm()
 	m := Default()
 	smp := NewSampler(pl, proc, m)
-	cl := smp.Clone()
+	cl := smp.cloneInto(nil)
 	want7 := m.Sample(pl, proc, 7)
 	want9 := m.Sample(pl, proc, 9)
 	a := smp.SampleInto(nil, 7)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -41,12 +42,15 @@ type TuneOptions struct {
 	// count actually run (reported in YieldStats.Dies). Zero (the
 	// default) disables it: all nDies always run.
 	TargetCI float64
-	// SolveCache memoizes the recurring (monitor-quantized, first-iteration)
-	// allocation solves across workers, streams and requests; a
-	// flow.Prefix carries one per placement. When nil, YieldStream uses a
-	// private cache for the one study and TuneOn solves every attempt
-	// directly. The cache must be built over the same Allocator the tuning
-	// runs on.
+	// SolveCache memoizes the recurring allocation solves across workers,
+	// streams and requests: first attempts whose target is a
+	// monitor-quantized reading plus the guardband, or the 0.005 floor. A
+	// flow.Prefix carries one per placement. First attempts of dies sensed
+	// in (−GuardbandPct, 0), whose targets in (0, GuardbandPct) are
+	// continuous, and every escalated attempt are solved directly. When
+	// nil, YieldStream uses a private cache for the one study and TuneOn
+	// solves every attempt directly. The cache must be built over the same
+	// Allocator the tuning runs on.
 	SolveCache *core.SolveCache
 }
 
@@ -230,8 +234,11 @@ func newDieTail(res *TuneResult, die *Die, nomDcrit, dieDcrit, limit, target flo
 func (tn *Tuner) allocate(t *dieTail, iter int, opts TuneOptions) (*core.Solution, error) {
 	res := t.res
 	res.Iters = iter + 1
-	// Escalated targets are continuous per-die floats that never recur:
-	// they bypass the cache.
+	// Only a first attempt with a recurring target goes through the cache
+	// (newDieTail). The rest are continuous per-die floats that never
+	// recur, and they bypass it: first attempts of dies sensed in
+	// (−guardband, 0), whose targets lie in (0, guardband), and every
+	// escalated target.
 	var cache *core.SolveCache
 	if t.memoizable && iter == 0 {
 		cache = opts.SolveCache
@@ -519,6 +526,85 @@ func wilsonHalfWidth(n, successes int) float64 {
 	return wilsonZ / (1 + z2/fn) * math.Sqrt(p*(1-p)/fn+z2/(4*fn*fn))
 }
 
+// yieldWorker is the state one YieldStream worker carries from batch to
+// batch: a Tuner (Retimer, allocation Instance, LeakModel), a Sampler, the
+// sample block and batched re-timing, and small per-batch lists. Apart from
+// the Instance, everything in it is either bound to a stream's design at
+// checkout or a grow-to-fit buffer, so a worker serves any design:
+// idleWorkers hands finished streams' workers to the next ones instead of
+// re-growing O(gates·width) scratch per stream.
+type yieldWorker struct {
+	tn    *Tuner
+	smp   *Sampler
+	blk   *DieBlock
+	tb    *sta.TimingBatch
+	seeds []int64
+	fast  []int     // no-bias lanes of the current batch
+	leakN []float64 // their unbiased leakages
+	tails []dieTail // biased lanes whose first allocation succeeded
+}
+
+// idleWorkers is the free list of finished streams' workers, last in first
+// out. It keeps at most GOMAXPROCS of them, as many as one stream can use
+// at once: a bounded list rather than a sync.Pool, which the collector
+// empties and which then re-grows a worker per stream.
+var idleWorkers struct {
+	mu sync.Mutex
+	ws []*yieldWorker
+}
+
+// takeIdleWorker pops the most recently parked worker (nil when none).
+func takeIdleWorker() *yieldWorker {
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	n := len(idleWorkers.ws)
+	if n == 0 {
+		return nil
+	}
+	w := idleWorkers.ws[n-1]
+	idleWorkers.ws[n-1] = nil
+	idleWorkers.ws = idleWorkers.ws[:n-1]
+	return w
+}
+
+// parkIdleWorkers unbinds a finished stream's workers and returns them to
+// the free list, dropping those beyond its bound.
+func parkIdleWorkers(ws []*yieldWorker) {
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	for _, w := range ws {
+		if len(idleWorkers.ws) >= runtime.GOMAXPROCS(0) {
+			return
+		}
+		w.unbind()
+		idleWorkers.ws = append(idleWorkers.ws, w)
+	}
+}
+
+// bind points w (nil allocates a fresh worker) at a stream's shared
+// Analyzer, Allocator, Sampler and LeakModel, keeping every buffer.
+func (w *yieldWorker) bind(an *sta.Analyzer, al *core.Allocator, smp *Sampler, leak *LeakModel) *yieldWorker {
+	if w == nil {
+		w = &yieldWorker{tn: &Tuner{rt: &Retimer{}}, blk: &DieBlock{}}
+	}
+	w.tn.rt.an, w.tn.al = an, al
+	w.tn.leak = leak.cloneInto(w.tn.leak)
+	w.smp = smp.cloneInto(w.smp)
+	return w
+}
+
+// unbind drops w's references to the design and the results it served, so
+// an idle worker pins no evicted prefix, and drops its allocation Instance.
+// Instance arenas grow to the largest target a stream escalated to; holding
+// them across streams costs more resident memory than the few allocations
+// that re-grow them.
+func (w *yieldWorker) unbind() {
+	w.tn.rt.an, w.tn.al, w.tn.inst = nil, nil, nil
+	w.tn.leak = (&LeakModel{}).cloneInto(w.tn.leak)
+	w.smp = (&Sampler{}).cloneInto(w.smp)
+	clear(w.tails[:cap(w.tails)])
+}
+
 // YieldStream runs the Monte-Carlo tuning study — the system-level
 // experiment motivating the paper ("bring the slow dies back to within the
 // range of acceptable specs") — over a shared Analyzer, a shared Allocator
@@ -623,30 +709,22 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	// The assignment-independent structure is built once for the whole
 	// stream: the Sampler's gate-centre geometry and the LeakModel's
 	// per-gate base leakage and per-level bias tables are immutable, so
-	// every worker Clones them — private generator, die buffer and
+	// every worker clones them — private generator, die buffer and
 	// per-die leak factors over shared tables.
 	smpBase := NewSampler(pl, proc, m)
 	leakBase := NewLeakModel(pl, proc)
 
-	// Worker states are pooled across chunks: between MapWith calls every
-	// worker is idle, so the whole pool is free again — each chunk checks
-	// out warmed Tuners, Samplers and batch blocks instead of re-growing
-	// O(gates·width) scratch ~nDies/yieldChunk times over a long stream.
-	type yieldWorker struct {
-		tn    *Tuner
-		smp   *Sampler
-		blk   *DieBlock
-		tb    *sta.TimingBatch
-		seeds []int64
-		fast  []int     // no-bias lanes of the current batch
-		leakN []float64 // their unbiased leakages
-		tails []dieTail // biased lanes whose first allocation succeeded
-	}
+	// Worker states come from idleWorkers and are bound to this stream's
+	// design at checkout; between MapWith calls every worker is
+	// idle, so the stream's own workers are free again for each chunk, and
+	// when the stream ends they go back to the pool warmed for the next
+	// stream, of any design.
 	var (
 		tmu     sync.Mutex
 		workers []*yieldWorker
 		avail   []*yieldWorker
 	)
+	defer func() { parkIdleWorkers(workers) }()
 	checkout := func() *yieldWorker {
 		tmu.Lock()
 		defer tmu.Unlock()
@@ -655,9 +733,7 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 			avail = avail[:n-1]
 			return w
 		}
-		tn := NewTuner(NewRetimer(an), al)
-		tn.leak = leakBase.Clone()
-		w := &yieldWorker{tn: tn, smp: smpBase.Clone(), blk: &DieBlock{}}
+		w := takeIdleWorker().bind(an, al, smpBase, leakBase)
 		workers = append(workers, w)
 		return w
 	}
