@@ -7,6 +7,8 @@ package repro
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,9 +26,44 @@ import (
 	"repro/internal/variation"
 )
 
-var benchOnce flow.Once
+// keyedOnce runs a function at most once per string key, with concurrent
+// callers of the same key waiting for the winner to finish (unlike a bare
+// LoadOrStore flag, which lets losers proceed while the winner still runs).
+// The zero value is ready to use. printOnce uses it to print each
+// regenerated experiment table exactly once across benchmark iterations.
+type keyedOnce struct {
+	m sync.Map // key -> *sync.Once
+}
+
+// Do runs f if no other call with the same key has run it yet.
+func (o *keyedOnce) Do(key string, f func()) {
+	v, _ := o.m.LoadOrStore(key, new(sync.Once))
+	v.(*sync.Once).Do(f)
+}
+
+var benchOnce keyedOnce
 
 func printOnce(key string, f func()) { benchOnce.Do(key, f) }
+
+func TestOnceRunsWinnerOnly(t *testing.T) {
+	var o keyedOnce
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.Do("print", func() { calls.Add(1) })
+			if calls.Load() == 0 {
+				t.Error("Do returned before the winner finished")
+			}
+		}()
+	}
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("f ran %d times, want 1", calls.Load())
+	}
+}
 
 // BenchmarkFigure1BodyBiasSweep regenerates Figure 1: simulated inverter
 // speed-up and leakage vs body bias.
@@ -65,7 +102,7 @@ func table1Bench(b *testing.B, name string) {
 	}
 	b.StopTimer()
 	printOnce("table1:"+name, func() {
-		rows, err := Table1(Table1Options{
+		rows, err := NewRunner(1).Table1(Table1Options{
 			Benchmarks: []string{name},
 		})
 		if err != nil {
@@ -115,13 +152,13 @@ func BenchmarkTable1Industrial3(b *testing.B) { table1Bench(b, "industrial3") }
 // C = 2..11 on c5315 at beta = 5% gains only ~2.5%.
 func BenchmarkClusterCountSweepC5315(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ClusterSweep("c5315", 0.05, 2, 11, false); err != nil {
+		if _, err := NewRunner(1).ClusterSweep("c5315", 0.05, 2, 11, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	printOnce("sweep", func() {
-		pts, err := ClusterSweep("c5315", 0.05, 2, 11, true)
+		pts, err := NewRunner(1).ClusterSweep("c5315", 0.05, 2, 11, true)
 		if err != nil {
 			fmt.Println("sweep:", err)
 			return
@@ -166,7 +203,7 @@ func BenchmarkRuntimeILP(b *testing.B) {
 	}
 	b.StopTimer()
 	printOnce("runtime", func() {
-		rows, err := RuntimeComparison([]string{"c1355", "c3540", "c5315"}, 0.05)
+		rows, err := NewRunner(1).RuntimeComparison([]string{"c1355", "c3540", "c5315"}, 0.05)
 		if err != nil {
 			fmt.Println("runtime:", err)
 			return
@@ -287,7 +324,7 @@ func BenchmarkFigure6PlacedRouted(b *testing.B) {
 // BenchmarkFigure2MultiBlockTuning regenerates the Figure 2 scenario.
 func BenchmarkFigure2MultiBlockTuning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := MultiBlock(
+		if _, err := NewRunner(1).MultiBlock(
 			[]string{"c1355", "c3540", "c5315", "c7552"},
 			[]float64{0.05, 0.08, 0.05, 0.10}); err != nil {
 			b.Fatal(err)
@@ -295,7 +332,7 @@ func BenchmarkFigure2MultiBlockTuning(b *testing.B) {
 	}
 	b.StopTimer()
 	printOnce("fig2", func() {
-		res, _ := MultiBlock(
+		res, _ := NewRunner(1).MultiBlock(
 			[]string{"c1355", "c3540", "c5315", "c7552"},
 			[]float64{0.05, 0.08, 0.05, 0.10})
 		fmt.Printf("\n[Figure 2] central generator: %d blocks, %d routed pairs, %d distinct voltages\n",
@@ -307,13 +344,13 @@ func BenchmarkFigure2MultiBlockTuning(b *testing.B) {
 // (the motivating system experiment).
 func BenchmarkYieldTuningStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Yield("c1355", 25, 7); err != nil {
+		if _, err := NewRunner(0).Yield("c1355", 25, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	printOnce("yield", func() {
-		st, _ := Yield("c1355", 100, 7)
+		st, _ := NewRunner(0).Yield("c1355", 100, 7)
 		before, after := st.YieldPct()
 		fmt.Printf("\n[extension] yield study (100 dies, c1355): %.0f%% -> %.0f%%, "+
 			"mean leak %.2f -> %.2f uW\n",
@@ -410,14 +447,20 @@ func BenchmarkComponentAllocatorSolveAt(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := core.Options{Beta: 0.05, MaxClusters: 3}
-	_, inst, err := pfx.Allocator.SolveAt(opts, nil, nil) // warm the buffers
+	inst, err := pfx.Allocator.At(opts, nil) // warm the buffers
+	if err == nil {
+		_, err = inst.Solve(nil)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pfx.Allocator.SolveAt(opts, nil, inst); err != nil {
+		if inst, err = pfx.Allocator.At(opts, inst); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := inst.Solve(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

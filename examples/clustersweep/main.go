@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	pts, err := repro.ClusterSweep(*bench, 0.05, *from, *to, !*heuristicOnly)
+	pts, err := repro.NewRunner(1).ClusterSweep(*bench, 0.05, *from, *to, !*heuristicOnly)
 	if err != nil {
 		return err
 	}

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		betas = append(betas, v)
 	}
 
-	res, err := repro.MultiBlock(blocks, betas)
+	res, err := repro.NewRunner(1).MultiBlock(blocks, betas)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/bbgen"
 	"repro/internal/core"
@@ -13,19 +12,18 @@ import (
 	"repro/internal/spice"
 	"repro/internal/sta"
 	"repro/internal/tech"
-	"repro/internal/variation"
 )
 
-// This file holds the experiment drivers that regenerate every figure and
-// table of the paper. Each driver is used by both the benchmarks in
-// bench_test.go and the command-line tools.
+// This file holds the experiment drivers that the command-line tools and
+// examples run; the benchmarks in bench_test.go run them too, and
+// studies_test.go holds the drivers only tests and benchmarks use.
 //
 // The drivers run on a Runner: a shared flow.Engine memoizes the
 // deterministic gen->place->STA prefix of every benchmark (computed once
 // and reused across all (beta, C) points), and independent experiment cells
 // fan out over a bounded worker pool with context cancellation and
-// deterministic, input-ordered results. The package-level functions keep
-// the original one-shot API on a private sequential Runner.
+// deterministic, input-ordered results. NewRunner(1) runs them
+// sequentially.
 
 // Runner executes the experiment drivers on a shared, cached flow engine.
 type Runner struct {
@@ -153,11 +151,6 @@ func (r *Runner) Table1(opts Table1Options) ([]Table1Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// Table1 regenerates the paper's Table 1 sequentially; see Runner.Table1.
-func Table1(opts Table1Options) ([]Table1Row, error) {
-	return NewRunner(1).Table1(opts)
 }
 
 // ilpNodeBudget is the node budget of every exact solve the experiment
@@ -322,61 +315,6 @@ func (r *Runner) ClusterSweep(name string, beta float64, cFrom, cTo int, exact b
 		})
 }
 
-// ClusterSweep sweeps the cluster cap sequentially; see Runner.ClusterSweep.
-func ClusterSweep(name string, beta float64, cFrom, cTo int, exact bool) ([]SweepPoint, error) {
-	return NewRunner(1).ClusterSweep(name, beta, cFrom, cTo, exact)
-}
-
-// RuntimeRow compares allocator runtimes on one design (the paper reports
-// ILP runtimes "comparable" on small designs and >1000x the heuristic's on
-// large ones).
-type RuntimeRow struct {
-	Benchmark     string
-	Constraints   int
-	HeuristicTime time.Duration
-	ILPTime       time.Duration
-	SpeedupX      float64
-	ILPStatus     string
-}
-
-// RuntimeComparison measures both allocators, the exact one under Table
-// 1's node budget. The allocator wall-clock times are the measurement, so
-// the cells always run one at a time regardless of the Runner's
-// parallelism (CPU contention would inflate them); the pool still provides
-// cancellation and the engine still shares the prefixes with the other
-// drivers.
-func (r *Runner) RuntimeComparison(names []string, beta float64) ([]RuntimeRow, error) {
-	return flow.Map(r.context(), 1, len(names),
-		func(_ context.Context, i int) (RuntimeRow, error) {
-			res, err := RunOn(r.eng, Config{
-				Benchmark:    names[i],
-				Beta:         beta,
-				RunILP:       true,
-				ILPNodeLimit: ilpNodeBudget,
-				SkipLayout:   true,
-			})
-			if err != nil {
-				return RuntimeRow{}, err
-			}
-			row := RuntimeRow{
-				Benchmark:     names[i],
-				Constraints:   res.Constraints,
-				HeuristicTime: res.HeuristicTime,
-				ILPTime:       res.ILPTime,
-				ILPStatus:     res.ILPStatus,
-			}
-			if res.HeuristicTime > 0 {
-				row.SpeedupX = float64(res.ILPTime) / float64(res.HeuristicTime)
-			}
-			return row, nil
-		})
-}
-
-// RuntimeComparison measures both allocators; see Runner.RuntimeComparison.
-func RuntimeComparison(names []string, beta float64) ([]RuntimeRow, error) {
-	return NewRunner(1).RuntimeComparison(names, beta)
-}
-
 // LayoutStudy bundles the physical-implementation artifacts of Figures 3
 // and 6 for one design.
 type LayoutStudy struct {
@@ -463,64 +401,6 @@ func (r *Runner) MultiBlock(names []string, betas []float64) (*MultiBlockResult,
 	out.Plan = plan
 	out.DistinctLevels = plan.DistinctLevels
 	return out, nil
-}
-
-// MultiBlock tunes the named blocks sequentially; see Runner.MultiBlock.
-func MultiBlock(names []string, betas []float64) (*MultiBlockResult, error) {
-	return NewRunner(1).MultiBlock(names, betas)
-}
-
-// Yield runs the Monte-Carlo post-silicon tuning study on a benchmark,
-// tuning dies concurrently on r's worker pool over the cached placement.
-// The prefix cache supplies the nominal timing, the reusable STA analyzer,
-// and the reusable allocation engine; under them the per-die loop is the
-// vectorized pipeline — buffer-reusing sampling, Dcrit-only light re-times,
-// precomputed-table leakage and memoized allocations — so a die costs a
-// handful of array passes, not a graph rebuild.
-func (r *Runner) Yield(name string, dies int, seed int64) (*variation.YieldStats, error) {
-	pfx, err := r.eng.Prefix(name, 0)
-	if err != nil {
-		return nil, err
-	}
-	return variation.YieldStream(r.context(), pfx.Analyzer, pfx.Allocator, pfx.Timing,
-		tech.Default45nm(), variation.Default(), dies, seed,
-		variation.TuneOptions{GuardbandPct: 0.005, Workers: r.parallel, SolveCache: pfx.Solves}, nil)
-}
-
-// Yield runs the Monte-Carlo post-silicon tuning study with one tuning
-// worker per CPU (its historic concurrency); see Runner.Yield.
-func Yield(name string, dies int, seed int64) (*variation.YieldStats, error) {
-	return NewRunner(0).Yield(name, dies, seed)
-}
-
-// ResolutionPoint is one row of the generator-resolution ablation.
-type ResolutionPoint struct {
-	StepMV        float64
-	Levels        int
-	AvgLeakExcess float64 // mean leakage-factor excess vs a continuous generator
-}
-
-// ResolutionAblation quantifies the paper's 50 mV resolution assumption
-// against the 32 mV of [8] and coarser alternatives.
-func ResolutionAblation(betaMax float64) ([]ResolutionPoint, error) {
-	if betaMax <= 0 {
-		betaMax = 0.12
-	}
-	p := tech.Default45nm()
-	var pts []ResolutionPoint
-	for _, step := range []float64{0.025, 0.032, 0.05, 0.1} {
-		grid := tech.BiasGrid{StepV: step, MaxV: 0.5}
-		loss, err := bbgen.ResolutionLoss(p, grid, betaMax, 400)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, ResolutionPoint{
-			StepMV:        step * 1000,
-			Levels:        grid.NumLevels(),
-			AvgLeakExcess: loss,
-		})
-	}
-	return pts, nil
 }
 
 // NominalTiming exposes STA on a named benchmark for examples.

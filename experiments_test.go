@@ -68,7 +68,7 @@ func TestTable1PartialRowsOnCellFailure(t *testing.T) {
 	opts := testTable1Opts()
 	opts.Benchmarks = []string{"c1355", "no-such-benchmark"}
 	opts.Betas = []float64{0.05}
-	rows, err := Table1(opts)
+	rows, err := NewRunner(1).Table1(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTable1SurfacesILPStatus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ILP cell in -short mode")
 	}
-	rows, err := Table1(Table1Options{
+	rows, err := NewRunner(1).Table1(Table1Options{
 		Benchmarks: []string{"c1355"},
 		Betas:      []float64{0.05},
 	})
@@ -179,6 +179,7 @@ func TestClusterSweepParallelMatchesSequential(t *testing.T) {
 
 func TestRunOnSharesPrefixAcrossPoints(t *testing.T) {
 	eng := flow.New()
+	builds := flow.PrefixBuilds()
 	a, err := RunOn(eng, Config{Benchmark: "c1355", Beta: 0.05, SkipLayout: true})
 	if err != nil {
 		t.Fatal(err)
@@ -190,16 +191,16 @@ func TestRunOnSharesPrefixAcrossPoints(t *testing.T) {
 	if a.Placement != b.Placement || a.Timing != b.Timing {
 		t.Error("engine recomputed the prefix for a second (beta, C) point")
 	}
-	if eng.PrefixCount() != 1 {
-		t.Errorf("PrefixCount() = %d, want 1", eng.PrefixCount())
+	if n := flow.PrefixBuilds() - builds; n != 1 {
+		t.Errorf("engine built %d prefixes for one design, want 1", n)
 	}
 	// The engine-served result must match the from-scratch path.
 	plain, err := Run(Config{Benchmark: "c1355", Beta: 0.05, SkipLayout: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha, _ := a.SavingsPct()
-	hp, _ := plain.SavingsPct()
+	ha := core.Savings(a.Single, a.Heuristic)
+	hp := core.Savings(plain.Single, plain.Heuristic)
 	if ha != hp || a.Constraints != plain.Constraints || a.DcritPS != plain.DcritPS {
 		t.Errorf("cached flow diverged: savings %g vs %g, constraints %d vs %d",
 			ha, hp, a.Constraints, plain.Constraints)

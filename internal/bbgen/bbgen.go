@@ -45,24 +45,6 @@ func (g *Generator) Pair(level int) (vbsn, vbsp float64) {
 	return g.Grid.Pair(g.Proc.VddV, level)
 }
 
-// LevelFor returns the lowest grid level whose speed-up compensates a
-// measured slowdown beta (delay factor <= 1/(1+beta)), or an error when the
-// slowdown exceeds the generator's range. This is the selection a tuning
-// controller performs when a block's timing sensor raises its flag.
-func (g *Generator) LevelFor(beta float64) (int, error) {
-	if beta <= 0 {
-		return 0, nil
-	}
-	target := 1 / (1 + beta)
-	for j := 0; j < g.Grid.NumLevels(); j++ {
-		if g.Proc.DelayFactor(g.Grid.Voltage(j)) <= target {
-			return j, nil
-		}
-	}
-	return 0, fmt.Errorf("bbgen: slowdown %.1f%% beyond FBB range (max speed-up %.1f%%)",
-		beta*100, g.Proc.Speedup(g.Grid.MaxV)*100)
-}
-
 // BlockRequest is one block's bias demand: the distinct non-NBB levels its
 // row clusters need, plus a sensed timing flag (the Tc of Figure 2).
 type BlockRequest struct {
@@ -125,13 +107,12 @@ func ResolutionLoss(p *tech.Process, grid tech.BiasGrid, betaMax float64, sample
 	if samples < 1 || betaMax <= 0 {
 		return 0, errors.New("bbgen: bad sampling parameters")
 	}
-	g := &Generator{Proc: p, Grid: grid, MaxPairsPerBlock: 2}
 	total := 0.0
 	counted := 0
 	for i := 1; i <= samples; i++ {
 		beta := betaMax * float64(i) / float64(samples)
-		lv, err := g.LevelFor(beta)
-		if err != nil {
+		lv, ok := levelFor(p, grid, beta)
+		if !ok {
 			continue // beyond range at any resolution
 		}
 		// Ideal continuous vbs achieving exactly the needed speed-up.
@@ -147,6 +128,19 @@ func ResolutionLoss(p *tech.Process, grid tech.BiasGrid, betaMax float64, sample
 		return 0, errors.New("bbgen: no compensatable samples")
 	}
 	return total / float64(counted), nil
+}
+
+// levelFor returns the lowest grid level whose speed-up compensates a
+// uniform slowdown beta (delay factor <= 1/(1+beta)), or false when the
+// slowdown exceeds the grid's range.
+func levelFor(p *tech.Process, grid tech.BiasGrid, beta float64) (int, bool) {
+	target := 1 / (1 + beta)
+	for j := 0; j < grid.NumLevels(); j++ {
+		if p.DelayFactor(grid.Voltage(j)) <= target {
+			return j, true
+		}
+	}
+	return 0, false
 }
 
 // continuousVbsFor finds the exact vbs compensating beta by bisection.

@@ -21,32 +21,6 @@ func TestPairVoltages(t *testing.T) {
 	}
 }
 
-func TestLevelForCompensates(t *testing.T) {
-	g := gen()
-	for _, beta := range []float64{0.01, 0.05, 0.10, 0.15} {
-		lv, err := g.LevelFor(beta)
-		if err != nil {
-			t.Fatalf("beta=%v: %v", beta, err)
-		}
-		// The chosen level must compensate...
-		if f := g.Proc.DelayFactor(g.Grid.Voltage(lv)); f > 1/(1+beta)+1e-12 {
-			t.Errorf("beta=%v: level %d under-compensates (factor %f)", beta, lv, f)
-		}
-		// ...and be minimal.
-		if lv > 0 {
-			if f := g.Proc.DelayFactor(g.Grid.Voltage(lv - 1)); f <= 1/(1+beta) {
-				t.Errorf("beta=%v: level %d not minimal", beta, lv)
-			}
-		}
-	}
-	if lv, err := g.LevelFor(0); err != nil || lv != 0 {
-		t.Error("no slowdown should need no bias")
-	}
-	if _, err := g.LevelFor(0.5); err == nil {
-		t.Error("a 50% slowdown is beyond FBB range and must error")
-	}
-}
-
 func TestDistribute(t *testing.T) {
 	g := gen()
 	plan, err := g.Distribute([]BlockRequest{

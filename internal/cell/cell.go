@@ -13,7 +13,6 @@ package cell
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/spice"
@@ -155,8 +154,6 @@ type Library struct {
 	// RowHeightUM is the standard-cell row height.
 	RowHeightUM float64
 
-	cells  []*Cell
-	byName map[string]*Cell
 	// byShape indexes the cells by [kind][inputs][drive] for Pick; the
 	// one-input kinds sit at inputs 1.
 	byShape [numKinds][maxInputs + 1][maxDrive + 1]*Cell
@@ -206,7 +203,6 @@ func NewLibrary(p *tech.Process, grid tech.BiasGrid) (*Library, error) {
 		Grid:        grid,
 		SiteWidthUM: 0.19,
 		RowHeightUM: 2.8,
-		byName:      map[string]*Cell{},
 	}
 
 	// Characterize the three stack depths once; cells blend these curves
@@ -257,12 +253,9 @@ func NewLibrary(p *tech.Process, grid tech.BiasGrid) (*Library, error) {
 				DelayFactor:  df,
 				LeakFactor:   lf,
 			}
-			l.cells = append(l.cells, c)
-			l.byName[c.Name] = c
 			l.byShape[s.kind][s.inputs][drive] = c
 		}
 	}
-	sort.Slice(l.cells, func(i, j int) bool { return l.cells[i].Name < l.cells[j].Name })
 	return l, nil
 }
 
@@ -293,22 +286,6 @@ func intrinsicScale(drive int) float64 {
 	return 1.0
 }
 
-// Cell returns the named cell.
-func (l *Library) Cell(name string) (*Cell, bool) {
-	c, ok := l.byName[name]
-	return c, ok
-}
-
-// MustCell returns the named cell or panics; for use in generators where a
-// missing cell is a programming error.
-func (l *Library) MustCell(name string) *Cell {
-	c, ok := l.byName[name]
-	if !ok {
-		panic("cell: no such cell " + name)
-	}
-	return c
-}
-
 // Pick returns the cell with the given function, input count and drive:
 // the cell named cellName(k, inputs, drive), so INV, BUF and DFF ignore
 // inputs. It does not allocate.
@@ -322,12 +299,6 @@ func (l *Library) Pick(k Kind, inputs, drive int) (*Cell, bool) {
 	c := l.byShape[k][inputs][drive]
 	return c, c != nil
 }
-
-// Cells returns all cells sorted by name.
-func (l *Library) Cells() []*Cell { return l.cells }
-
-// Drives returns the available drive strengths in ascending order.
-func (l *Library) Drives() []int { return append([]int(nil), drives...) }
 
 var (
 	defaultOnce sync.Once

@@ -377,12 +377,6 @@ func sortInts(s []int) {
 	}
 }
 
-// Placement returns the placement the Allocator was built for.
-func (a *Allocator) Placement() *place.Placement { return a.pl }
-
-// Timing returns the nominal timing the Allocator was built for.
-func (a *Allocator) Timing() *sta.Timing { return a.tm }
-
 // violGroup is one violating structural class during materialization.
 type violGroup struct {
 	group   int32
@@ -613,20 +607,6 @@ func keyHash(key []byte) uint64 {
 	}
 	h = (h ^ tail) * m
 	return h ^ h>>32
-}
-
-// SolveAt materializes the instance for opts into buf and solves it with
-// solver (nil = the built-in two-pass heuristic). It returns the solution
-// and the instance actually used, so callers can thread the same buffer
-// through repeated solves; the solution follows the Instance buffer
-// contract (Clone to keep).
-func (a *Allocator) SolveAt(opts Options, solver Solver, buf *Instance) (*Solution, *Instance, error) {
-	inst, err := a.At(opts, buf)
-	if err != nil {
-		return nil, buf, err
-	}
-	sol, err := inst.Solve(solver)
-	return sol, inst, err
 }
 
 // Solve runs solver on the materialized instance (nil = the two-pass

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -304,6 +305,29 @@ func TestAllocatorAtAllocFree(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBetaRejected: a beta that is not a finite positive number
+// is a typed error on every solver's path (materialization and the solve
+// cache), never an allocation solved against NaN or zero targets.
+func TestNonFiniteBetaRejected(t *testing.T) {
+	pl, tm := randomTimed(t, cell.Default(), 1)
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewSolveCache(al)
+	for _, solver := range []Solver{HeuristicSolver{}, LocalSolver{}, ILPSolver{NodeLimit: 100}} {
+		for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.05} {
+			opts := Options{Beta: beta, MaxClusters: 2}
+			if sol, _, err := solveAt(al, opts, solver, nil); !errors.Is(err, ErrBeta) {
+				t.Errorf("%T beta %v: got (%v, %v), want ErrBeta", solver, beta, sol, err)
+			}
+			if _, _, _, err := cache.Solve(opts, solver, nil); !errors.Is(err, ErrBeta) {
+				t.Errorf("%T beta %v through the solve cache: got %v, want ErrBeta", solver, beta, err)
+			}
+		}
+	}
+}
+
 // TestAllocatorValidation pins the error contract of the batched path.
 func TestAllocatorValidation(t *testing.T) {
 	lib := cell.Default()
@@ -328,9 +352,8 @@ func TestAllocatorValidation(t *testing.T) {
 	if _, err := al.At(Options{}, nil); err == nil {
 		t.Error("zero beta accepted")
 	}
-	// SolveAt with an unknown-solver lookup is the caller's job; a nil
-	// solver must mean the heuristic.
-	sol, _, err := al.SolveAt(Options{Beta: 0.05}, nil, nil)
+	// A nil solver must mean the heuristic.
+	sol, _, err := solveAt(al, Options{Beta: 0.05}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func BenchmarkBuildProblemSolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := al.SolveAt(opts, nil, nil); err != nil {
+				if _, _, err := solveAt(al, opts, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -72,14 +72,14 @@ func BenchmarkAllocatorSolveAt(b *testing.B) {
 			}{{"beta=0.05", 0.05}, {"uncached", 0.003}} {
 				b.Run(c.label, func(b *testing.B) {
 					opts := Options{Beta: c.beta, MaxClusters: 3}
-					_, inst, err := al.SolveAt(opts, nil, nil) // warm the buffers
+					_, inst, err := solveAt(al, opts, nil, nil) // warm the buffers
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := al.SolveAt(opts, nil, inst); err != nil {
+						if _, _, err := solveAt(al, opts, nil, inst); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -26,6 +26,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ilp"
@@ -67,7 +69,7 @@ type PathConstraint struct {
 // Buffer contract (mirroring sta.Timing under Analyzer.Run): everything an
 // Instance exposes — its fields, its constraint tables, and any Solution
 // returned by Solve or SingleBB on it — lives in the Instance's buffers
-// and is invalidated by the next At/SolveAt/Solve call on the same
+// and is invalidated by the next At/Solve call on the same
 // Instance; Clone a Solution (or finish reading the fields) before
 // re-materializing. SolveILP, CheckTiming and VbsOf only read the
 // instance. An Instance must not be shared between concurrent solves, but
@@ -143,7 +145,7 @@ type rowConRef struct {
 
 // Options configure problem construction.
 type Options struct {
-	// Beta is the slowdown coefficient; must be positive.
+	// Beta is the slowdown coefficient; must be finite and positive.
 	Beta float64
 	// MaxClusters is C (default 3, the paper's layout limit).
 	MaxClusters int
@@ -152,10 +154,15 @@ type Options struct {
 	MaxBiasPairs int
 }
 
+// ErrBeta reports a slowdown coefficient that is not a finite positive
+// number. A NaN or infinite beta has no meaningful timing target: it would
+// turn every path target into NaN or zero instead of failing.
+var ErrBeta = errors.New("core: beta must be a finite positive number")
+
 // normalize applies the defaults and validates the options.
 func (o *Options) normalize() error {
-	if o.Beta <= 0 {
-		return errors.New("core: beta must be positive")
+	if !(o.Beta > 0) || math.IsInf(o.Beta, 1) {
+		return fmt.Errorf("%w, got %v", ErrBeta, o.Beta)
 	}
 	if o.MaxClusters == 0 {
 		o.MaxClusters = 3
@@ -245,18 +252,6 @@ func Clusters(assign []int) int {
 	seen := map[int]struct{}{}
 	for _, j := range assign {
 		seen[j] = struct{}{}
-	}
-	return len(seen)
-}
-
-// BiasPairs returns the number of distinct non-NBB levels of an assignment,
-// i.e. the (vbsn, vbsp) pairs the layout must route.
-func BiasPairs(assign []int) int {
-	seen := map[int]struct{}{}
-	for _, j := range assign {
-		if j != 0 {
-			seen[j] = struct{}{}
-		}
 	}
 	return len(seen)
 }

@@ -147,3 +147,15 @@ func (inst *Instance) newTimingState(assign []int) *timingState {
 	inst.initTimingState(st, assign, make([]float64, len(inst.Constraints)))
 	return st
 }
+
+// solveAt materializes the instance for opts into buf and solves it with
+// solver (nil = the heuristic), returning the instance actually used so a
+// test can thread one buffer through repeated solves.
+func solveAt(a *Allocator, opts Options, solver Solver, buf *Instance) (*Solution, *Instance, error) {
+	inst, err := a.At(opts, buf)
+	if err != nil {
+		return nil, buf, err
+	}
+	sol, err := inst.Solve(solver)
+	return sol, inst, err
+}

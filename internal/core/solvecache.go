@@ -70,7 +70,7 @@ func (c *SolveCache) Len() int {
 // beyond-compensation-range outcome (cached alongside solutions), err is a
 // structural materialization failure (fatal, never cached). The returned
 // Instance is buf (possibly grown) — callers thread it exactly as with
-// Allocator.SolveAt — and on a cache hit buf is returned untouched.
+// Allocator.At — and on a cache hit buf is returned untouched.
 func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Solution, inst *Instance, solveErr, err error) {
 	if err := opts.normalize(); err != nil {
 		return nil, buf, nil, err

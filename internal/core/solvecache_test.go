@@ -21,7 +21,7 @@ func TestSolveCacheMatchesDirectSolve(t *testing.T) {
 	var inst, ref *Instance
 	for _, beta := range []float64{0.02, 0.05, 0.02, 0.08, 0.05} {
 		opts := Options{Beta: beta, MaxClusters: 3, MaxBiasPairs: 2}
-		wantSol, refInst, wantErr := al.SolveAt(opts, nil, ref)
+		wantSol, refInst, wantErr := solveAt(al, opts, nil, ref)
 		ref = refInst
 		if wantErr != nil {
 			t.Fatalf("beta %v: reference solve failed: %v", beta, wantErr)

@@ -32,18 +32,3 @@ func (c *Cache[V]) Len() int {
 	c.m.Range(func(_, _ any) bool { n++; return true })
 	return n
 }
-
-// Once runs a function at most once per string key, with concurrent callers
-// of the same key waiting for the winner to finish (unlike a bare
-// LoadOrStore flag, which lets losers proceed while the winner still runs).
-// The zero value is ready to use. bench_test.go uses it to print each
-// regenerated experiment table exactly once across benchmark iterations.
-type Once struct {
-	m sync.Map // key -> *sync.Once
-}
-
-// Do runs f if no other call with the same key has run it yet.
-func (o *Once) Do(key string, f func()) {
-	v, _ := o.m.LoadOrStore(key, new(sync.Once))
-	v.(*sync.Once).Do(f)
-}

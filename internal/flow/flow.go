@@ -70,9 +70,6 @@ func New() *Engine { return NewWithLibrary(cell.Default()) }
 // NewWithLibrary returns an Engine whose benchmarks are mapped to lib.
 func NewWithLibrary(lib *cell.Library) *Engine { return &Engine{lib: lib} }
 
-// Library returns the engine's cell library.
-func (e *Engine) Library() *cell.Library { return e.lib }
-
 // Design runs stage 1 — benchmark generation — memoized by name.
 func (e *Engine) Design(name string) (*netlist.Design, error) {
 	return e.designs.Do(name, func() (*netlist.Design, error) {
@@ -94,10 +91,6 @@ func (e *Engine) Prefix(name string, forceRows int) (*Prefix, error) {
 		return PrefixFor(d, e.lib, forceRows)
 	})
 }
-
-// PrefixCount reports how many distinct prefixes the engine holds, for
-// tests and cache diagnostics.
-func (e *Engine) PrefixCount() int { return e.prefixes.Len() }
 
 // prefixBuilds counts every Prefix constructed process-wide. Serving layers
 // whose whole point is to NOT rebuild prefixes (the fbbd coalesced cache)

@@ -58,26 +58,6 @@ func TestCacheRetainsError(t *testing.T) {
 	}
 }
 
-func TestOnceRunsWinnerOnly(t *testing.T) {
-	var o Once
-	var calls atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o.Do("print", func() { calls.Add(1) })
-			if calls.Load() == 0 {
-				t.Error("Do returned before the winner finished")
-			}
-		}()
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("f ran %d times, want 1", calls.Load())
-	}
-}
-
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		out, err := Map(context.Background(), workers, 100,
@@ -171,8 +151,8 @@ func TestEnginePrefixSharedUnderRace(t *testing.T) {
 			t.Fatal("concurrent callers got different prefix instances")
 		}
 	}
-	if e.PrefixCount() != 1 {
-		t.Fatalf("PrefixCount() = %d, want 1", e.PrefixCount())
+	if n := e.prefixes.Len(); n != 1 {
+		t.Fatalf("engine holds %d prefixes, want 1", n)
 	}
 	// A different forceRows is a different prefix but shares the stage-1
 	// design cache.

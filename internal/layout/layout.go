@@ -147,9 +147,6 @@ func Apply(pl *place.Placement, assign []int, opts Options) (*Report, error) {
 	return r, nil
 }
 
-// Feasible reports whether the implementation fits without enlarging rows.
-func (r *Report) Feasible() bool { return r.RowsOverflowed == 0 }
-
 func sortInts(s []int) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -30,7 +30,7 @@ func capturedTiming(ctx context.Context, buf *sta.Timing, an *sta.Analyzer, n in
 
 func capturedInstance(ctx context.Context, al *core.Allocator, inst *core.Instance, n int) {
 	flow.Map(ctx, 0, n, func(ctx context.Context, i int) (int, error) {
-		_, got, err := al.SolveAt(core.Options{}, nil, inst) // want `closure passed to flow\.Map captures inst \(repro/internal/core\.Instance\)`
+		got, err := al.At(core.Options{}, inst) // want `closure passed to flow\.Map captures inst \(repro/internal/core\.Instance\)`
 		if err != nil {
 			return 0, err
 		}
@@ -86,11 +86,12 @@ func viaFactory(ctx context.Context, an *sta.Analyzer, nom *sta.Timing, dies []*
 		})
 }
 
-// constructingFactory: capturing a base Sampler to build a fresh one from
-// is the idiom; only returning it verbatim would share state.
-func constructingFactory(ctx context.Context, smp *variation.Sampler, m variation.Model, n int) {
+// constructingFactory: capturing worker-scoped state (here a Retimer) to
+// build a fresh Sampler from is the idiom; only returning a captured value
+// verbatim would share state.
+func constructingFactory(ctx context.Context, rt *variation.Retimer, m variation.Model, n int) {
 	flow.MapWith(ctx, 0, n,
-		func() *variation.Sampler { return variation.NewSampler(smp.Placement(), tech.Default45nm(), m) },
+		func() *variation.Sampler { return variation.NewSampler(rt.Placement(), tech.Default45nm(), m) },
 		func(ctx context.Context, s *variation.Sampler, i int) (int, error) {
 			return 0, nil
 		})

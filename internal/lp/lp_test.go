@@ -234,7 +234,7 @@ func TestValidation(t *testing.T) {
 			fn   func(*Problem) (Result, error)
 		}{
 			{"Solve", Solve},
-			{"SolveFrom", func(p *Problem) (Result, error) { return SolveFrom(p, nil) }},
+			{"SolveFrom", func(p *Problem) (Result, error) { return solveFrom(p, nil) }},
 			{"node solve", nodeSolve},
 		} {
 			_, err := solve.fn(tc.p)

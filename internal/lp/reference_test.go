@@ -489,3 +489,13 @@ func (s *refSimplex) dual(limit int) Status {
 		s.iters++
 	}
 }
+
+// solveFrom prepares p and solves it from b on a fresh workspace.
+func solveFrom(p *Problem, b *Basis) (Result, error) {
+	pp, err := Prepare(p)
+	if err != nil {
+		return Result{}, err
+	}
+	var w Workspace
+	return w.SolveFrom(pp, p.L, p.U, b)
+}

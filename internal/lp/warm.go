@@ -78,16 +78,6 @@ type rhsOp struct {
 	f    float64
 }
 
-// SolveFrom prepares p and solves it from b on a fresh workspace.
-func SolveFrom(p *Problem, b *Basis) (Result, error) {
-	pp, err := Prepare(p)
-	if err != nil {
-		return Result{}, err
-	}
-	var w Workspace
-	return w.SolveFrom(pp, p.L, p.U, b)
-}
-
 // SolveFrom solves pp under the bounds L and U (nil: 0 and +Inf, as in a
 // Problem) starting from b, the Basis of an optimal Result of a problem
 // with the same C, A, Rel and B and possibly different bounds. It checks

@@ -40,7 +40,7 @@ func checkWarmMatchesCold(t *testing.T, child *Problem, basis *Basis) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveFrom(child, basis)
+	warm, err := solveFrom(child, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +749,7 @@ func TestWorkspaceMemoKeysOnProblem(t *testing.T) {
 		if ppOther.nCols == pp.nCols && w.fac.pp == pp {
 			t.Fatalf("trial %d: the memo answered for another Prepared", trial)
 		}
-		want, err := SolveFrom(other, root.Basis)
+		want, err := solveFrom(other, root.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -307,11 +307,6 @@ func (b *Builder) MuxBus(sel Signal, b0, b1 []Signal) []Signal {
 	return out
 }
 
-// HalfAdder returns (sum, carry).
-func (b *Builder) HalfAdder(a, x Signal) (sum, carry Signal) {
-	return b.Xor(a, x), b.And(a, x)
-}
-
 // FullAdder returns (sum, carry) of three inputs using the classic
 // two-XOR/majority decomposition.
 func (b *Builder) FullAdder(a, x, cin Signal) (sum, carry Signal) {

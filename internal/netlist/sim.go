@@ -50,15 +50,6 @@ func NewSimulator(d *Design) (*Simulator, error) {
 // SetPI sets primary input i.
 func (s *Simulator) SetPI(i int, v bool) { s.pi[i] = v }
 
-// SetInputs sets all primary inputs at once.
-func (s *Simulator) SetInputs(vals []bool) error {
-	if len(vals) != len(s.pi) {
-		return fmt.Errorf("netlist: %d input values for %d PIs", len(vals), len(s.pi))
-	}
-	copy(s.pi, vals)
-	return nil
-}
-
 // SetPIByName sets the named primary input.
 func (s *Simulator) SetPIByName(name string, v bool) error {
 	for i, n := range s.d.PINames {
@@ -120,9 +111,6 @@ func (s *Simulator) ResetState() {
 	}
 }
 
-// GateValue returns the current output value of a gate.
-func (s *Simulator) GateValue(id GateID) bool { return s.val[id] }
-
 // PO returns the value of the named primary output after the last Eval.
 func (s *Simulator) PO(name string) (bool, error) {
 	i, ok := s.poIdx[name]
@@ -130,15 +118,6 @@ func (s *Simulator) PO(name string) (bool, error) {
 		return false, fmt.Errorf("netlist: no primary output %q", name)
 	}
 	return s.signal(s.d.POs[i].Sig), nil
-}
-
-// POValues returns the values of all primary outputs in declaration order.
-func (s *Simulator) POValues() []bool {
-	out := make([]bool, len(s.d.POs))
-	for i, po := range s.d.POs {
-		out[i] = s.signal(po.Sig)
-	}
-	return out
 }
 
 // SetUintInputs assigns the bits of v (LSB first) to the inputs named

@@ -344,22 +344,10 @@ func (p *Placement) NetHPWL(g netlist.GateID) float64 {
 	return (maxX - minX) + (maxY - minY)
 }
 
-// TotalHPWL sums the wirelength over all gate-driven nets.
-func (p *Placement) TotalHPWL() float64 {
-	total := 0.0
-	for g := range p.Design.Gates {
-		total += p.NetHPWL(netlist.GateID(g))
-	}
-	return total
-}
-
 // RowUtilization returns the used fraction of row r.
 func (p *Placement) RowUtilization(r int) float64 {
 	return p.rowUsedUM[r] / p.DieWidthUM
 }
-
-// RowUsedUM returns the occupied width of row r in micrometres.
-func (p *Placement) RowUsedUM(r int) float64 { return p.rowUsedUM[r] }
 
 // Fanouts exposes the design's fanout lists computed at placement time.
 func (p *Placement) Fanouts() [][]netlist.GateID { return p.fanouts }

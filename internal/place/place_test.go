@@ -199,3 +199,15 @@ func TestCentersMatchGateCenter(t *testing.T) {
 		t.Errorf("cached Centers allocates %v/op, want 0", n)
 	}
 }
+
+// TotalHPWL sums the wirelength over all gate-driven nets.
+func (p *Placement) TotalHPWL() float64 {
+	total := 0.0
+	for g := range p.Design.Gates {
+		total += p.NetHPWL(netlist.GateID(g))
+	}
+	return total
+}
+
+// RowUsedUM returns the occupied width of row r in micrometres.
+func (p *Placement) RowUsedUM(r int) float64 { return p.rowUsedUM[r] }

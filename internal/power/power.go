@@ -20,15 +20,6 @@ func DesignLeakageNW(d *netlist.Design) float64 {
 	return total
 }
 
-// RowLeakageNW returns the NBB leakage of one placement row.
-func RowLeakageNW(pl *place.Placement, row int) float64 {
-	total := 0.0
-	for _, g := range pl.Rows[row] {
-		total += pl.Design.Gates[g].Cell.LeakNW
-	}
-	return total
-}
-
 // RowExtraLeakageNW returns the leakage increase of row `row` when biased at
 // grid level j, relative to NBB: sum over the row's gates of
 // leak * (LeakFactor[j] - 1). This is the L_ij coefficient of the paper's
@@ -69,25 +60,4 @@ func AssignExtraLeakageNW(pl *place.Placement, assign []int) (float64, error) {
 		total += RowExtraLeakageNW(pl, i, j)
 	}
 	return total, nil
-}
-
-// AssignTotalLeakageNW returns the absolute leakage of the design under an
-// assignment: NBB leakage plus the overhead.
-func AssignTotalLeakageNW(pl *place.Placement, assign []int) (float64, error) {
-	extra, err := AssignExtraLeakageNW(pl, assign)
-	if err != nil {
-		return 0, err
-	}
-	return DesignLeakageNW(pl.Design) + extra, nil
-}
-
-// GateLeakageNW returns the leakage of gate g at grid level j scaled by an
-// optional per-gate variation multiplier (1.0 when scale is nil), in nW.
-func GateLeakageNW(pl *place.Placement, g netlist.GateID, j int, scale []float64) float64 {
-	c := pl.Design.Gates[g].Cell
-	v := c.LeakNW * c.LeakFactor[j]
-	if scale != nil {
-		v *= scale[g]
-	}
-	return v
 }

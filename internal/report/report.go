@@ -24,11 +24,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Addf appends a row of formatted values.
-func (t *Table) Addf(format string, args ...any) {
-	t.Add(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // String renders the aligned table.
 func (t *Table) String() string {
 	cols := len(t.Headers)

@@ -25,14 +25,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestAddf(t *testing.T) {
-	tb := New("", "a", "b")
-	tb.Addf("%d|%.1f", 3, 2.5)
-	if tb.Rows[0][0] != "3" || tb.Rows[0][1] != "2.5" {
-		t.Errorf("Addf produced %v", tb.Rows[0])
-	}
-}
-
 func TestCSVEscaping(t *testing.T) {
 	tb := New("", "x")
 	tb.Add(`va"l,ue`)

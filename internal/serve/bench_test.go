@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 )
@@ -75,7 +76,7 @@ func BenchmarkServeYieldStream(b *testing.B) {
 // design key, which each tier computes once per distinct upload, and the
 // upload digest of its .bench text, which each tier takes per request.
 func BenchmarkDesignKey(b *testing.B) {
-	d, err := gen.Build("c5315", New(Options{}).opts.Library)
+	d, err := gen.Build("c5315", cell.Default())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -174,13 +174,6 @@ func (c *PrefixCache) evictLocked() {
 	}
 }
 
-// Len reports the number of resident entries (in-flight included).
-func (c *PrefixCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats snapshots the cache counters.
 func (c *PrefixCache) Stats() CacheStats {
 	c.mu.Lock()

@@ -374,18 +374,3 @@ func (c *Client) ClusterStats(ctx context.Context) (*ClusterStatsResponse, error
 	}
 	return &out, nil
 }
-
-// Benchmarks fetches the server's built-in design names.
-func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
-	var out struct {
-		Benchmarks []string `json:"benchmarks"`
-	}
-	err := c.doRetry(ctx, func() error {
-		out.Benchmarks = nil
-		return c.getJSON(ctx, "/v1/benchmarks", &out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Benchmarks, nil
-}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 )
@@ -75,7 +76,7 @@ func TestUploadKeyMemoRepeatIsByteIdentical(t *testing.T) {
 // upload, the pinned c5315-as-hot0 key included, and a name left empty
 // shares the "custom" entry.
 func TestUploadKeyMemoKeysMatchParse(t *testing.T) {
-	lib := New(Options{}).opts.Library
+	lib := cell.Default()
 	c5315, err := gen.Build("c5315", lib)
 	if err != nil {
 		t.Fatal(err)

@@ -120,7 +120,7 @@ func TestTable1DifferentialAgainstDriver(t *testing.T) {
 	benches := []string{"c1355", "bogus"} // error rows must match too
 	betas := []float64{0.05, 0.10}
 
-	rows, err := repro.Table1(repro.Table1Options{
+	rows, err := repro.NewRunner(1).Table1(repro.Table1Options{
 		Benchmarks:   benches,
 		Betas:        betas,
 		ILPGateLimit: 1, // heuristic columns only: budget-free, deterministic

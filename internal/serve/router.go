@@ -80,10 +80,6 @@ type RouterOptions struct {
 	// http.DefaultClient). Health checks use the same transport with a
 	// per-probe timeout.
 	HTTPClient *http.Client
-	// Library resolves uploaded netlists to design keys (default
-	// cell.Default() — must match the replicas' library for the router's
-	// keys to agree with theirs).
-	Library *cell.Library
 	// ForwardTimeout bounds each forward's time to response headers (0 =
 	// unbounded). It deliberately does not cover the body: a yield stream
 	// answers its headers immediately and may then relay for minutes, so
@@ -122,9 +118,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = http.DefaultClient
-	}
-	if o.Library == nil {
-		o.Library = cell.Default()
 	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 3
@@ -189,8 +182,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		client: opts.HTTPClient,
 		mux:    http.NewServeMux(),
 		stopCh: make(chan struct{}),
-		keys: &designResolver{lib: opts.Library, builtin: func(name string) (*netlist.Design, error) {
-			return gen.Build(name, opts.Library)
+		keys: &designResolver{lib: cell.Default(), builtin: func(name string) (*netlist.Design, error) {
+			return gen.Build(name, cell.Default())
 		}},
 	}
 	rt.mux.HandleFunc("POST /v1/tune", func(w http.ResponseWriter, r *http.Request) { rt.routeByDesign(w, r, "/v1/tune") })
@@ -214,20 +207,6 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
 	rt.wg.Wait()
-}
-
-// CheckNow synchronously probes every replica once — tests and operators
-// use it to settle the health view without waiting out HealthInterval.
-func (rt *Router) CheckNow(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, rep := range rt.ring.replicas {
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			rt.probe(ctx, rep)
-		}(rep)
-	}
-	wg.Wait()
 }
 
 // healthLoop polls one replica's /healthz every HealthInterval, and

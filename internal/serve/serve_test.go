@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/netlist"
@@ -250,7 +251,7 @@ func TestPrefixCacheFailedJoinAccounting(t *testing.T) {
 // --- DesignKey ---
 
 func TestDesignKeyDistinguishesDesignsAndRows(t *testing.T) {
-	lib := New(Options{}).opts.Library
+	lib := cell.Default()
 	parse := func(text, name string) *netlist.Design {
 		t.Helper()
 		d, err := netlist.ParseBench(strings.NewReader(text), name, lib)
@@ -281,7 +282,7 @@ func TestDesignKeyDistinguishesDesignsAndRows(t *testing.T) {
 // byte stream would re-home every design on the router's ring and orphan
 // every cached prefix, which no relative key test can notice.
 func TestDesignKeyPinned(t *testing.T) {
-	lib := New(Options{}).opts.Library
+	lib := cell.Default()
 	build := func(name string) *netlist.Design {
 		t.Helper()
 		d, err := gen.Build(name, lib)
@@ -865,7 +866,7 @@ func TestTable1UnknownBenchmarkAnnotatedOnRow(t *testing.T) {
 }
 
 func ExampleDesignKey() {
-	lib := New(Options{}).opts.Library
+	lib := cell.Default()
 	d, _ := netlist.ParseBench(strings.NewReader(chainBench(4)), "chain", lib)
 	fmt.Println(len(DesignKey(d, 0)))
 	// Output: 64

@@ -44,6 +44,14 @@ import (
 	"repro/internal/variation"
 )
 
+// servedProc and servedModel are the technology and variability models
+// every die tune and yield stream runs on; both are read-only. They are
+// built once because tech.Default45nm calibrates a new Process per call.
+var (
+	servedProc  = tech.Default45nm()
+	servedModel = variation.Default()
+)
+
 // Options configure a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
@@ -61,12 +69,6 @@ type Options struct {
 	MaxDies int
 	// MaxGates caps accepted designs (default 100_000 gates).
 	MaxGates int
-	// Library is the cell library (default cell.Default()).
-	Library *cell.Library
-	// Process is the technology model (default tech.Default45nm()).
-	Process *tech.Process
-	// Model is the variability model (nil = variation.Default()).
-	Model *variation.Model
 	// RetryAfterSec is the Retry-After advertised on shed (503)
 	// responses, in seconds (default 1). Retrying clients honor it as a
 	// floor on their backoff, so a saturated deployment can push its
@@ -97,16 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryAfterSec <= 0 {
 		o.RetryAfterSec = 1
-	}
-	if o.Library == nil {
-		o.Library = cell.Default()
-	}
-	if o.Process == nil {
-		o.Process = tech.Default45nm()
-	}
-	if o.Model == nil {
-		m := variation.Default()
-		o.Model = &m
 	}
 	return o
 }
@@ -151,9 +143,9 @@ func New(opts Options) *Server {
 	}
 	// The name is checked before the designs cache is touched (resolve
 	// does it): flow.Cache retains failed computations forever.
-	s.keys = &designResolver{lib: opts.Library, builtin: func(name string) (*netlist.Design, error) {
+	s.keys = &designResolver{lib: cell.Default(), builtin: func(name string) (*netlist.Design, error) {
 		return s.designs.Do(name, func() (*netlist.Design, error) {
-			return gen.Build(name, opts.Library)
+			return gen.Build(name, cell.Default())
 		})
 	}}
 	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
@@ -280,7 +272,7 @@ func (s *Server) prefixErr(ctx context.Context, ref *DesignRef) (*flow.Prefix, e
 				return nil, err
 			}
 		}
-		return flow.PrefixFor(d, s.opts.Library, ref.ForceRows)
+		return flow.PrefixFor(d, cell.Default(), ref.ForceRows)
 	})
 }
 
@@ -354,8 +346,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		opts.GuardbandPct = defaultGuardbandPct
 	}
 	tn := variation.NewTuner(variation.NewRetimer(pfx.Analyzer), pfx.Allocator)
-	die := s.opts.Model.Sample(pfx.Placement, s.opts.Process, req.Die.Seed)
-	tr, err := variation.TuneOn(tn, pfx.Timing, die, s.opts.Process, opts)
+	die := servedModel.Sample(pfx.Placement, servedProc, req.Die.Seed)
+	tr, err := variation.TuneOn(tn, pfx.Timing, die, servedProc, opts)
 	if err != nil {
 		writeError(w, &apiError{status: http.StatusInternalServerError, msg: err.Error()})
 		return
@@ -431,7 +423,7 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	}
 	stats, err := variation.YieldStreamResumable(r.Context(),
 		pfx.Analyzer, pfx.Allocator, pfx.Timing,
-		s.opts.Process, *s.opts.Model, req.Dies, req.Seed, opts, sopts,
+		servedProc, servedModel, req.Dies, req.Seed, opts, sopts,
 		func(die int, tr *variation.TuneResult) error {
 			if err := enc.Encode(dieResult(die, variation.DieSeed(req.Seed, die), tr, grid)); err != nil {
 				return err

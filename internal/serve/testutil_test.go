@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -80,4 +82,40 @@ func postRaw(t *testing.T, c *Client, path, body string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, buf.Bytes()
+}
+
+// CheckNow synchronously probes every replica once — tests use it
+// to settle the health view without waiting out HealthInterval.
+func (rt *Router) CheckNow(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, rep := range rt.ring.replicas {
+		wg.Add(1)
+		go func(rep *replica) {
+			defer wg.Done()
+			rt.probe(ctx, rep)
+		}(rep)
+	}
+	wg.Wait()
+}
+
+// Len reports the number of resident entries (in-flight included).
+func (c *PrefixCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// Benchmarks fetches the server's built-in design names.
+func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
+	var out struct {
+		Benchmarks []string `json:"benchmarks"`
+	}
+	err := c.doRetry(ctx, func() error {
+		out.Benchmarks = nil
+		return c.getJSON(ctx, "/v1/benchmarks", &out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out.Benchmarks, nil
 }

@@ -44,11 +44,6 @@ func NewNMOS(p *tech.Process, width float64) Device {
 	return Device{Proc: p, Width: width, SatKv: 0.6, DIBLEta: 0.08}
 }
 
-// NewPMOS returns a PMOS of the given width in the given process.
-func NewPMOS(p *tech.Process, width float64) Device {
-	return Device{Proc: p, Width: width, PMOS: true, SatKv: 0.6, DIBLEta: 0.08}
-}
-
 func (d Device) k() float64 {
 	if d.PMOS {
 		return PMOSMobilityRatio * d.Width
@@ -90,16 +85,4 @@ func (d Device) Ids(vgs, vds, vbs float64) float64 {
 	}
 	x := vds / vdsat
 	return idsat*x*(2-x) + boundary
-}
-
-// BodyDiode returns the forward source-body junction current for a body
-// forward-biased by vbs volts, normalized so that consumers can scale it by
-// the nominal off-current (see tech.Process.JunctionFactor).
-func (d Device) BodyDiode(vbs float64) float64 {
-	if vbs <= 0 {
-		return 0
-	}
-	p := d.Proc
-	vt := p.ThermalVoltage()
-	return d.Width * p.JunctionScale * (math.Exp(vbs/(p.JunctionIdeality*vt)) - 1)
 }

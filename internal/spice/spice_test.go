@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -227,4 +228,28 @@ func TestStackDepthValidation(t *testing.T) {
 	if _, err := OffCurrent(p, 0, 0); err == nil {
 		t.Error("OffCurrent accepted depth 0")
 	}
+}
+
+// NewPMOS returns a PMOS of the given width in the given process.
+func NewPMOS(p *tech.Process, width float64) Device {
+	return Device{Proc: p, Width: width, PMOS: true, SatKv: 0.6, DIBLEta: 0.08}
+}
+
+// TransientSpeedup returns the fractional speed-up of a single-device stack
+// at bias vbs versus NBB, as measured by the transient solver. This is the
+// simulated counterpart of tech.Process.Speedup and reproduces the delay
+// series of the paper's Figure 1.
+func TransientSpeedup(p *tech.Process, vbs float64) (float64, error) {
+	base, err := StackDelay(p, 1, 1, 0)
+	if err != nil {
+		return 0, err
+	}
+	d, err := StackDelay(p, 1, 1, vbs)
+	if err != nil {
+		return 0, err
+	}
+	if d <= 0 || math.IsNaN(d) {
+		return 0, errors.New("spice: bad transient delay")
+	}
+	return base/d - 1, nil
 }

@@ -2,7 +2,6 @@ package spice
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/tech"
 )
@@ -138,23 +137,4 @@ func DelayFactorSweep(p *tech.Process, nSeries int, width float64, grid tech.Bia
 		out[j] = d / base
 	}
 	return out, nil
-}
-
-// TransientSpeedup returns the fractional speed-up of a single-device stack
-// at bias vbs versus NBB, as measured by the transient solver. This is the
-// simulated counterpart of tech.Process.Speedup and reproduces the delay
-// series of the paper's Figure 1.
-func TransientSpeedup(p *tech.Process, vbs float64) (float64, error) {
-	base, err := StackDelay(p, 1, 1, 0)
-	if err != nil {
-		return 0, err
-	}
-	d, err := StackDelay(p, 1, 1, vbs)
-	if err != nil {
-		return 0, err
-	}
-	if d <= 0 || math.IsNaN(d) {
-		return 0, errors.New("spice: bad transient delay")
-	}
-	return base/d - 1, nil
 }

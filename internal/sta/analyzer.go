@@ -122,12 +122,8 @@ func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 // Placement returns the placement the Analyzer was built for.
 func (a *Analyzer) Placement() *place.Placement { return a.pl }
 
-// NumGates returns the gate count, the required length of Run's scale
-// vector.
-func (a *Analyzer) NumGates() int { return len(a.nomDelayPS) }
-
 // Run re-times the placement with each gate's delay multiplied by scale
-// (nil = nominal, length must equal NumGates otherwise), producing the same
+// (nil = nominal, one factor per gate otherwise), producing the same
 // Timing that Analyze would.
 //
 // Buffer contract: when buf is non-nil its slices — including the returned

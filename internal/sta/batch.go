@@ -35,7 +35,7 @@ var lanesAVX2 = cpufeat.AVX2()
 
 // RunLightBatch re-times w dies at once, each with its own per-gate delay
 // scale, into buf (nil allocates a fresh TimingBatch). scale is die-major:
-// die d's scale vector is scale[d*n : (d+1)*n] for n = NumGates — the layout
+// die d's scale vector is scale[d*n : (d+1)*n] for n gates — the layout
 // a die-major SoA sampler produces — and is transposed gate by gate into the
 // batch's lane-contiguous arrays, so every write is contiguous.
 //

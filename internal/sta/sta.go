@@ -81,11 +81,3 @@ func Analyze(pl *place.Placement, opts Options) (*Timing, error) {
 	}
 	return an.Run(opts.DelayScale, nil)
 }
-
-// CriticalPath returns the longest extracted path.
-func (tm *Timing) CriticalPath() Path {
-	if len(tm.Paths) == 0 {
-		return Path{}
-	}
-	return tm.Paths[0]
-}

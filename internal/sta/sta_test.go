@@ -98,7 +98,7 @@ func TestSequentialBoundaries(t *testing.T) {
 	}
 	tm := analyze(t, d)
 
-	dff := l.MustCell("DFF_X1")
+	dff, _ := l.Pick(cell.Dff, 1, 1)
 	// Path 1: INV(x) + setup.
 	want1 := tm.GateDelayPS[x.Idx] + dff.SetupPS
 	// Path 2: DFF clk-to-q + INV(y).
@@ -337,4 +337,16 @@ func mustGen(t *testing.T, l *cell.Library, name string) *netlist.Design {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// NumGates returns the gate count, the required length of Run's scale
+// vector.
+func (a *Analyzer) NumGates() int { return len(a.nomDelayPS) }
+
+// CriticalPath returns the longest extracted path.
+func (tm *Timing) CriticalPath() Path {
+	if len(tm.Paths) == 0 {
+		return Path{}
+	}
+	return tm.Paths[0]
 }

@@ -40,29 +40,6 @@ func (g BiasGrid) Voltage(j int) float64 {
 	return v
 }
 
-// Levels returns all voltages of the grid in ascending order.
-func (g BiasGrid) Levels() []float64 {
-	n := g.NumLevels()
-	vs := make([]float64, n)
-	for j := range vs {
-		vs[j] = g.Voltage(j)
-	}
-	return vs
-}
-
-// QuantizeUp returns the lowest level whose voltage is >= v, clamped to the
-// top level. Compensation must round up: a lower voltage would under-correct.
-func (g BiasGrid) QuantizeUp(v float64) int {
-	if v <= 0 {
-		return 0
-	}
-	j := int(math.Ceil(v/g.StepV - 1e-9))
-	if j >= g.NumLevels() {
-		j = g.NumLevels() - 1
-	}
-	return j
-}
-
 // Pair returns the NMOS and PMOS bias voltages distributed for level j, as in
 // the paper: vbsn = vbs and vbsp = Vdd - vbs.
 func (g BiasGrid) Pair(vdd float64, j int) (vbsn, vbsp float64) {

@@ -232,13 +232,6 @@ func (p *Process) LeakageFactor(vbs float64) float64 {
 	return f * p.tempLeakFactor()
 }
 
-// LeakageFactorDVth returns the relative leakage for an arbitrary threshold
-// shift dvth with no body bias applied.
-func (p *Process) LeakageFactorDVth(dvth float64) float64 {
-	f := (1-p.GateLeakShare)*p.SubFactorDVth(dvth) + p.GateLeakShare
-	return f * p.tempLeakFactor()
-}
-
 // DelayFactorBias combines a body bias with an extra threshold shift, as seen
 // by a gate on a die with process variation dvth that receives FBB vbs.
 func (p *Process) DelayFactorBias(vbs, dvth float64) float64 {

@@ -196,7 +196,10 @@ func TestGridLevels(t *testing.T) {
 	if got := g.NumLevels(); got != 11 {
 		t.Fatalf("NumLevels = %d, want 11", got)
 	}
-	ls := g.Levels()
+	ls := make([]float64, g.NumLevels())
+	for j := range ls {
+		ls[j] = g.Voltage(j)
+	}
 	if !almostEqual(ls[0], 0, 0) || !almostEqual(ls[10], 0.5, 1e-12) {
 		t.Errorf("levels endpoints = %v, %v; want 0 and 0.5", ls[0], ls[10])
 	}
@@ -258,4 +261,17 @@ func TestDegenerateGrid(t *testing.T) {
 	if g.Voltage(0) != 0 || g.Voltage(5) != 0 {
 		t.Error("degenerate grid must always return 0V")
 	}
+}
+
+// QuantizeUp returns the lowest level whose voltage is >= v, clamped to the
+// top level. Compensation must round up: a lower voltage would under-correct.
+func (g BiasGrid) QuantizeUp(v float64) int {
+	if v <= 0 {
+		return 0
+	}
+	j := int(math.Ceil(v/g.StepV - 1e-9))
+	if j >= g.NumLevels() {
+		j = g.NumLevels() - 1
+	}
+	return j
 }

@@ -81,9 +81,6 @@ func (lm *LeakModel) cloneInto(dst *LeakModel) *LeakModel {
 	return dst
 }
 
-// Process returns the process the tables were built for.
-func (lm *LeakModel) Process() *tech.Process { return lm.proc }
-
 // SetDie computes the per-gate variation factors of the die — the only
 // exp-heavy pass, paid once per die; every LeakageNW call after it is
 // multiply-adds. The die's DVthV must cover the placement's gates.

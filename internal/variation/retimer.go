@@ -34,9 +34,6 @@ func NewRetimer(an *sta.Analyzer) *Retimer {
 	return &Retimer{an: an}
 }
 
-// Analyzer returns the shared STA engine.
-func (rt *Retimer) Analyzer() *sta.Analyzer { return rt.an }
-
 // Placement returns the placement being re-timed.
 func (rt *Retimer) Placement() *place.Placement { return rt.an.Placement() }
 

@@ -64,9 +64,6 @@ func (s *Sampler) cloneInto(dst *Sampler) *Sampler {
 	return dst
 }
 
-// Placement returns the placement being sampled.
-func (s *Sampler) Placement() *place.Placement { return s.pl }
-
 // grow sizes the die's per-gate slices for n gates, reusing capacity.
 func (d *Die) grow(n int) {
 	if cap(d.DVthV) < n {

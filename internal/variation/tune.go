@@ -96,7 +96,7 @@ type TuneResult struct {
 // Tuner is the per-worker mutable state of a tuning loop: a Retimer (shared
 // sta.Analyzer, private timing buffers) beside an allocation Instance
 // (shared core.Allocator, private constraint and solver buffers) and a
-// LeakModel (shared tables via Clone, private per-die factors). Like the
+// LeakModel (shared tables via cloneInto, private per-die factors). Like the
 // Retimer it must not be used from more than one goroutine at a time;
 // YieldStream creates one per worker via flow.MapWith.
 type Tuner struct {
@@ -135,13 +135,10 @@ func NewTuner(rt *Retimer, al *core.Allocator) *Tuner {
 // Retimer returns the tuner's re-timing engine.
 func (tn *Tuner) Retimer() *Retimer { return tn.rt }
 
-// Allocator returns the shared allocation engine.
-func (tn *Tuner) Allocator() *core.Allocator { return tn.al }
-
 // leakModel returns the tuner's leakage engine for proc, building (or
 // rebuilding, when the process changes — e.g. the aging controller's
 // per-checkpoint temperature derates) it on demand. Population loops skip
-// the build by seeding tn.leak from a shared model's Clone.
+// the build by seeding tn.leak from a shared model's cloneInto.
 func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 	if tn.leak == nil || tn.leak.proc != proc {
 		tn.leak = NewLeakModel(tn.rt.Placement(), proc)

@@ -322,13 +322,3 @@ func (r *Result) Summarize() *Summary {
 	}
 	return s
 }
-
-// SavingsPct returns the heuristic and ILP savings versus the single-voltage
-// baseline (ILP savings is NaN-free: zero when the ILP was not run).
-func (r *Result) SavingsPct() (heuristic, ilp float64) {
-	heuristic = core.Savings(r.Single, r.Heuristic)
-	if r.ILP != nil {
-		ilp = core.Savings(r.Single, r.ILP)
-	}
-	return heuristic, ilp
-}

@@ -20,11 +20,11 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Single == nil || res.Heuristic == nil {
 		t.Fatal("missing allocations")
 	}
-	h, _ := res.SavingsPct()
+	h := core.Savings(res.Single, res.Heuristic)
 	if h <= 0 || h >= 100 {
 		t.Errorf("heuristic savings %.1f%% implausible", h)
 	}
-	if res.Layout == nil || !res.Layout.Feasible() {
+	if res.Layout == nil || res.Layout.RowsOverflowed != 0 {
 		t.Error("layout check missing or infeasible")
 	}
 	if res.ILP != nil {
@@ -44,7 +44,7 @@ func TestRunWithILP(t *testing.T) {
 	if res.ILP == nil {
 		t.Fatalf("no ILP solution (status %s)", res.ILPStatus)
 	}
-	h, i := res.SavingsPct()
+	h, i := core.Savings(res.Single, res.Heuristic), core.Savings(res.Single, res.ILP)
 	if i < h-1e-6 {
 		t.Errorf("ILP savings %.2f below heuristic %.2f", i, h)
 	}
@@ -110,7 +110,7 @@ func TestFigure1Driver(t *testing.T) {
 }
 
 func TestTable1SmallSlice(t *testing.T) {
-	rows, err := Table1(Table1Options{
+	rows, err := NewRunner(1).Table1(Table1Options{
 		Benchmarks: []string{"c1355"},
 		Betas:      []float64{0.05, 0.10},
 	})
@@ -142,7 +142,7 @@ func TestTable1SmallSlice(t *testing.T) {
 func TestClusterSweepMarginalGains(t *testing.T) {
 	// The paper's in-text experiment: c5315 swept C=2..11 at beta=5%
 	// gains only ~2.5% over C=2 (optimizer-quality sweep).
-	pts, err := ClusterSweep("c5315", 0.05, 2, 11, true)
+	pts, err := NewRunner(1).ClusterSweep("c5315", 0.05, 2, 11, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestClusterSweepMarginalGains(t *testing.T) {
 }
 
 func TestMultiBlockFigure2(t *testing.T) {
-	res, err := MultiBlock(
+	res, err := NewRunner(1).MultiBlock(
 		[]string{"c1355", "c3540", "c5315", "c7552"},
 		[]float64{0.05, 0.08, 0.05, 0.10},
 	)
@@ -218,7 +218,7 @@ func TestResolutionAblation(t *testing.T) {
 }
 
 func TestYieldDriver(t *testing.T) {
-	st, err := Yield("c1355", 25, 7)
+	st, err := NewRunner(0).Yield("c1355", 25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestYieldDriver(t *testing.T) {
 }
 
 func TestRuntimeComparisonDriver(t *testing.T) {
-	rows, err := RuntimeComparison([]string{"c1355"}, 0.05)
+	rows, err := NewRunner(1).RuntimeComparison([]string{"c1355"}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
