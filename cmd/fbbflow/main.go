@@ -81,6 +81,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runner := repro.NewRunner(*parallel)
 	results, errs := flow.MapAll(context.Background(), *parallel, len(benches),
 		func(_ context.Context, i int) (*repro.Result, error) {
+			// Config's zero Beta is the 5% default; a user's -beta 0 is
+			// rejected like any other beta that is not finite and positive.
+			if err := core.CheckBeta(*beta); err != nil {
+				return nil, err
+			}
 			return repro.RunOn(runner.Engine(), repro.Config{
 				Benchmark:    strings.TrimSpace(benches[i]),
 				Beta:         *beta,

@@ -61,11 +61,12 @@ func TestFBBFlowRejectsArtifactsWithMultipleBenches(t *testing.T) {
 
 // TestFBBFlowRejectsNonFiniteBeta: a beta that is not a finite positive
 // number fails the run with the allocator's typed error on every solver,
-// instead of printing an all-NBB allocation as a solution. (-beta 0 is
-// not among them: a zero Config.Beta selects the 5% default.)
+// instead of printing an all-NBB allocation as a solution. -beta 0 is
+// among them: a zero Config.Beta selects the 5% default, which the run
+// would otherwise print as "beta=0%".
 func TestFBBFlowRejectsNonFiniteBeta(t *testing.T) {
 	for _, solver := range []string{"heuristic", "local", "ilp"} {
-		for _, beta := range []string{"NaN", "Inf", "-Inf", "-0.05"} {
+		for _, beta := range []string{"NaN", "Inf", "-Inf", "-0.05", "0", "-0"} {
 			var out, errb bytes.Buffer
 			err := run([]string{"-bench", "c1355", "-parallel", "1", "-solver", solver, "-beta", beta}, &out, &errb)
 			if err == nil {

@@ -97,6 +97,26 @@ func TestTable1BadFlags(t *testing.T) {
 	}
 }
 
+// TestTable1ZeroBetaRejected: -betas 0 is a failed cell, annotated on
+// stderr, and prints no row; it used to print a "0%" row with exactly the
+// 5% row's numbers.
+func TestTable1ZeroBetaRejected(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := run([]string{"-benchmarks", "c1355", "-betas", "0,0.05", "-ilp-gates", "1", "-csv"}, &out, &errb)
+	if err == nil {
+		t.Fatal("a zero beta did not fail the run")
+	}
+	if !strings.Contains(errb.String(), "c1355 beta=0%: core: beta must be a finite positive number, got 0") {
+		t.Errorf("zero-beta cell not annotated on stderr: %q", errb.String())
+	}
+	if strings.Contains(out.String(), ",0%,") {
+		t.Errorf("printed a 0%% row:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), ",5%,") {
+		t.Errorf("the 5%% row is missing:\n%s", out.String())
+	}
+}
+
 func TestTable1FailedCellAnnotated(t *testing.T) {
 	var out, errb bytes.Buffer
 	err := run([]string{"-benchmarks", "c1355,bogus", "-betas", "0.05", "-ilp-gates", "1"}, &out, &errb)

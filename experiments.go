@@ -207,10 +207,16 @@ func table1Cell(e *flow.Engine, name string, beta float64, opts Table1Options) T
 // Table1CellOn computes one (benchmark, beta) row of Table 1 on an already
 // computed prefix — the per-cell half of Runner.Table1, exported so callers
 // with their own prefix cache (fbbd) produce rows byte-identical to the
-// in-process driver. Failures are annotated on the row, never returned.
+// in-process driver. Failures are annotated on the row, never returned. A
+// beta that is not finite and positive is such a failure, a zero one too:
+// Config's zero Beta would otherwise run the 5% default under a 0% label.
 func Table1CellOn(pfx *flow.Prefix, name string, beta float64, opts Table1Options) Table1Row {
 	opts = opts.withCellDefaults()
 	row := Table1Row{Benchmark: name, BetaPct: beta * 100}
+	if err := core.CheckBeta(beta); err != nil {
+		row.Err = err.Error()
+		return row
+	}
 	for _, c := range []int{2, 3} {
 		res, err := RunWith(pfx, Config{
 			Beta:         beta,

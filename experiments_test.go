@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +84,33 @@ func TestTable1PartialRowsOnCellFailure(t *testing.T) {
 	}
 	if rows[1].Benchmark != "no-such-benchmark" {
 		t.Errorf("failed row names %q", rows[1].Benchmark)
+	}
+}
+
+// TestTable1RejectsBadBeta: a cell whose beta is not finite and positive
+// is a failed row carrying core.ErrBeta, never a computed one. A zero beta
+// used to reach RunWith, whose zero Beta is the 5% default, and came back
+// as a "0%" row with exactly the 5% row's numbers.
+func TestTable1RejectsBadBeta(t *testing.T) {
+	opts := testTable1Opts()
+	opts.Betas = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), -0.05, 0.05}
+	rows, err := NewRunner(1).Table1(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(opts.Betas) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(opts.Betas))
+	}
+	for _, r := range rows[:len(rows)-1] {
+		if !strings.Contains(r.Err, core.ErrBeta.Error()) {
+			t.Errorf("beta=%g%%: Err %q lacks %q", r.BetaPct, r.Err, core.ErrBeta)
+		}
+		if r.Gates != 0 || r.HeurSavC2 != 0 || r.HeurSavC3 != 0 {
+			t.Errorf("beta=%g%%: failed row carries results: %+v", r.BetaPct, r)
+		}
+	}
+	if good := rows[len(rows)-1]; good.Err != "" || good.Gates == 0 {
+		t.Errorf("beta=5%%: good cell broken: %+v", good)
 	}
 }
 

@@ -159,10 +159,19 @@ type Options struct {
 // turn every path target into NaN or zero instead of failing.
 var ErrBeta = errors.New("core: beta must be a finite positive number")
 
+// CheckBeta returns an ErrBeta error unless beta is a finite positive
+// number.
+func CheckBeta(beta float64) error {
+	if !(beta > 0) || math.IsInf(beta, 1) {
+		return fmt.Errorf("%w, got %v", ErrBeta, beta)
+	}
+	return nil
+}
+
 // normalize applies the defaults and validates the options.
 func (o *Options) normalize() error {
-	if !(o.Beta > 0) || math.IsInf(o.Beta, 1) {
-		return fmt.Errorf("%w, got %v", ErrBeta, o.Beta)
+	if err := CheckBeta(o.Beta); err != nil {
+		return err
 	}
 	if o.MaxClusters == 0 {
 		o.MaxClusters = 3

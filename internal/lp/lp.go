@@ -35,17 +35,22 @@
 //
 // A branch-and-bound search solves one problem under many bounds, so it
 // prepares the problem once. Prepare runs the full Validate a single time
-// and records A's nonzeros by row (the refactor fills [A | slacks] from
-// them, and the right-hand side of every node sums over them, in the dense
-// loops' order and with their bits). The Prepared form is immutable and
-// shared by all of a search's goroutines; each node then passes only its
-// bounds to Workspace.SolveFrom, which checks those bounds — lengths,
-// finiteness, a nonempty interval — and nothing else.
+// and records A's nonzeros by row and again by column. The refactor fills
+// [A | slacks] from the rows; a node's right-hand side starts from B and
+// subtracts only the columns its bounds shift off zero, read down the
+// columns, with the bits the row-by-row sum over every nonzero gives (up
+// to a zero's sign). The memo keeps the phase-2 reduced costs next to the
+// factored tableau, since they too depend only on the problem and the
+// basis. The Prepared form is immutable and shared by all of a search's
+// goroutines; each node then passes only its bounds to
+// Workspace.SolveFrom, which checks those bounds — lengths, finiteness, a
+// nonempty interval — and nothing else.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Rel is a constraint relation.
@@ -192,16 +197,22 @@ func (p *Problem) checkBounds() error {
 
 // Prepared is a validated Problem in the form every branch-and-bound node
 // solves against: it references the Problem's C, A, Rel and B, and holds
-// A's nonzeros by row (compressed sparse rows, columns ascending) and the
-// slack count. A Prepared never changes once built, so any number of
-// goroutines may solve against it at once, each with its own Workspace.
-// The C, A, Rel and B it references must not change after Prepare.
+// A's nonzeros twice — by row (compressed sparse rows, columns ascending),
+// which the refactor fills the tableau from, and by column (compressed
+// sparse columns, rows ascending), which a node's right-hand side reads for
+// the columns its bounds shift — and the slack count. A Prepared never
+// changes once built, so any number of goroutines may solve against it at
+// once, each with its own Workspace. The C, A, Rel and B it references
+// must not change after Prepare.
 type Prepared struct {
-	p     Problem   // C, A, Rel and B; L and U are each node's own
-	start []int32   // row i's nonzeros are col/val[start[i]:start[i+1]]
-	col   []int32   // their columns
-	val   []float64 // their values
-	nCols int       // structural columns plus one slack per non-EQ row
+	p      Problem   // C, A, Rel and B; L and U are each node's own
+	start  []int32   // row i's nonzeros are col/val[start[i]:start[i+1]]
+	col    []int32   // their columns
+	val    []float64 // their values
+	cstart []int32   // column j's nonzeros are row/cval[cstart[j]:cstart[j+1]]
+	row    []int32   // their rows
+	cval   []float64 // their values
+	nCols  int       // structural columns plus one slack per non-EQ row
 }
 
 // Prepare validates p once, as Validate does, and returns its prepared
@@ -210,21 +221,40 @@ func Prepare(p *Problem) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	n := len(p.C)
 	pp := &Prepared{
-		p:     Problem{C: p.C, A: p.A, Rel: p.Rel, B: p.B},
-		start: make([]int32, 1, len(p.A)+1),
-		nCols: len(p.C),
+		p:      Problem{C: p.C, A: p.A, Rel: p.Rel, B: p.B},
+		start:  make([]int32, 1, len(p.A)+1),
+		cstart: make([]int32, n+1),
+		nCols:  n,
 	}
 	for i, row := range p.A {
 		for j, a := range row {
 			if a != 0 {
 				pp.col = append(pp.col, int32(j))
 				pp.val = append(pp.val, a)
+				pp.cstart[j+1]++
 			}
 		}
 		pp.start = append(pp.start, int32(len(pp.col)))
 		if p.Rel[i] != EQ {
 			pp.nCols++
+		}
+	}
+
+	// The column form: count, prefix-sum, then scatter the rows in
+	// ascending order, so each column lists its rows ascending.
+	for j := 0; j < n; j++ {
+		pp.cstart[j+1] += pp.cstart[j]
+	}
+	pp.row = make([]int32, len(pp.col))
+	pp.cval = make([]float64, len(pp.col))
+	next := slices.Clone(pp.cstart[:n])
+	for i := range p.A {
+		for k := pp.start[i]; k < pp.start[i+1]; k++ {
+			j := pp.col[k]
+			pp.row[next[j]], pp.cval[next[j]] = int32(i), pp.val[k]
+			next[j]++
 		}
 	}
 	return pp, nil

@@ -3,13 +3,14 @@ package lp
 import "math"
 
 // This file keeps the warm path as it was before the production one
-// memoized its refactor, moved pivot onto the dense axpy kernel and read A
-// through a Prepared problem's nonzeros: every warm solve validates the
-// whole problem, scans the dense A to build [A | slacks] and its right-hand
-// side, and refactors the basis from scratch, and every pivot eliminates
-// over the active nonzero columns of the pivot row only. refSolveFrom is
-// the oracle the differential tests hold Workspace.SolveFrom to, bit for
-// bit.
+// memoized its refactor and reduced costs, moved pivot onto the dense axpy
+// kernel and read A through a Prepared problem's nonzeros: every warm solve
+// validates the whole problem, scans the dense A to build [A | slacks] and
+// its right-hand side (row by row, over every nonzero), refactors the basis
+// from scratch and prices it with computeReducedCosts, and every pivot
+// eliminates over the active nonzero columns of the pivot row only.
+// refSolveFrom is the oracle the differential tests hold
+// Workspace.SolveFrom to, bit for bit.
 
 // refSimplex is a simplex whose run, step, pivot, dual and refactorPivot
 // are the reference versions below; everything else (pricing, reduced

@@ -59,15 +59,17 @@ type Workspace struct {
 
 // factored memoizes one refactor. The factored tableau depends only on the
 // prepared problem's A and Rel and on the basis, never on the bounds or B,
+// and its phase-2 reduced costs d = c - c_B*T only on that tableau and C,
 // so a later warm start from the same basis against the same Prepared
-// copies t and basis instead of refactoring. Every warm start, hit or miss,
-// then applies ops — the refactor's row operations on the basic values —
-// to its own right-hand side.
+// copies t, basis and d instead of refactoring. Every warm start, hit or
+// miss, then applies ops — the refactor's row operations on the basic
+// values — to its own right-hand side.
 type factored struct {
 	pp    *Prepared // the problem factored against (nil: no entry)
 	b     *Basis    // the basis factored
 	t     []float64 // the factored m x nCols tableau
 	basis []int     // the column basic in each row
+	d     []float64 // the phase-2 reduced costs of every column
 	ops   []rhsOp
 }
 
@@ -170,18 +172,20 @@ func (w *Workspace) warm(pp *Prepared, p *Problem, b *Basis) (r Result, ok bool)
 		}
 	}
 
+	// Phase-2 costs, which the refactor prices its basis with.
+	copy(s.cost[:n], p.C)
 	if w.fac.pp == pp && w.fac.b == b {
 		copy(w.buf, w.fac.t)
 		copy(s.basis, w.fac.basis)
 	} else if !w.factor(pp, b) {
 		return Result{}, false // singular
 	}
+	copy(s.d, w.fac.d)
+	s.rebuildActive()
 	w.rhs(pp, p)
 	s.replay(w.fac.ops)
 
-	// Phase-2 costs; the basis must be dual feasible for the dual simplex.
-	copy(s.cost[:n], p.C)
-	s.computeReducedCosts()
+	// The basis must be dual feasible for the dual simplex.
 	for _, j := range s.act {
 		switch s.stat[j] {
 		case atLower:
@@ -208,8 +212,9 @@ func (w *Workspace) warm(pp *Prepared, p *Problem, b *Basis) (r Result, ok bool)
 	return s.optimum(p), true
 }
 
-// factor builds [A | slacks] from pp's nonzeros, refactors b into it and
-// memoizes the result in w.fac. It reports false when b is singular for pp.
+// factor builds [A | slacks] from pp's nonzeros, refactors b into it,
+// prices the result with the phase-2 costs in s.cost and memoizes both in
+// w.fac. It reports false when b is singular for pp.
 func (w *Workspace) factor(pp *Prepared, b *Basis) bool {
 	s := &w.s
 	n, m := s.n, s.m
@@ -268,6 +273,16 @@ func (w *Workspace) factor(pp *Prepared, b *Basis) bool {
 		ops = s.refactorPivot(r, q, ops)
 	}
 
+	// d = c - c_B*T for every column, in computeReducedCosts' order: c_j,
+	// then each row with a nonzero basic cost, ascending. Frozen columns
+	// get an entry too; rebuildActive's contract keeps it unread.
+	f.d = append(f.d[:0], s.cost...)
+	for i, bj := range s.basis {
+		if cb := s.cost[bj]; cb != 0 {
+			axpy(f.d, s.T[i], cb)
+		}
+	}
+
 	f.pp, f.b, f.ops = pp, b, ops
 	f.t = append(f.t[:0], w.buf...)
 	f.basis = append(f.basis[:0], s.basis...)
@@ -278,28 +293,36 @@ func (w *Workspace) factor(pp *Prepared, b *Basis) bool {
 // right-hand side of [A | slacks] with the lower bounds and the columns at
 // their upper bound absorbed, negated on a >= row whose slack is basic.
 // Replaying the refactor's row operations then yields the basic values.
-// It walks pp's nonzeros; p is pp's problem under the node's bounds.
+// p is pp's problem under the node's bounds. Only a column shifted off
+// zero — by a nonzero lower bound or by sitting at its upper bound —
+// changes B, so rhs walks those columns' nonzeros alone, columns ascending,
+// and each row takes its subtractions in the order and with the bits of a
+// row-by-row sum over all of its nonzeros. A skipped term would subtract a
+// signed zero, which at most changes a zero's sign (see pivot).
 func (w *Workspace) rhs(pp *Prepared, p *Problem) {
 	s := &w.s
+	xB := s.xB
+	copy(xB, p.B)
+	for j := 0; j < s.n; j++ {
+		v := p.lower(j)
+		if s.stat[j] == atUpper {
+			v += s.ub[j]
+		}
+		if v == 0 {
+			continue
+		}
+		for k := pp.cstart[j]; k < pp.cstart[j+1]; k++ {
+			xB[pp.row[k]] -= pp.cval[k] * v
+		}
+	}
 	slack := s.n
 	for i, rel := range p.Rel {
-		sign := 1.0
 		if rel != EQ {
 			if rel == GE && s.stat[slack] == isBasic {
-				sign = -1
+				xB[i] = -xB[i]
 			}
 			slack++
 		}
-		rhs := p.B[i]
-		for k := pp.start[i]; k < pp.start[i+1]; k++ {
-			j := pp.col[k]
-			v := p.lower(int(j))
-			if s.stat[j] == atUpper {
-				v += s.ub[j]
-			}
-			rhs -= pp.val[k] * v
-		}
-		s.xB[i] = sign * rhs
 	}
 }
 
@@ -407,7 +430,9 @@ func (s *simplex) dual(limit int) Status {
 			if st == atUpper {
 				dj = -dj
 			}
-			ratio := math.Max(dj, 0) / g
+			// The builtin max keeps math.Max's NaN and signed-zero
+			// rules and compiles inline.
+			ratio := max(dj, 0) / g
 			if ratio < best || (ratio == best && g > bestG) {
 				q, best, bestG = j, ratio, g
 			}

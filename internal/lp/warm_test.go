@@ -144,16 +144,27 @@ func TestSolveFromMatchesCold(t *testing.T) {
 // to back on one shared workspace (the second from the memoized refactor)
 // and once more there after an unrelated solve has replaced the memo. It
 // is also solved on the reference path; all five answers must be
-// bit-identical.
+// bit-identical. A sibling under other bounds, solved from the same basis
+// right after the child (a memo hit), must match a fresh workspace. shape
+// picks the problem: 0 a small inequality LP, 1 a small equality LP, 2
+// and up randomShapedLP.
 func FuzzSolveFrom(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, seed%2 == 0)
+		f.Add(seed, uint8(1-seed%2))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, eq bool) {
+	for seed := int64(16); seed < 24; seed++ {
+		f.Add(seed, uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomInequalityLP(rng)
-		if eq {
+		var p *Problem
+		switch shape {
+		case 0:
+			p = randomInequalityLP(rng)
+		case 1:
 			p = randomEqualityLP(rng)
+		default:
+			p = randomShapedLP(rng)
 		}
 		other := randomBranchLP(rng)
 		otherRoot, err := Solve(other)
@@ -176,12 +187,26 @@ func FuzzSolveFrom(f *testing.F) {
 				}
 				same(what, got)
 			}
-			j := rng.Intn(len(other.C))
-			sib := branch(other, j, 0.5, rng.Intn(2) == 0)
-			if _, err := w.SolveFrom(ppOther, sib.L, sib.U, otherRoot.Basis); err != nil {
+			sib := withBounds(child)
+			k := rng.Intn(len(sib.C))
+			tighten(rng, sib, k, (sib.L[k]+sib.U[k])/2)
+			got, err := w.SolveFrom(pp, sib.L, sib.U, basis)
+			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := w.SolveFrom(pp, child.L, child.U, basis)
+			want, err := solveFrom(sib, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("sibling from the memoized basis: %s", diff)
+			}
+			j := rng.Intn(len(other.C))
+			osib := branch(other, j, 0.5, rng.Intn(2) == 0)
+			if _, err := w.SolveFrom(ppOther, osib.L, osib.U, otherRoot.Basis); err != nil {
+				t.Fatal(err)
+			}
+			got, err = w.SolveFrom(pp, child.L, child.U, basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -541,6 +566,100 @@ func randomBranchLP(rng *rand.Rand) *Problem {
 	return p
 }
 
+// randomShapedLP draws a relaxation in the shapes the warm right-hand side
+// treats apart from randomBranchLP's: lower bounds off zero on both sides
+// of it, columns whose negative costs push them to their upper bound,
+// slack >= rows, and sparse rows over unshifted columns whose right-hand
+// side is -0 (there a row-by-row sum over every nonzero may end on +0
+// where the walk over shifted columns keeps -0). All rows hold at a random
+// interior point.
+func randomShapedLP(rng *rand.Rand) *Problem {
+	n := 8 + rng.Intn(16)
+	m := 4 + rng.Intn(12)
+	p := &Problem{
+		C:   make([]float64, n),
+		A:   make([][]float64, m),
+		Rel: make([]Rel, m),
+		B:   make([]float64, m),
+		L:   make([]float64, n),
+		U:   make([]float64, n),
+	}
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		p.C[j] = rng.NormFloat64() - 0.5
+		if rng.Intn(2) == 0 {
+			p.L[j] = float64(rng.Intn(5) - 2)
+		}
+		p.U[j] = p.L[j] + float64(1+rng.Intn(3))
+		x0[j] = p.L[j] + rng.Float64()*(p.U[j]-p.L[j])
+	}
+	for i := 0; i < m; i++ {
+		p.A[i] = make([]float64, n)
+		negZero := rng.Intn(4) == 0
+		v := 0.0
+		for j := 0; j < n; j++ {
+			if negZero && p.L[j] != 0 || rng.Intn(3) != 0 {
+				continue
+			}
+			p.A[i][j] = rng.NormFloat64()
+			v += p.A[i][j] * x0[j]
+		}
+		switch {
+		case negZero:
+			p.Rel[i], p.B[i] = LE, math.Copysign(0, -1)
+			if v >= 0 {
+				p.Rel[i] = GE
+			}
+		case rng.Intn(3) == 0:
+			p.Rel[i], p.B[i] = LE, v+rng.Float64()
+		default:
+			p.Rel[i], p.B[i] = GE, v-2*rng.Float64()
+		}
+	}
+	return p
+}
+
+// shapes counts the warm solves whose child or start basis has each shape
+// randomShapedLP draws.
+type shapes struct {
+	lower, upper, geBasic, negZero int
+}
+
+// add counts the shapes of the child p solved from b.
+func (c *shapes) add(p *Problem, b *Basis) {
+	n := len(p.C)
+	basic := make(map[int32]bool, len(b.cols))
+	for _, col := range b.cols {
+		basic[col] = true
+	}
+	lower, upper := false, false
+	for j := 0; j < n; j++ {
+		lower = lower || p.L[j] != 0
+		upper = upper || !basic[int32(j)] && b.upper[j/64]>>(j%64)&1 != 0 && p.U[j] > p.L[j]
+	}
+	geBasic, negZero := false, false
+	slack := int32(n)
+	for i, rel := range p.Rel {
+		if rel != EQ {
+			geBasic = geBasic || rel == GE && basic[slack]
+			slack++
+		}
+		negZero = negZero || math.Signbit(p.B[i]) && p.B[i] == 0
+	}
+	if lower {
+		c.lower++
+	}
+	if upper {
+		c.upper++
+	}
+	if geBasic {
+		c.geBasic++
+	}
+	if negZero {
+		c.negZero++
+	}
+}
+
 // sameResult reports how got differs from want bit for bit — status,
 // iteration count, every X and Obj bit, and the basis — or "" when it
 // does not.
@@ -598,7 +717,42 @@ func (d *refRunner) solve(pp *Prepared, p *Problem, b *Basis) Result {
 	if diff := sameResult(got, want); diff != "" {
 		d.t.Fatalf("memo hit %v: %s", hit, diff)
 	}
+	if d.w.fac.pp == pp && d.w.fac.b == b {
+		if diff := memoCostsDiff(&d.w.fac, p.C); diff != "" {
+			d.t.Fatal(diff)
+		}
+	}
 	return got
+}
+
+// memoCostsDiff holds a memo's reduced costs to computeReducedCosts on the
+// memoized tableau, bit for bit over every column, or returns "" when they
+// agree. Most rounding differences in d never change a pivot, so the
+// solves alone would not show them.
+func memoCostsDiff(f *factored, c []float64) string {
+	nCols := len(f.d)
+	s := &simplex{
+		m: len(f.basis), n: len(c), nCols: nCols,
+		T:     make([][]float64, len(f.basis)),
+		basis: f.basis,
+		ub:    make([]float64, nCols),
+		d:     make([]float64, nCols),
+		cost:  make([]float64, nCols),
+	}
+	for i := range s.T {
+		s.T[i] = f.t[i*nCols : (i+1)*nCols]
+	}
+	for j := range s.ub {
+		s.ub[j] = 1 // every column active
+	}
+	copy(s.cost, c)
+	s.computeReducedCosts()
+	for j := range s.d {
+		if math.Float64bits(f.d[j]) != math.Float64bits(s.d[j]) {
+			return fmt.Sprintf("memoized d[%d] = %v (%#x), recomputed %v (%#x)", j, f.d[j], math.Float64bits(f.d[j]), s.d[j], math.Float64bits(s.d[j]))
+		}
+	}
+	return ""
 }
 
 // branch returns the down (up=false) or up child of p on column j around
@@ -630,8 +784,66 @@ func TestWarmMatchesReference(t *testing.T) {
 	}
 	for _, path := range paths {
 		axpyAVX2 = path == "avx2"
-		t.Run(path, testWarmMatchesReference)
+		t.Run(path, func(t *testing.T) {
+			testWarmMatchesReference(t)
+			testWarmShapes(t)
+		})
 	}
+}
+
+// testWarmShapes holds warm solves of randomShapedLP children to the
+// reference bit for bit: nonzero lower bounds, columns at their upper
+// bound, >= rows whose slack is basic and -0 right-hand sides, each
+// counted so a generator change cannot drop it unnoticed. Both children of
+// a node are solved back to back from its basis on one workspace, so the
+// second is a memo hit, and each must also equal a fresh workspace's
+// answer.
+func testWarmShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	d := &refRunner{t: t}
+	var seen shapes
+	for trial := 0; trial < 60; trial++ {
+		p := randomShapedLP(rng)
+		root, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.Status != Optimal {
+			continue
+		}
+		n := len(p.C)
+		pp := prepareOK(t, p)
+		cur, parent := withBounds(p), root
+		for gen := 0; gen < 4; gen++ {
+			j := rng.Intn(n)
+			var next *Problem
+			var nextRes Result
+			for _, up := range []bool{false, true} {
+				child := branch(cur, j, parent.X[j], up)
+				seen.add(child, parent.Basis)
+				memoHit := d.w.fac.pp == pp && d.w.fac.b == parent.Basis
+				got := d.solve(pp, child, parent.Basis)
+				fresh, err := solveFrom(child, parent.Basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameResult(got, fresh); diff != "" {
+					t.Fatalf("trial %d, memo hit %v: against a fresh workspace: %s", trial, memoHit, diff)
+				}
+				if got.Status == Optimal && next == nil {
+					next, nextRes = child, got
+				}
+			}
+			if next == nil {
+				break
+			}
+			cur, parent = next, nextRes
+		}
+	}
+	if seen.lower == 0 || seen.upper == 0 || seen.geBasic == 0 || seen.negZero == 0 || d.hits == 0 {
+		t.Fatalf("shapes not all exercised: %+v, %d memo hits", seen, d.hits)
+	}
+	t.Logf("shapes %+v, %d memo hits, %d misses", seen, d.hits, d.misses)
 }
 
 func testWarmMatchesReference(t *testing.T) {
@@ -701,6 +913,42 @@ func testWarmMatchesReference(t *testing.T) {
 		t.Fatalf("%d memo hits, %d misses: the sequences must exercise both", d.hits, d.misses)
 	}
 	t.Logf("%d memo hits, %d misses", d.hits, d.misses)
+}
+
+// TestPreparedColumnForm holds Prepare's column form to A: each column
+// lists exactly its nonzeros, rows strictly ascending, with A's bits, and
+// the two forms hold the same count. Rows and columns may be empty, and a
+// -0 coefficient is a zero, absent from both forms.
+func TestPreparedColumnForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 200; trial++ {
+		p := randomShapedLP(rng)
+		if trial%2 == 0 {
+			p.A[rng.Intn(len(p.A))] = make([]float64, len(p.C))
+			i, j := rng.Intn(len(p.A)), rng.Intn(len(p.C))
+			p.A[i][j] = math.Copysign(0, -1)
+		}
+		pp := prepareOK(t, p)
+		n := len(p.C)
+		if len(pp.cstart) != n+1 || pp.cstart[0] != 0 || int(pp.cstart[n]) != len(pp.col) {
+			t.Fatalf("trial %d: column starts %v for %d row-form nonzeros", trial, pp.cstart, len(pp.col))
+		}
+		for j := 0; j < n; j++ {
+			k := pp.cstart[j]
+			for i, row := range p.A {
+				if row[j] == 0 {
+					continue
+				}
+				if k >= pp.cstart[j+1] || int(pp.row[k]) != i || math.Float64bits(pp.cval[k]) != math.Float64bits(row[j]) {
+					t.Fatalf("trial %d: column %d lacks row %d (%v) at entry %d", trial, j, i, row[j], k)
+				}
+				k++
+			}
+			if k != pp.cstart[j+1] {
+				t.Fatalf("trial %d: column %d lists %d entries, A has %d", trial, j, pp.cstart[j+1]-pp.cstart[j], k-pp.cstart[j])
+			}
+		}
+	}
 }
 
 // TestWorkspaceMemoKeysOnProblem reuses one Basis against another Prepared

@@ -16,9 +16,6 @@ import (
 	"repro/internal/tech"
 )
 
-// PMOSMobilityRatio scales PMOS drive current per unit width relative to NMOS.
-const PMOSMobilityRatio = 0.45
-
 // Device is a MOSFET instance. Voltages passed to its methods are magnitudes
 // referenced to the source terminal, so PMOS devices are handled by the
 // caller mirroring voltages.
@@ -26,8 +23,6 @@ type Device struct {
 	Proc *tech.Process
 	// Width is the channel width relative to a unit NMOS.
 	Width float64
-	// PMOS selects the reduced mobility.
-	PMOS bool
 	// SatKv sets the saturation-voltage coefficient of the alpha-power
 	// model: Vdsat = SatKv * (Vgs-Vth)^(Alpha/2). The default 0.6 reflects
 	// strong velocity saturation at 45nm (Vdsat well below Vdd/2 at full
@@ -44,18 +39,11 @@ func NewNMOS(p *tech.Process, width float64) Device {
 	return Device{Proc: p, Width: width, SatKv: 0.6, DIBLEta: 0.08}
 }
 
-func (d Device) k() float64 {
-	if d.PMOS {
-		return PMOSMobilityRatio * d.Width
-	}
-	return d.Width
-}
-
 // subI0 is the subthreshold current prefactor, chosen for rough continuity
 // with the strong-inversion branch at Vgs = Vth.
 func (d Device) subI0() float64 {
 	nvt := d.Proc.SubIdeality * d.Proc.ThermalVoltage()
-	return d.k() * math.Pow(nvt, d.Proc.Alpha)
+	return d.Width * math.Pow(nvt, d.Proc.Alpha)
 }
 
 // Ids returns the drain-source current for gate-source voltage vgs,
@@ -78,7 +66,7 @@ func (d Device) Ids(vgs, vds, vbs float64) float64 {
 	}
 	boundary := d.subI0() * drainTerm
 	over := vgs - vth
-	idsat := d.k() * math.Pow(over, p.Alpha)
+	idsat := d.Width * math.Pow(over, p.Alpha)
 	vdsat := d.SatKv * math.Pow(over, p.Alpha/2)
 	if vds >= vdsat {
 		return idsat + boundary

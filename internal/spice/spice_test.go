@@ -51,15 +51,6 @@ func TestDeviceMonotoneInVgs(t *testing.T) {
 	}
 }
 
-func TestPMOSWeakerThanNMOS(t *testing.T) {
-	p := proc()
-	n := NewNMOS(p, 1)
-	pm := NewPMOS(p, 1)
-	if pm.Ids(p.VddV, p.VddV, 0) >= n.Ids(p.VddV, p.VddV, 0) {
-		t.Error("unit PMOS should be weaker than unit NMOS")
-	}
-}
-
 func TestTransientMatchesAlphaPowerModel(t *testing.T) {
 	// The simulated inverter speed-up must track the closed-form
 	// alpha-power prediction within a few percent across the FBB range.
@@ -228,11 +219,6 @@ func TestStackDepthValidation(t *testing.T) {
 	if _, err := OffCurrent(p, 0, 0); err == nil {
 		t.Error("OffCurrent accepted depth 0")
 	}
-}
-
-// NewPMOS returns a PMOS of the given width in the given process.
-func NewPMOS(p *tech.Process, width float64) Device {
-	return Device{Proc: p, Width: width, PMOS: true, SatKv: 0.6, DIBLEta: 0.08}
 }
 
 // TransientSpeedup returns the fractional speed-up of a single-device stack
