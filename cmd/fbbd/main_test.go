@@ -107,8 +107,9 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldenExchanges pins the JSON request/response contract of every
-// endpoint — success bodies, validation error bodies for bad beta/C, and
-// the NDJSON yield stream — byte for byte against testdata/. Regenerate
+// endpoint — success bodies, validation error bodies for bad beta/C, the
+// 422 of a beta beyond the FBB compensation range, and the NDJSON yield
+// stream — byte for byte against testdata/. Regenerate
 // with `go test ./cmd/fbbd -update`.
 func TestGoldenExchanges(t *testing.T) {
 	baseURL := startDaemon(t)
@@ -119,6 +120,7 @@ func TestGoldenExchanges(t *testing.T) {
 		{"tune_c1355_beta10_c2_local", "POST", "/v1/tune", `{"benchmark":"c1355","beta":0.1,"maxClusters":2,"solver":"local"}`},
 		{"tune_die_seed7", "POST", "/v1/tune", `{"benchmark":"c1355","die":{"seed":7}}`},
 		{"tune_bad_beta", "POST", "/v1/tune", `{"benchmark":"c1355","beta":2}`},
+		{"tune_beyond_range", "POST", "/v1/tune", `{"benchmark":"c1355","beta":0.3}`},
 		{"tune_bad_clusters", "POST", "/v1/tune", `{"benchmark":"c1355","maxClusters":-2}`},
 		{"tune_bad_solver", "POST", "/v1/tune", `{"benchmark":"c1355","solver":"zap"}`},
 		{"tune_no_design", "POST", "/v1/tune", `{}`},

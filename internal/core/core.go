@@ -159,6 +159,13 @@ type Options struct {
 // turn every path target into NaN or zero instead of failing.
 var ErrBeta = errors.New("core: beta must be a finite positive number")
 
+// ErrBeyondRange reports a slowdown no uniform bias compensates: even every
+// row at the strongest forward bias misses timing. It is a deterministic
+// property of the design and beta, not a failure to retry. Errors wrapping
+// it keep their full text ("core: no uniform bias meets timing at
+// beta=…% (design slowed beyond the FBB compensation range)").
+var ErrBeyondRange = errors.New("design slowed beyond the FBB compensation range")
+
 // CheckBeta returns an ErrBeta error unless beta is a finite positive
 // number.
 func CheckBeta(beta float64) error {

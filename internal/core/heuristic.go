@@ -60,8 +60,8 @@ func (inst *Instance) passOneInto(assign []int) (int, error) {
 			return j, nil
 		}
 	}
-	return 0, fmt.Errorf("core: no uniform bias meets timing at beta=%.1f%% "+
-		"(design slowed beyond the FBB compensation range)", inst.Beta*100)
+	return 0, fmt.Errorf("core: no uniform bias meets timing at beta=%.1f%% (%w)",
+		inst.Beta*100, ErrBeyondRange)
 }
 
 // SingleBB returns the block-level single-voltage baseline, all rows at

@@ -13,8 +13,9 @@
 // results.
 //
 // Everything a Prefix exposes is immutable after construction (the placement
-// and timing structs are built eagerly and only read by the allocators), so
-// a single cached instance may be used from any number of goroutines.
+// and timing structs are built eagerly and only read by the allocators),
+// except its two concurrency-safe memos (Solves and Answers), so a single
+// cached instance may be used from any number of goroutines.
 package flow
 
 import (
@@ -54,6 +55,12 @@ type Prefix struct {
 	// prefix warms it for every later one. The cache is concurrency-safe;
 	// like everything else here it is shared, never rebuilt.
 	Solves *core.SolveCache
+	// Answers memoizes whole design-time answers on this prefix, one per
+	// allocation Point: fbbd stores each successful flow-mode /v1/tune
+	// response there as its encoded bytes, so a repeated request is one
+	// lookup. Like Solves it is shared and concurrency-safe, and it goes
+	// with the prefix when a cache evicts it.
+	Answers Answers
 }
 
 // Engine memoizes flow prefixes. The zero value is not usable; construct

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -238,5 +239,31 @@ func TestMapWithFirstErrorWins(t *testing.T) {
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// TestAnswersBound: the zero Answers stores and loads, holds at most
+// maxAnswers points, and once full stores nothing more and keeps what it
+// holds.
+func TestAnswersBound(t *testing.T) {
+	var a Answers
+	if _, ok := a.Load(Point{}); ok {
+		t.Fatal("zero memo holds an answer")
+	}
+	for i := range maxAnswers + 1 {
+		a.Store(Point{MaxClusters: i}, []byte{byte(i)})
+	}
+	if n := len(a.m); n != maxAnswers {
+		t.Fatalf("memo holds %d answers, want %d", n, maxAnswers)
+	}
+	if _, ok := a.Load(Point{MaxClusters: maxAnswers}); ok {
+		t.Fatal("a full memo stored a new point")
+	}
+	a.Store(Point{MaxClusters: 3}, []byte("again"))
+	if b, ok := a.Load(Point{MaxClusters: 3}); !ok || !bytes.Equal(b, []byte{3}) {
+		t.Fatalf("held point now answers %q, %v", b, ok)
+	}
+	if b, ok := a.Load(Point{MaxClusters: 4, Solver: "local"}); ok {
+		t.Fatalf("a different solver string shares the answer %q", b)
 	}
 }

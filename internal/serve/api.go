@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -255,6 +256,9 @@ type StatsResponse struct {
 	InFlight int64 `json:"inFlight"`
 	// Shed counts requests rejected with 503 since start.
 	Shed int64 `json:"shed"`
+	// TuneMemoHits counts flow-mode /v1/tune requests answered from the
+	// prefix's memo of encoded answers instead of computed.
+	TuneMemoHits int64 `json:"tuneMemoHits"`
 	// Workers and Queue echo the configured pool bounds.
 	Workers int `json:"workers"`
 	Queue   int `json:"queue"`
@@ -508,10 +512,22 @@ func yieldStatsJSON(st *variation.YieldStats) *YieldStatsJSON {
 // writeJSON writes one JSON value with a trailing newline (the exact bytes a
 // json.Encoder produces; the differential tests reproduce them the same way).
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := encodeBody(v)
+	writeBody(w, status, body)
+}
+
+// encodeBody encodes v as writeJSON writes it.
+func encodeBody(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeBody writes an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError writes an apiError as a JSON error body.

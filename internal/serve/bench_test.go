@@ -11,11 +11,15 @@ import (
 	"repro/internal/netlist"
 )
 
-// The serve hot path, measured end to end through HTTP: a cached request
-// pays JSON + one Allocator.At + solve on the shared prefix; a cold request
-// additionally rebuilds the prefix (gen, place, STA, allocator). The gap is
-// the value of the coalesced LRU — CI smoke-runs both at -benchtime=1x.
+// The serve hot path, measured end to end through HTTP: a repeated
+// design-time request is answered from its prefix's memo (request JSON and
+// one lookup); a computed request pays one Allocator.At + solve + encode on
+// the shared prefix; a cold request additionally rebuilds the prefix (gen,
+// place, STA, allocator). The gaps are the value of the answer memo and of
+// the coalesced LRU — CI smoke-runs them at -benchtime=1x.
 
+// BenchmarkServeTuneCachedPrefix repeats one request, so every timed
+// iteration is a memo hit.
 func BenchmarkServeTuneCachedPrefix(b *testing.B) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -28,6 +32,28 @@ func BenchmarkServeTuneCachedPrefix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := c.Tune(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeTuneComputed sends a new beta on every iteration, so each
+// request computes its answer on the cached prefix: a memo miss for the
+// first 256, then past the memo's bound, where nothing more is stored.
+func BenchmarkServeTuneComputed(b *testing.B) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	req := TuneRequest{DesignRef: DesignRef{Benchmark: "c1355"}, Beta: 0.1}
+	if _, err := c.Tune(context.Background(), req); err != nil {
+		b.Fatal(err) // warm the cache, outside the betas timed below
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Beta = 0.02 + 0.06*float64(i)/float64(b.N)
 		if _, err := c.Tune(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
