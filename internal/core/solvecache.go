@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"context"
+
+	"repro/internal/memo"
+)
 
 // SolveCache is a concurrency-safe memo of allocation outcomes over one
 // Allocator, shared across workers, streams and requests. The clustering
@@ -14,14 +18,14 @@ import "sync"
 // against a cached placement starts with the population's allocation set
 // already solved.
 //
-// Concurrent misses on one key coalesce: the first caller materializes and
-// solves, later callers block until the entry is filled. The cached Solution
-// is owned by the cache and shared — callers must treat it as immutable and
-// Clone before retaining, exactly as they must for Instance-owned solutions.
+// It is a memo.Memo, so concurrent misses on one key coalesce onto one
+// materialize-and-solve and the least recently used outcome is dropped
+// first. The cached Solution is owned by the cache and shared — callers
+// must treat it as immutable and Clone before retaining, exactly as they
+// must for Instance-owned solutions.
 type SolveCache struct {
 	al *Allocator
-	mu sync.Mutex
-	m  map[solveKey]*solveEntry
+	m  *memo.Memo[solveKey, outcome]
 }
 
 // maxSolveCache bounds the cache. Reusable targets are monitor-quantized
@@ -40,16 +44,17 @@ type solveKey struct {
 	solver          Solver
 }
 
-type solveEntry struct {
-	done     chan struct{}
-	sol      *Solution // detached clone; nil when the solve failed
-	solveErr error     // graceful beyond-compensation-range outcome
-	fatal    error     // structural At failure, broadcast but never cached
+// outcome is one solve's result: a detached solution, or the graceful
+// beyond-compensation-range solveErr, which is as deterministic as a
+// solution and cached alongside them.
+type outcome struct {
+	sol      *Solution
+	solveErr error
 }
 
 // NewSolveCache returns an empty cache over al.
 func NewSolveCache(al *Allocator) *SolveCache {
-	return &SolveCache{al: al}
+	return &SolveCache{al: al, m: memo.New[solveKey, outcome](maxSolveCache)}
 }
 
 // Allocator returns the engine the cache memoizes; callers mixing several
@@ -58,19 +63,16 @@ func NewSolveCache(al *Allocator) *SolveCache {
 func (c *SolveCache) Allocator() *Allocator { return c.al }
 
 // Len reports the number of cached entries (filled or in flight).
-func (c *SolveCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *SolveCache) Len() int { return c.m.Len() }
 
 // Solve returns the allocation outcome for (opts, solver) through the cache,
 // materializing and solving into buf on a miss. It keeps the two failure
 // modes apart: solveErr is the deterministic
 // beyond-compensation-range outcome (cached alongside solutions), err is a
-// structural materialization failure (fatal, never cached). The returned
-// Instance is buf (possibly grown) — callers thread it exactly as with
-// Allocator.At — and on a cache hit buf is returned untouched.
+// structural materialization failure (the compute's error, so never
+// cached). The returned Instance is buf (possibly grown) — callers thread it
+// exactly as with Allocator.At — and on a cache hit buf is returned
+// untouched.
 func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Solution, inst *Instance, solveErr, err error) {
 	if err := opts.normalize(); err != nil {
 		return nil, buf, nil, err
@@ -79,54 +81,21 @@ func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Sol
 		solver = HeuristicSolver{}
 	}
 	key := solveKey{beta: opts.Beta, clusters: opts.MaxClusters, pairs: opts.MaxBiasPairs, solver: solver}
-
-	c.mu.Lock()
-	if e, ok := c.m[key]; ok {
-		c.mu.Unlock()
-		<-e.done
-		if e.fatal != nil {
-			return nil, buf, nil, e.fatal
+	inst = buf
+	o, err := c.m.Get(context.TODO(), key, func() (outcome, error) {
+		in, err := c.al.At(opts, buf)
+		if err != nil {
+			return outcome{}, err
 		}
-		return e.sol, buf, e.solveErr, nil
-	}
-	if c.m == nil {
-		c.m = make(map[solveKey]*solveEntry)
-	}
-	if len(c.m) >= maxSolveCache {
-		c.mu.Unlock()
-		return c.solveUncached(opts, solver, buf)
-	}
-	e := &solveEntry{done: make(chan struct{})}
-	c.m[key] = e
-	c.mu.Unlock()
-
-	inst, err = c.al.At(opts, buf)
-	if err != nil {
-		// Broadcast the failure to coalesced waiters but drop the entry:
-		// fatal errors are never cached.
-		e.fatal = err
-		c.mu.Lock()
-		delete(c.m, key)
-		c.mu.Unlock()
-		close(e.done)
-		return nil, buf, nil, err
-	}
-	s, serr := inst.Solve(solver)
-	if s != nil {
-		e.sol = s.Clone() // s lives in the Instance scratch
-	}
-	e.solveErr = serr
-	close(e.done)
-	return e.sol, inst, serr, nil
-}
-
-// solveUncached is the full-cache path: one materialize-and-solve on the
-// caller's scratch, failure modes separated as in Solve.
-func (c *SolveCache) solveUncached(opts Options, solver Solver, buf *Instance) (*Solution, *Instance, error, error) {
-	inst, err := c.al.At(opts, buf)
+		inst = in
+		s, serr := in.Solve(solver)
+		if s != nil {
+			s = s.Clone() // s lives in the Instance scratch
+		}
+		return outcome{s, serr}, nil
+	})
 	if err != nil {
 		return nil, buf, nil, err
 	}
-	s, serr := inst.Solve(solver)
-	return s, inst, serr, nil
+	return o.sol, inst, o.solveErr, nil
 }

@@ -162,8 +162,8 @@ func TestSolveCacheKeysByConfiguration(t *testing.T) {
 	}
 }
 
-// TestSolveCacheBounded: insertion stops at maxSolveCache; later distinct
-// keys still solve correctly through the bypass.
+// TestSolveCacheBounded: past maxSolveCache distinct keys the cache stays
+// at its bound, and every key still solves.
 func TestSolveCacheBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("filling the cache is a -short skip")
@@ -185,6 +185,42 @@ func TestSolveCacheBounded(t *testing.T) {
 		if c.Len() > maxSolveCache {
 			t.Fatalf("cache grew to %d entries, cap is %d", c.Len(), maxSolveCache)
 		}
+	}
+	if c.Len() != maxSolveCache {
+		t.Fatalf("cache holds %d entries, want the cap %d", c.Len(), maxSolveCache)
+	}
+}
+
+// TestSolveCacheHotPointAfterSweep: a target first solved after a sweep
+// has filled the cache is still cached, so its repeat is a hit, and the
+// cache holds no more than its bound.
+func TestSolveCacheHotPointAfterSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("filling the cache is a -short skip")
+	}
+	pl, tm := randomTimed(t, cell.Default(), 11)
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewSolveCache(al)
+	var inst *Instance
+	solve := func(beta float64) {
+		t.Helper()
+		_, got, _, err := c.Solve(Options{Beta: beta, MaxClusters: 3, MaxBiasPairs: 2}, nil, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst = got
+	}
+	for i := range maxSolveCache {
+		solve(0.01 + 1e-5*float64(i))
+	}
+	solve(0.05)
+	hits := c.m.Stats().Hits
+	solve(0.05)
+	if c.m.Stats().Hits != hits+1 {
+		t.Fatal("a target repeated after a full sweep missed the cache")
 	}
 	if c.Len() != maxSolveCache {
 		t.Fatalf("cache holds %d entries, want the cap %d", c.Len(), maxSolveCache)

@@ -6,25 +6,25 @@
 // (problem construction and allocation for one (beta, C) pair). Every
 // experiment grid re-visits the same prefixes many times: Table 1 alone runs
 // four (beta, C) points per benchmark, and the cluster sweep runs ten on one
-// design. The Engine memoizes each prefix behind a concurrency-safe cache so
-// it is computed exactly once per process-wide key and shared, while the
-// Map/MapAll pool fans the per-point work out over a bounded number of
-// workers with context cancellation and deterministic, index-ordered
-// results.
+// design. The Engine memoizes each prefix in a memo.Memo so it is computed
+// once per (benchmark, forceRows) and shared, while the Map/MapAll pool
+// fans the per-point work out over a bounded number of workers with
+// context cancellation and deterministic, index-ordered results.
 //
 // Everything a Prefix exposes is immutable after construction (the placement
 // and timing structs are built eagerly and only read by the allocators),
-// except its two concurrency-safe memos (Solves and Answers), so a single
-// cached instance may be used from any number of goroutines.
+// except its memos (Solves and Answers), which are concurrency-safe, so a
+// single cached instance may be used from any number of goroutines.
 package flow
 
 import (
-	"fmt"
+	"context"
 	"sync/atomic"
 
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/sta"
@@ -56,42 +56,61 @@ type Prefix struct {
 	// like everything else here it is shared, never rebuilt.
 	Solves *core.SolveCache
 	// Answers memoizes whole design-time answers on this prefix, one per
-	// allocation Point: fbbd stores each successful flow-mode /v1/tune
-	// response there as its encoded bytes, so a repeated request is one
-	// lookup. Like Solves it is shared and concurrency-safe, and it goes
-	// with the prefix when a cache evicts it.
-	Answers Answers
+	// allocation Point, at most maxAnswers of them: fbbd computes each
+	// flow-mode /v1/tune response through it as its encoded bytes, so a
+	// repeated request is one lookup. Like Solves it is shared, and it
+	// goes with the prefix when a cache evicts it.
+	Answers *memo.Memo[Point, []byte]
 }
+
+// Point is one design-time allocation point on a prefix, as a request gives
+// it: the allocation fields of repro.Config before any default is applied.
+// Together with the prefix (design, name and row count) it determines the
+// whole design-time answer.
+type Point struct {
+	Beta         float64
+	MaxClusters  int
+	MaxBiasPairs int
+	Solver       string
+}
+
+// maxAnswers bounds one prefix's answer memo, the bound core.SolveCache
+// uses: the points a caller revisits are a small grid, and the bound only
+// guards against a caller sweeping a continuous beta.
+const maxAnswers = 256
 
 // Engine memoizes flow prefixes. The zero value is not usable; construct
 // with New.
 type Engine struct {
 	lib      *cell.Library
-	designs  Cache[*netlist.Design]
-	prefixes Cache[*Prefix]
+	prefixes *memo.Memo[prefixKey, *Prefix]
 }
+
+type prefixKey struct {
+	name      string
+	forceRows int
+}
+
+// enginePrefixes bounds an Engine's prefix memo. It holds every built-in
+// benchmark (gen.All lists nine) at automatic rows and a few variants, so
+// no experiment grid builds a prefix twice.
+const enginePrefixes = 16
 
 // New returns an Engine over the default characterized library.
 func New() *Engine { return NewWithLibrary(cell.Default()) }
 
 // NewWithLibrary returns an Engine whose benchmarks are mapped to lib.
-func NewWithLibrary(lib *cell.Library) *Engine { return &Engine{lib: lib} }
-
-// Design runs stage 1 — benchmark generation — memoized by name.
-func (e *Engine) Design(name string) (*netlist.Design, error) {
-	return e.designs.Do(name, func() (*netlist.Design, error) {
-		return gen.Build(name, e.lib)
-	})
+func NewWithLibrary(lib *cell.Library) *Engine {
+	return &Engine{lib: lib, prefixes: memo.New[prefixKey, *Prefix](enginePrefixes)}
 }
 
 // Prefix runs stages 1-3 — generation, placement, nominal STA — memoized
 // per (benchmark, forceRows). Concurrent callers of the same key block for
 // one shared computation. forceRows overrides the placer's automatic row
-// count (0 = automatic); variants share the stage-1 design cache.
+// count (0 = automatic).
 func (e *Engine) Prefix(name string, forceRows int) (*Prefix, error) {
-	key := fmt.Sprintf("%s\x00rows=%d", name, forceRows)
-	return e.prefixes.Do(key, func() (*Prefix, error) {
-		d, err := e.Design(name)
+	return e.prefixes.Get(context.TODO(), prefixKey{name, forceRows}, func() (*Prefix, error) {
+		d, err := gen.Build(name, e.lib)
 		if err != nil {
 			return nil, err
 		}
@@ -137,5 +156,6 @@ func PrefixFor(d *netlist.Design, lib *cell.Library, forceRows int) (*Prefix, er
 	if err != nil {
 		return nil, err
 	}
-	return &Prefix{Design: d, Placement: pl, Timing: tm, Analyzer: an, Allocator: al, Solves: core.NewSolveCache(al)}, nil
+	return &Prefix{Design: d, Placement: pl, Timing: tm, Analyzer: an, Allocator: al,
+		Solves: core.NewSolveCache(al), Answers: memo.New[Point, []byte](maxAnswers)}, nil
 }

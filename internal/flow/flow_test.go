@@ -8,56 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/gen"
 )
-
-func TestCacheComputesOnce(t *testing.T) {
-	var c Cache[*int]
-	var calls atomic.Int32
-	var wg sync.WaitGroup
-	ptrs := make([]*int, 64)
-	for g := range ptrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := c.Do("k", func() (*int, error) {
-				calls.Add(1)
-				n := 42
-				return &n, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			ptrs[g] = v
-		}()
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls.Load())
-	}
-	for _, p := range ptrs {
-		if p != ptrs[0] {
-			t.Fatal("callers got different cached pointers")
-		}
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", c.Len())
-	}
-}
-
-func TestCacheRetainsError(t *testing.T) {
-	var c Cache[int]
-	var calls int
-	fail := errors.New("boom")
-	for i := 0; i < 3; i++ {
-		_, err := c.Do("bad", func() (int, error) { calls++; return 0, fail })
-		if err != fail {
-			t.Fatalf("got %v, want cached error", err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("failing compute ran %d times, want 1", calls)
-	}
-}
 
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
@@ -155,17 +108,19 @@ func TestEnginePrefixSharedUnderRace(t *testing.T) {
 	if n := e.prefixes.Len(); n != 1 {
 		t.Fatalf("engine holds %d prefixes, want 1", n)
 	}
-	// A different forceRows is a different prefix but shares the stage-1
-	// design cache.
-	p2, err := e.Prefix("c1355", prefixes[0].Placement.NumRows+4)
+	// A different forceRows is a different prefix.
+	rows := prefixes[0].Placement.NumRows + 4
+	p2, err := e.Prefix("c1355", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 == prefixes[0] {
-		t.Fatal("forceRows variant returned the cached automatic-rows prefix")
+	if p2 == prefixes[0] || p2.Placement.NumRows != rows {
+		t.Fatalf("forceRows %d variant has %d rows (cached automatic-rows prefix: %v)",
+			rows, p2.Placement.NumRows, p2 == prefixes[0])
 	}
-	if p2.Design != prefixes[0].Design {
-		t.Fatal("forceRows variant regenerated the design instead of sharing stage 1")
+	if n := e.prefixes.Len(); n != 2 || len(gen.All()) > enginePrefixes {
+		t.Fatalf("engine holds %d prefixes, want 2; its bound %d must hold all %d built-ins",
+			n, enginePrefixes, len(gen.All()))
 	}
 }
 
@@ -242,28 +197,47 @@ func TestMapWithFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestAnswersBound: the zero Answers stores and loads, holds at most
-// maxAnswers points, and once full stores nothing more and keeps what it
-// holds.
+// TestAnswersBound: a prefix's answer memo holds at most maxAnswers points
+// and drops the least recently used first, so a point first asked after a
+// sweep has filled it is computed once and then answered from the memo; a
+// held point keeps its bytes, and a different solver string is a
+// different point.
 func TestAnswersBound(t *testing.T) {
-	var a Answers
-	if _, ok := a.Load(Point{}); ok {
-		t.Fatal("zero memo holds an answer")
+	pfx, err := New().Prefix("c1355", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range maxAnswers + 1 {
-		a.Store(Point{MaxClusters: i}, []byte{byte(i)})
+	computed := 0
+	get := func(p Point, b []byte) []byte {
+		t.Helper()
+		got, err := pfx.Answers.Get(context.Background(), p, func() ([]byte, error) {
+			computed++
+			return b, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if n := len(a.m); n != maxAnswers {
+	for i := range maxAnswers {
+		get(Point{MaxClusters: i}, []byte{byte(i)})
+	}
+	hot := Point{MaxClusters: maxAnswers}
+	get(hot, []byte("hot"))
+	before := computed
+	if b := get(hot, []byte("again")); computed != before || !bytes.Equal(b, []byte("hot")) {
+		t.Fatalf("point repeated after a %d-point sweep recomputed (answer %q)", maxAnswers, b)
+	}
+	if n := pfx.Answers.Len(); n != maxAnswers {
 		t.Fatalf("memo holds %d answers, want %d", n, maxAnswers)
 	}
-	if _, ok := a.Load(Point{MaxClusters: maxAnswers}); ok {
-		t.Fatal("a full memo stored a new point")
+	if b := get(Point{MaxClusters: 3}, []byte("again")); computed != before || !bytes.Equal(b, []byte{3}) {
+		t.Fatalf("held point now answers %q", b)
 	}
-	a.Store(Point{MaxClusters: 3}, []byte("again"))
-	if b, ok := a.Load(Point{MaxClusters: 3}); !ok || !bytes.Equal(b, []byte{3}) {
-		t.Fatalf("held point now answers %q, %v", b, ok)
+	if get(Point{MaxClusters: 4, Solver: "local"}, nil); computed != before+1 {
+		t.Fatal("a different solver string shares the answer")
 	}
-	if b, ok := a.Load(Point{MaxClusters: 4, Solver: "local"}); ok {
-		t.Fatalf("a different solver string shares the answer %q", b)
+	if get(Point{MaxClusters: 0}, nil); computed != before+2 {
+		t.Fatal("the least recently used point outlived the bound")
 	}
 }

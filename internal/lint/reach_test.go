@@ -242,9 +242,9 @@ func isReached(syms map[string]bool, d decl) bool {
 }
 
 // normalizeSym drops the type arguments of generic instantiations
-// (flow.(*Cache[go.shape.*uint8]).Do becomes flow.(*Cache).Do, and
-// flow.MapWith[…] becomes flow.MapWith), so an instantiation names its
-// generic declaration.
+// (memo.(*Memo[go.shape.string,go.shape.*uint8]).Get becomes
+// memo.(*Memo).Get, and flow.MapWith[…] becomes flow.MapWith), so an
+// instantiation names its generic declaration.
 func normalizeSym(s string) string {
 	if !strings.Contains(s, "[") {
 		return s

@@ -11,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/ilp"
+	"repro/internal/memo"
 	"repro/internal/tech"
 	"repro/internal/variation"
 )
@@ -246,6 +247,9 @@ type Table1Request struct {
 type Table1Response struct {
 	Rows []repro.Table1Row `json:"rows"`
 }
+
+// CacheStats is a snapshot of the prefix cache's counters.
+type CacheStats = memo.Stats
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {

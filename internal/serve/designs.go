@@ -1,22 +1,26 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"strings"
-	"sync"
 
 	"repro/internal/cell"
-	"repro/internal/flow"
-	"repro/internal/gen"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
 // uploadMemoSize bounds each tier's upload memo. An entry is a 32-byte
 // digest, a 64-character key and a gate count; no upload text is kept.
 const uploadMemoSize = 1024
+
+// builtinMemoSize bounds the memos of built-in benchmarks: fbbd's designs,
+// and each tier's design keys by (benchmark, forceRows). It holds every
+// built-in (gen.All lists nine) at several row counts.
+const builtinMemoSize = 64
 
 // designInfo is what a tier needs of a design before any flow runs: its
 // prefix-cache key (DesignKey) and its gate count (MaxGates admission).
@@ -27,17 +31,32 @@ type designInfo struct {
 
 // designResolver resolves DesignRefs to designInfo for both tiers, doing
 // each design's parse and hash once. Built-in benchmarks are memoized by
-// benchmark#forceRows; uploads by uploadDigest in a bounded FIFO memo, so a
-// client tuning one upload at many (β, C) points is parsed once per tier.
-// Failed parses and oversize designs are never memoized: every 400 is
-// recomputed, with the same text. Safe for concurrent use.
+// (benchmark, forceRows); uploads by uploadDigest, so a client tuning one
+// upload at many (β, C) points is parsed once per tier. Both are memo.Memos:
+// failures — unknown names, failed parses, oversize designs — are never
+// memoized, so every 400 is recomputed, with the same text. Safe for
+// concurrent use.
 type designResolver struct {
 	lib *cell.Library
 	// builtin returns a built-in benchmark's design: the replica memoizes
 	// the design for its prefix builds, the router drops it after hashing.
 	builtin  func(name string) (*netlist.Design, error)
-	builtins flow.Cache[designInfo] // benchmark#forceRows → info
-	uploads  uploadMemo
+	builtins *memo.Memo[builtinRef, designInfo]
+	uploads  *memo.Memo[[sha256.Size]byte, designInfo]
+}
+
+type builtinRef struct {
+	benchmark string
+	forceRows int
+}
+
+func newDesignResolver(builtin func(name string) (*netlist.Design, error)) *designResolver {
+	return &designResolver{
+		lib:      cell.Default(),
+		builtin:  builtin,
+		builtins: memo.New[builtinRef, designInfo](builtinMemoSize),
+		uploads:  memo.New[[sha256.Size]byte, designInfo](uploadMemoSize),
+	}
 }
 
 // resolve returns ref's key and gate count, failing a design over maxGates
@@ -53,19 +72,21 @@ func (dr *designResolver) resolve(ref *DesignRef, maxGates int) (designInfo, *ne
 		}
 		return info, nil, err
 	}
+	var d *netlist.Design
 	sum := uploadDigest(ref.uploadName(), ref.ForceRows, ref.Netlist)
-	if info, ok := dr.uploads.get(sum); ok {
-		return info, nil, checkGates(info.gates, maxGates)
-	}
-	d, err := parseUpload(ref, dr.lib)
+	info, err := dr.uploads.Get(context.TODO(), sum, func() (designInfo, error) {
+		var err error
+		if d, err = parseUpload(ref, dr.lib); err != nil {
+			return designInfo{}, err
+		}
+		if err := checkGates(d.NumGates(), maxGates); err != nil {
+			return designInfo{}, err
+		}
+		return designInfo{key: DesignKey(d, ref.ForceRows), gates: d.NumGates()}, nil
+	})
 	if err != nil {
 		return designInfo{}, nil, err
 	}
-	if err := checkGates(d.NumGates(), maxGates); err != nil {
-		return designInfo{}, nil, err
-	}
-	info := designInfo{key: DesignKey(d, ref.ForceRows), gates: d.NumGates()}
-	dr.uploads.put(sum, info)
 	return info, d, nil
 }
 
@@ -79,13 +100,7 @@ func (dr *designResolver) design(ref *DesignRef) (*netlist.Design, error) {
 }
 
 func (dr *designResolver) builtinInfo(ref *DesignRef) (designInfo, error) {
-	// Check the name before touching the cache: flow.Cache retains failed
-	// computations forever, so unchecked client-supplied names would each
-	// pin a dead entry and grow memory without bound.
-	if _, err := gen.ByName(ref.Benchmark); err != nil {
-		return designInfo{}, err
-	}
-	return dr.builtins.Do(fmt.Sprintf("%s#%d", ref.Benchmark, ref.ForceRows), func() (designInfo, error) {
+	return dr.builtins.Get(context.TODO(), builtinRef{ref.Benchmark, ref.ForceRows}, func() (designInfo, error) {
 		d, err := dr.builtin(ref.Benchmark)
 		if err != nil {
 			return designInfo{}, err
@@ -138,39 +153,4 @@ func hashString(h hash.Hash, buf []byte, s string) {
 		h.Write(buf[:n])
 		s = s[n:]
 	}
-}
-
-// uploadMemo maps upload digests to designInfo, dropping the oldest entry
-// once it holds uploadMemoSize. Safe for concurrent use.
-type uploadMemo struct {
-	mu    sync.Mutex
-	m     map[[sha256.Size]byte]designInfo
-	order [][sha256.Size]byte // resident digests; once full, order[next] is the oldest
-	next  int
-}
-
-func (u *uploadMemo) get(sum [sha256.Size]byte) (designInfo, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	info, ok := u.m[sum]
-	return info, ok
-}
-
-func (u *uploadMemo) put(sum [sha256.Size]byte, info designInfo) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if _, ok := u.m[sum]; ok {
-		return // a concurrent miss of the same upload got here first
-	}
-	if u.m == nil {
-		u.m = make(map[[sha256.Size]byte]designInfo)
-	}
-	if len(u.order) < uploadMemoSize {
-		u.order = append(u.order, sum)
-	} else {
-		delete(u.m, u.order[u.next])
-		u.order[u.next] = sum
-		u.next = (u.next + 1) % uploadMemoSize
-	}
-	u.m[sum] = info
 }

@@ -14,12 +14,6 @@ import (
 	"repro/internal/netlist"
 )
 
-func (u *uploadMemo) len() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.m)
-}
-
 // memoHit reports whether ref resolves from dr's memo: a hit returns no
 // design, a miss returns the one it parsed.
 func memoHit(t *testing.T, dr *designResolver, ref DesignRef) bool {
@@ -58,10 +52,10 @@ func TestUploadKeyMemoRepeatIsByteIdentical(t *testing.T) {
 			t.Fatalf("request %d: body differs from the first:\n%s\nvs\n%s", i, resp, first)
 		}
 	}
-	if n := servers[0].keys.uploads.len(); n != 2 {
+	if n := servers[0].keys.uploads.Len(); n != 2 {
 		t.Errorf("replica memo holds %d uploads, want 2", n)
 	}
-	if n := rt.keys.uploads.len(); n != 1 {
+	if n := rt.keys.uploads.Len(); n != 1 {
 		t.Errorf("router memo holds %d uploads, want 1", n)
 	}
 	ref := DesignRef{Netlist: chainBench(12), Name: "hot"}
@@ -89,7 +83,7 @@ func TestUploadKeyMemoKeysMatchParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr := &designResolver{lib: lib}
+	dr := newDesignResolver(nil)
 	ref := DesignRef{Netlist: text.String(), Name: "hot0"}
 	for i := 0; i < 2; i++ {
 		info, _, err := dr.resolve(&ref, math.MaxInt)
@@ -179,16 +173,16 @@ func TestUploadKeyMemoSkipsFailures(t *testing.T) {
 			t.Fatalf("router 400 %s, replica 400 %s", firsts["router"], firsts["fbbd"])
 		}
 	}
-	if n := servers[0].keys.uploads.len(); n != 0 {
+	if n := servers[0].keys.uploads.Len(); n != 0 {
 		t.Errorf("replica memoized %d failed uploads", n)
 	}
-	if n := rt.keys.uploads.len(); n != 0 {
+	if n := rt.keys.uploads.Len(); n != 0 {
 		t.Errorf("router memoized %d failed uploads", n)
 	}
 }
 
 // TestUploadKeyMemoBounded: past uploadMemoSize distinct uploads the memo
-// stays at its bound and drops the oldest first.
+// stays at its bound and drops the least recently used first.
 func TestUploadKeyMemoBounded(t *testing.T) {
 	dr := New(Options{}).keys
 	text := chainBench(2)
@@ -197,11 +191,11 @@ func TestUploadKeyMemoBounded(t *testing.T) {
 		if memoHit(t, dr, upload(i)) {
 			t.Fatalf("upload %d: fresh upload hit the memo", i)
 		}
-		if n := dr.uploads.len(); n > uploadMemoSize {
+		if n := dr.uploads.Len(); n > uploadMemoSize {
 			t.Fatalf("memo holds %d uploads after %d, bound %d", n, i+1, uploadMemoSize)
 		}
 	}
-	if n := dr.uploads.len(); n != uploadMemoSize {
+	if n := dr.uploads.Len(); n != uploadMemoSize {
 		t.Fatalf("memo holds %d uploads, want %d", n, uploadMemoSize)
 	}
 	if !memoHit(t, dr, upload(uploadMemoSize+9)) || !memoHit(t, dr, upload(10)) {
@@ -239,7 +233,7 @@ func TestUploadKeyMemoConcurrent(t *testing.T) {
 			t.Fatalf("concurrent upload %d answered differently", i)
 		}
 	}
-	if a, b := servers[0].keys.uploads.len(), rt.keys.uploads.len(); a != 1 || b != 1 {
+	if a, b := servers[0].keys.uploads.Len(), rt.keys.uploads.Len(); a != 1 || b != 1 {
 		t.Fatalf("memo entries: replica %d, router %d; want 1 each", a, b)
 	}
 }

@@ -146,9 +146,10 @@ func TestTuneMemoKeysEveryAllocationField(t *testing.T) {
 	}
 }
 
-// TestTuneMemoBound: a prefix memoizes at most 256 answers. The 257th
-// distinct beta is still answered correctly, computed on every request,
-// and never stored.
+// TestTuneMemoBound: a prefix memoizes at most 256 answers and drops the
+// least recently used first. A beta first asked after a 256-beta sweep is
+// computed once and then answered from the memo; the sweep's first beta is
+// the one dropped.
 func TestTuneMemoBound(t *testing.T) {
 	s, c := newTestServer(t, Options{})
 	ref := DesignRef{Benchmark: "c1355"}
@@ -160,13 +161,13 @@ func TestTuneMemoBound(t *testing.T) {
 	}
 	last := q(256)
 	want := wantTune(t, localPrefix(t, "c1355"), last)
-	for i := range 2 {
+	for i, wantHits := range []int64{0, 1} {
 		before := memoHits(t, c)
 		if got := postTune(t, c, last); !bytes.Equal(got, want) {
 			t.Fatalf("257th beta, request %d:\n got: %s\nwant: %s", i+1, got, want)
 		}
-		if hits := memoHits(t, c) - before; hits != 0 {
-			t.Fatalf("257th beta, request %d: answered from the memo", i+1)
+		if hits := memoHits(t, c) - before; hits != wantHits {
+			t.Fatalf("257th beta, request %d: %d memo hits, want %d", i+1, hits, wantHits)
 		}
 	}
 	pfx, err := s.prefixErr(t.Context(), &ref)
@@ -175,14 +176,22 @@ func TestTuneMemoBound(t *testing.T) {
 	}
 	held := 0
 	for i := range 257 {
-		r := q(i)
-		if _, ok := pfx.Answers.Load(flow.Point{Beta: r.Beta}); ok {
+		if answerHeld(pfx, flow.Point{Beta: q(i).Beta}) {
 			held++
 		}
 	}
-	if _, ok := pfx.Answers.Load(flow.Point{Beta: last.Beta}); ok || held != 256 {
-		t.Fatalf("memo holds %d of 257 betas (257th held: %v), want the first 256", held, ok)
+	first, kept := answerHeld(pfx, flow.Point{Beta: q(0).Beta}), answerHeld(pfx, flow.Point{Beta: last.Beta})
+	if first || !kept || held != 256 {
+		t.Fatalf("memo holds %d of 257 betas (first held: %v, 257th held: %v), want all but the first", held, first, kept)
 	}
+}
+
+// answerHeld reports whether pfx's answer memo holds pt, computing nothing.
+func answerHeld(pfx *flow.Prefix, pt flow.Point) bool {
+	_, err := pfx.Answers.Get(context.Background(), pt, func() ([]byte, error) {
+		return nil, errors.New("not held")
+	})
+	return err == nil
 }
 
 // TestTuneMemoDroppedWithPrefix: with one prefix slot and alternating
@@ -200,7 +209,7 @@ func TestTuneMemoDroppedWithPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := pfx.Answers.Load(flow.Point{}); !ok {
+		if !answerHeld(pfx, flow.Point{}) {
 			t.Fatal("answer not memoized on its prefix")
 		}
 		runtime.SetFinalizer(pfx, func(*flow.Prefix) { close(collected) })
@@ -231,7 +240,8 @@ func TestTuneMemoDroppedWithPrefix(t *testing.T) {
 }
 
 // TestTuneMemoConcurrentIdentical: N concurrent identical flow-mode tunes
-// on a cold point all get the same bytes, the in-process answer.
+// on a cold point all get the same bytes, the in-process answer, and the
+// handler computes it once: every other request hits or joins the memo.
 func TestTuneMemoConcurrentIdentical(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 4, Queue: 64})
 	q := TuneRequest{DesignRef: DesignRef{Benchmark: "c1355"}, Beta: 0.08, MaxClusters: 2}
@@ -264,6 +274,38 @@ func TestTuneMemoConcurrentIdentical(t *testing.T) {
 			t.Fatalf("request %d: status %d\n got: %s\nwant: %s", i, status[i], got[i], want)
 		}
 	}
+	if hits := memoHits(t, c); hits != n-1 {
+		t.Fatalf("%d of %d identical requests answered from the memo, want %d", hits, n, n-1)
+	}
+}
+
+// TestTuneMemoCancelledJoin: a request whose context ends while it waits
+// on another request's computation of its answer is a 503 with a
+// Retry-After, as a cancelled wait for a prefix is.
+func TestTuneMemoCancelledJoin(t *testing.T) {
+	s := New(Options{})
+	pfx, err := s.prefixErr(t.Context(), &DesignRef{Benchmark: "c1355"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		pfx.Answers.Get(context.Background(), flow.Point{}, func() ([]byte, error) {
+			<-gate
+			return []byte("{}\n"), nil
+		})
+	}()
+	waitFor(t, 5*time.Second, func() bool { return pfx.Answers.Len() == 1 }, "the computation never started")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tune", strings.NewReader(`{"benchmark":"c1355"}`)).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("cancelled join: status %d, Retry-After %q: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	close(gate)
+	<-done
 }
 
 // TestClientBeyondRangeNotRetried: a design-time tune beyond the FBB

@@ -182,9 +182,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		client: opts.HTTPClient,
 		mux:    http.NewServeMux(),
 		stopCh: make(chan struct{}),
-		keys: &designResolver{lib: cell.Default(), builtin: func(name string) (*netlist.Design, error) {
+		keys: newDesignResolver(func(name string) (*netlist.Design, error) {
 			return gen.Build(name, cell.Default())
-		}},
+		}),
 	}
 	rt.mux.HandleFunc("POST /v1/tune", func(w http.ResponseWriter, r *http.Request) { rt.routeByDesign(w, r, "/v1/tune") })
 	rt.mux.HandleFunc("POST /v1/yield", func(w http.ResponseWriter, r *http.Request) { rt.routeByDesign(w, r, "/v1/yield") })

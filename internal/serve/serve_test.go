@@ -14,15 +14,17 @@ import (
 	"repro/internal/cell"
 	"repro/internal/flow"
 	"repro/internal/gen"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
-// --- PrefixCache unit tests (fake builds: the cache never inspects the
+// --- Prefix cache unit tests: fbbd's prefix layer is a memo.Memo of
+// *flow.Prefix, driven here with fake builds (the memo never inspects the
 // prefix, so a zero value stands in) ---
 
 func TestPrefixCacheCoalescesConcurrentBuilds(t *testing.T) {
 	var builds atomic.Int64
-	c := NewPrefixCache(4, nil)
+	c := memo.New[string, *flow.Prefix](4)
 	gate := make(chan struct{})
 	const n = 16
 	var wg sync.WaitGroup
@@ -63,7 +65,7 @@ func TestPrefixCacheCoalescesConcurrentBuilds(t *testing.T) {
 }
 
 func TestPrefixCacheLRUEviction(t *testing.T) {
-	c := NewPrefixCache(2, nil)
+	c := memo.New[string, *flow.Prefix](2)
 	builds := map[string]int{}
 	get := func(key string) {
 		t.Helper()
@@ -99,7 +101,7 @@ func TestPrefixCacheLRUEviction(t *testing.T) {
 // slot, even on a full cache where an insert-time eviction policy would
 // have dropped the LRU entry before the failure was known.
 func TestPrefixCacheFailedBuildDoesNotEvict(t *testing.T) {
-	c := NewPrefixCache(1, nil)
+	c := memo.New[string, *flow.Prefix](1)
 	goodBuilds := 0
 	good := func() (*flow.Prefix, error) {
 		goodBuilds++
@@ -125,7 +127,7 @@ func TestPrefixCacheFailedBuildDoesNotEvict(t *testing.T) {
 }
 
 func TestPrefixCacheDoesNotRetainFailures(t *testing.T) {
-	c := NewPrefixCache(4, nil)
+	c := memo.New[string, *flow.Prefix](4)
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 3; i++ {
@@ -146,7 +148,7 @@ func TestPrefixCacheDoesNotRetainFailures(t *testing.T) {
 }
 
 func TestPrefixCacheWaiterHonoursContext(t *testing.T) {
-	c := NewPrefixCache(2, nil)
+	c := memo.New[string, *flow.Prefix](2)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -172,7 +174,7 @@ func TestPrefixCacheWaiterHonoursContext(t *testing.T) {
 // nothing but errors. Joins must resolve into Hits only on success;
 // failed builds and expired waiter contexts are FailedJoins.
 func TestPrefixCacheFailedJoinAccounting(t *testing.T) {
-	c := NewPrefixCache(4, nil)
+	c := memo.New[string, *flow.Prefix](4)
 	boom := errors.New("boom")
 
 	// Two joiners attach to a build that fails.
@@ -827,10 +829,9 @@ func TestMaxGatesRejected(t *testing.T) {
 }
 
 // TestUnknownBenchmarksDoNotGrowDesignCache pins the admission-side memory
-// bound: client-invented benchmark names must be rejected before touching
-// the designs cache (flow.Cache retains failed computations forever, so an
-// attacker looping fresh names would otherwise grow the server without
-// bound).
+// bound: a client-invented benchmark name fails, and a failure is never
+// memoized, so an attacker looping fresh names leaves neither the designs
+// memo nor the design key memo an entry.
 func TestUnknownBenchmarksDoNotGrowDesignCache(t *testing.T) {
 	s, c := newTestServer(t, Options{})
 	for i := 0; i < 20; i++ {

@@ -15,7 +15,7 @@
 // Two mechanisms make the service cheap under load. First, the expensive,
 // deterministic front of every request — generation/parse, placement,
 // nominal STA, allocator construction — is a flow.Prefix held in a
-// netlist-hash-keyed LRU with singleflight coalescing (PrefixCache): N
+// netlist-hash-keyed LRU with singleflight coalescing (a memo.Memo): N
 // identical concurrent requests build it once and share it, which is safe
 // because a Prefix is immutable; each prefix also memoizes its encoded
 // design-time answers (flow.Prefix.Answers), so a repeated flow-mode tune
@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/gen"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 	"repro/internal/variation"
@@ -108,13 +109,15 @@ func (o Options) withDefaults() Options {
 // Server is the fbbd request handler. Construct with New; safe for
 // concurrent use.
 type Server struct {
-	opts  Options
-	cache *PrefixCache
+	opts Options
+	// cache is the prefix LRU, keyed by DesignKey and bounded by
+	// CacheSize.
+	cache *memo.Memo[string, *flow.Prefix]
 	// designs memoizes the built-in benchmark designs. keys resolves
 	// design keys once per distinct design; of an upload it keeps the
 	// digest, key and gate count, never the text or design, so a prefix
 	// miss parses the upload again.
-	designs flow.Cache[*netlist.Design]
+	designs *memo.Memo[string, *netlist.Design]
 	keys    *designResolver
 
 	workSem  chan struct{} // executing requests, cap Workers
@@ -140,19 +143,18 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:     opts,
-		cache:    NewPrefixCache(opts.CacheSize, opts.OnPrefixBuild),
+		cache:    memo.New[string, *flow.Prefix](opts.CacheSize),
+		designs:  memo.New[string, *netlist.Design](builtinMemoSize),
 		workSem:  make(chan struct{}, opts.Workers),
 		queueSem: make(chan struct{}, opts.Queue),
 		drainCh:  make(chan struct{}),
 		mux:      http.NewServeMux(),
 	}
-	// The name is checked before the designs cache is touched (resolve
-	// does it): flow.Cache retains failed computations forever.
-	s.keys = &designResolver{lib: cell.Default(), builtin: func(name string) (*netlist.Design, error) {
-		return s.designs.Do(name, func() (*netlist.Design, error) {
+	s.keys = newDesignResolver(func(name string) (*netlist.Design, error) {
+		return s.designs.Get(context.TODO(), name, func() (*netlist.Design, error) {
 			return gen.Build(name, cell.Default())
 		})
-	}}
+	})
 	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
 	s.mux.HandleFunc("POST /v1/yield", s.handleYield)
 	s.mux.HandleFunc("POST /v1/table1", s.handleTable1)
@@ -272,6 +274,9 @@ func (s *Server) prefixErr(ctx context.Context, ref *DesignRef) (*flow.Prefix, e
 		return nil, err
 	}
 	return s.cache.Get(ctx, info.key, func() (*flow.Prefix, error) {
+		if s.opts.OnPrefixBuild != nil {
+			s.opts.OnPrefixBuild(info.key)
+		}
 		if d == nil {
 			if d, err = s.keys.design(ref); err != nil {
 				return nil, err
@@ -286,12 +291,21 @@ func (s *Server) prefixErr(ctx context.Context, ref *DesignRef) (*flow.Prefix, e
 func (s *Server) prefix(ctx context.Context, ref *DesignRef) (*flow.Prefix, *apiError) {
 	pfx, err := s.prefixErr(ctx, ref)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, &apiError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: 1}
+		if e := cancelled(err); e != nil {
+			return nil, e
 		}
 		return nil, badRequest("%v", err)
 	}
 	return pfx, nil
+}
+
+// cancelled maps a memo wait that its request's context ended to a 503,
+// and any other error to nil.
+func cancelled(err error) *apiError {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return &apiError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: 1}
+	}
+	return nil
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
@@ -326,32 +340,38 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if req.Die == nil {
 		// A design-time answer is a pure function of the prefix and the
 		// point, and its response holds no clock reading, so the bytes a
-		// first request encoded are the answer to every repeat.
+		// first request encoded are the answer to every repeat, and
+		// concurrent identical requests compute it once.
 		pt := flow.Point{Beta: req.Beta, MaxClusters: req.MaxClusters, MaxBiasPairs: req.MaxBiasPairs, Solver: req.Solver}
-		if body, ok := pfx.Answers.Load(pt); ok {
-			s.tuneMemoHits.Add(1)
-			writeBody(w, http.StatusOK, body)
-			return
-		}
-		res, err := repro.RunWith(pfx, repro.Config{
-			Beta:         req.Beta,
-			MaxClusters:  req.MaxClusters,
-			MaxBiasPairs: req.MaxBiasPairs,
-			Solver:       req.Solver,
-			SkipLayout:   true,
+		computed := false
+		body, err := pfx.Answers.Get(r.Context(), pt, func() ([]byte, error) {
+			computed = true
+			res, err := repro.RunWith(pfx, repro.Config{
+				Beta:         req.Beta,
+				MaxClusters:  req.MaxClusters,
+				MaxBiasPairs: req.MaxBiasPairs,
+				Solver:       req.Solver,
+				SkipLayout:   true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return encodeBody(TuneResponse{Summary: res.Summarize(), ILP: ilpDiag(res)})
 		})
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, core.ErrBeyondRange) {
-				// Deterministic: a retry gets the same answer.
-				status = http.StatusUnprocessableEntity
+			e := cancelled(err)
+			if e == nil {
+				e = &apiError{status: http.StatusInternalServerError, msg: err.Error()}
+				if errors.Is(err, core.ErrBeyondRange) {
+					// Deterministic: a retry gets the same answer.
+					e.status = http.StatusUnprocessableEntity
+				}
 			}
-			writeError(w, &apiError{status: status, msg: err.Error()})
+			writeError(w, e)
 			return
 		}
-		body, err := encodeBody(TuneResponse{Summary: res.Summarize(), ILP: ilpDiag(res)})
-		if err == nil {
-			pfx.Answers.Store(pt, body)
+		if !computed {
+			s.tuneMemoHits.Add(1)
 		}
 		writeBody(w, http.StatusOK, body)
 		return

@@ -98,13 +98,6 @@ func (rt *Router) CheckNow(ctx context.Context) {
 	wg.Wait()
 }
 
-// Len reports the number of resident entries (in-flight included).
-func (c *PrefixCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Benchmarks fetches the server's built-in design names.
 func (c *Client) Benchmarks(ctx context.Context) ([]string, error) {
 	var out struct {
